@@ -10,7 +10,7 @@
     python -m repro callgraph [--bits 256]
     python -m repro farm [--cores 4] [--requests 200] [--seed 1]
                          [--rate 60] [--extended-fraction 0.5]
-                         [--shards N] [--jobs N] [--queue heap|calendar]
+                         [--shards N] [--jobs N]
                          [--replay trace.jsonl]
                          [--export-workload trace.jsonl]
                          [--faults SEED|plan.json] [--slo p99_ms=5,...]
@@ -465,9 +465,7 @@ def _cmd_farm(args) -> int:
     from repro.farm import (FarmConfig, TrafficProfile, build_farm,
                             capacity_table, farm_rate_targets,
                             import_workload, export_workload,
-                            queue_kinds, run_farm, shard_workload,
-                            specs_as_configs)
-    from repro.farm.shard import _merge_queue_stats
+                            run_farm, shard_workload, specs_as_configs)
     from repro.farm.scheduler import scheduler_names
     from repro.obs import get_registry, get_tracer, parse_slo
     from repro.ssl.throughput import DEFAULT_CLOCK_HZ
@@ -501,8 +499,6 @@ def _cmd_farm(args) -> int:
             raise ValueError("--shards must be at least 1")
         if args.shards > args.cores:
             raise ValueError("--shards cannot exceed --cores")
-        if args.queue not in queue_kinds():
-            raise ValueError(f"--queue must be one of {queue_kinds()}")
         if args.fault_episodes < 0:
             raise ValueError("--fault-episodes must be non-negative")
         fault_spec = (_parse_fault_spec(args.faults)
@@ -583,7 +579,7 @@ def _cmd_farm(args) -> int:
         config = FarmConfig(specs=tuple(specs),
                             scheduler=args.scheduler, profile=profile,
                             seed=args.seed, clock_hz=clock_hz,
-                            queue=args.queue, faults=plan, slo=slo,
+                            faults=plan, slo=slo,
                             slo_window_seconds=args.slo_window)
         return _run_soak(args, config)
 
@@ -605,8 +601,8 @@ def _cmd_farm(args) -> int:
     farm_runs = []
     config = FarmConfig(specs=tuple(specs), requests=tuple(requests),
                         shards=args.shards, seed=args.seed,
-                        clock_hz=clock_hz, queue=args.queue,
-                        jobs=args.jobs, faults=plan, slo=slo,
+                        clock_hz=clock_hz, jobs=args.jobs,
+                        faults=plan, slo=slo,
                         slo_window_seconds=args.slo_window,
                         series_interval_seconds=(
                             args.series_interval if args.series_out
@@ -636,10 +632,7 @@ def _cmd_farm(args) -> int:
         "shards": args.shards,
         "jobs": runs[0].jobs,
         "executor": runs[0].executor,
-        "queue": args.queue,
         "parallel_speedup": (shard_wall / wall if wall > 0 else 0.0),
-        "queue_stats": _merge_queue_stats([run.queue_stats
-                                           for run in runs]),
     }
 
     if args.json:
@@ -674,8 +667,8 @@ def _cmd_farm(args) -> int:
           f"{sum(not s.extended for s in specs)} base), "
           f"{len(requests)} requests @ {args.rate:.0f}/s, "
           f"seed {args.seed}")
-    if args.shards > 1 or args.queue != "heap":
-        print(f"sharded: {args.shards} shards, queue={args.queue}, "
+    if args.shards > 1:
+        print(f"sharded: {args.shards} shards, "
               f"jobs={sharding['jobs']} ({sharding['executor']}), "
               f"speedup {sharding['parallel_speedup']:.2f}x")
     print(f"\n{'scheduler':14s} {'sess/s':>8s} {'Mbps':>7s} "
@@ -1119,9 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition the population across N independent "
                         "shard simulations (1 = the plain simulator, "
                         "bit-identical)")
-    p.add_argument("--queue", default="heap",
-                   help="pending-event structure: heap or calendar "
-                        "(identical results either way)")
     p.add_argument("--replay", metavar="FILE",
                    help="replay a JSONL workload trace instead of "
                         "generating traffic")

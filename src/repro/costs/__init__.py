@@ -19,9 +19,8 @@ architectural layer:
   :mod:`repro.macromodel.persist`) so a warm store characterizes
   zero times.
 
-``from repro.ssl.transaction import PlatformCosts`` and
-``from repro.ssl import PlatformCosts`` keep working via compat
-re-exports.
+Import :class:`PlatformCosts` and the per-protocol cost constants from
+here; the SSL model consumes them but does not re-export them.
 """
 
 from repro.costs.model import (CRC32_CYCLES_PER_BYTE,

@@ -10,7 +10,8 @@ preferential algorithm.  This package models exactly that step:
   session-request streams (SSL full/resumed, WTLS, IPSec ESP, WEP),
   costed in cycles through the existing platform cost models;
 - :mod:`repro.farm.simulator` -- a deterministic discrete-event engine:
-  event heap, per-core run queues, cycle-granular virtual clock;
+  one ``heapq`` event heap, per-core run queues, cycle-granular
+  virtual clock;
 - :mod:`repro.farm.scheduler` -- pluggable dispatch policies
   (round-robin, least-loaded, preferential with session-cache
   affinity);
@@ -19,9 +20,6 @@ preferential algorithm.  This package models exactly that step:
   cores-vs-delay trade-off at the farm level);
 - :mod:`repro.farm.capacity`  -- the capacity planner: how many cores
   of which configuration serve N users at rate R;
-- :mod:`repro.farm.events`    -- pluggable pending-event structures
-  (binary heap, Brown's calendar queue) behind one ``EventQueue``
-  surface with identical pop order;
 - :mod:`repro.farm.shard`     -- population sharding: independent
   per-shard PRNG streams, parallel per-shard simulations, an
   order-preserving merge (``shards=1`` is bit-identical to the plain
@@ -34,8 +32,8 @@ preferential algorithm.  This package models exactly that step:
 - :mod:`repro.farm.timeseries` -- virtual-time metrics series of a
   run: a :class:`FarmSeriesRecorder` samples completion counters,
   windowed p99 / secure-throughput gauges, and latency histograms on
-  a fixed cycle interval (live, or derived post hoc from any merged
-  result), with fault and SLO-alert event annotations;
+  a fixed cycle interval (derived post hoc from any merged result),
+  with fault and SLO-alert event annotations;
 - :mod:`repro.farm.serve`     -- the soak service behind
   ``python -m repro farm --serve``: replays traffic epochs
   continuously and exposes ``/metrics`` (Prometheus text exposition,
@@ -49,7 +47,7 @@ from repro.obs.slo import (SloMonitor, SloObjective, SloReport,
 from repro.farm.autoscale import (ARRIVAL_CURVES, AutoscalePolicy,
                                   AutoscaleReport, EpochReport,
                                   arrival_multiplier, curve_names,
-                                  run_autoscale, simulate_autoscale)
+                                  run_autoscale)
 from repro.farm.capacity import (CapacityPlan, capacity_table,
                                  cores_for_rate, farm_rate_targets,
                                  plan_farm, specs_as_configs)
@@ -58,9 +56,6 @@ from repro.farm.faults import (DEFAULT_REDISPATCH_PENALTY_CYCLES,
                                FAULT_KINDS, FaultEvent, FaultPlan,
                                FaultReport, generate_fault_plan,
                                summarize_faults)
-from repro.farm.events import (EVENT_QUEUES, CalendarEventQueue,
-                               EventQueue, HeapEventQueue,
-                               make_event_queue, queue_kinds)
 from repro.farm.metrics import (FarmMetrics, percentile, summarize,
                                 window_metrics)
 from repro.farm.replay import (WorkloadTrace, export_workload,
@@ -69,8 +64,7 @@ from repro.farm.scheduler import (SCHEDULERS, LeastLoadedScheduler,
                                   PreferentialScheduler,
                                   RoundRobinScheduler, Scheduler,
                                   make_scheduler)
-from repro.farm.shard import (ShardedRun, merge_results, run_sharded,
-                              shard_workload)
+from repro.farm.shard import ShardedRun, merge_results, shard_workload
 from repro.farm.simulator import (BASE_CORE_GATES, Completion, Core,
                                   CoreSpec, FarmResult, FarmSimulator,
                                   build_farm, publish_metrics)
@@ -85,14 +79,13 @@ from repro.farm.workload import (RequestCost, SessionRequest,
 
 __all__ = [
     "ARRIVAL_CURVES", "BASE_CORE_GATES", "AutoscalePolicy",
-    "AutoscaleReport", "CalendarEventQueue", "CapacityPlan",
+    "AutoscaleReport", "CapacityPlan",
     "Completion", "Core", "CoreSpec",
     "DEFAULT_REDISPATCH_PENALTY_CYCLES",
-    "DEFAULT_SERIES_INTERVAL_SECONDS", "EVENT_QUEUES", "EpochReport",
-    "EventQueue", "FAULT_KINDS", "FarmConfig", "FarmMetrics",
+    "DEFAULT_SERIES_INTERVAL_SECONDS", "EpochReport", "FAULT_KINDS",
+    "FarmConfig", "FarmMetrics",
     "FarmResult", "FarmRun", "FarmSeriesRecorder", "FarmSimulator",
     "FarmSoakService", "FaultEvent", "FaultPlan", "FaultReport",
-    "HeapEventQueue",
     "LeastLoadedScheduler", "PreferentialScheduler", "RequestCost",
     "RoundRobinScheduler", "SCHEDULERS", "Scheduler", "SessionRequest",
     "ShardedRun", "SloMonitor", "SloObjective", "SloReport",
@@ -101,10 +94,10 @@ __all__ = [
     "build_farm", "capacity_table",
     "cores_for_rate", "cost_of", "curve_names", "export_workload",
     "farm_rate_targets", "generate_fault_plan", "generate_requests",
-    "import_workload", "is_public_key_heavy", "make_event_queue",
+    "import_workload", "is_public_key_heavy",
     "make_scheduler", "merge_results", "percentile", "plan_farm",
-    "publish_metrics", "queue_kinds", "run_autoscale", "run_farm",
-    "run_sharded", "series_of", "session_id_for_client",
+    "publish_metrics", "run_autoscale", "run_farm", "series_of",
+    "session_id_for_client",
     "shard_workload",
     "specs_as_configs", "summarize", "summarize_faults",
     "window_metrics",

@@ -19,36 +19,20 @@ functions of ``(profile, policy, slo, curve, epochs, seed)``.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.mp import DeterministicPrng
+# Private alias: SloTarget is imported from repro.obs.slo (or
+# repro.farm), never from this module.
 from repro.obs.slo import SloTarget as _SloTarget
 from repro.obs.timeseries import MetricsTimeSeries
-from repro.ssl.throughput import DEFAULT_CLOCK_HZ
-from repro.farm.faults import FaultPlan
 from repro.farm.metrics import percentile
-from repro.farm.simulator import CoreSpec
-from repro.farm.workload import TrafficProfile, _generate_stream
+from repro.farm.workload import _generate_stream
 
 __all__ = ["ARRIVAL_CURVES", "AutoscalePolicy", "AutoscaleReport",
-           "EpochReport", "SloTarget", "arrival_multiplier",
-           "curve_names", "run_autoscale", "simulate_autoscale"]
-
-
-def __getattr__(name: str):
-    if name == "SloTarget":
-        # Promoted to the shared SLO vocabulary in repro.obs.slo; the
-        # old import path keeps working with a nudge.
-        warnings.warn(
-            "repro.farm.autoscale.SloTarget moved to "
-            "repro.obs.slo.SloTarget; import it from repro.obs.slo "
-            "(or repro.farm) instead",
-            DeprecationWarning, stacklevel=2)
-        return _SloTarget
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+           "EpochReport", "arrival_multiplier", "curve_names",
+           "run_autoscale"]
 
 
 def _constant(epoch: int, n_epochs: int) -> float:
@@ -250,8 +234,8 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
 
     ``config`` is a :class:`repro.farm.config.FarmConfig` whose
     ``specs`` are the *pool* the policy may draw from (``max_cores``
-    is clamped to its size) and whose ``profile``/``seed``/``queue``
-    shape the traffic; each epoch routes the first ``active_cores``
+    is clamped to its size) and whose ``profile``/``seed`` shape the
+    traffic; each epoch routes the first ``active_cores``
     specs and that epoch's stream through
     :func:`repro.farm.config.run_farm`.  Measured utilization and SLO
     attainment (``config.slo``) drive the policy, and scale-outs land
@@ -387,26 +371,3 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
                                    epoch=epoch, failed=failed)
     return report
 
-
-def simulate_autoscale(specs: Sequence[CoreSpec], scheduler_name: str,
-                       profile: TrafficProfile,
-                       policy: AutoscalePolicy = None,
-                       slo: Optional[_SloTarget] = None,
-                       n_epochs: int = 24, epoch_seconds: float = 2.0,
-                       curve: str = "diurnal", seed: int = 1,
-                       clock_hz: float = DEFAULT_CLOCK_HZ,
-                       queue: str = "heap",
-                       faults: Optional[FaultPlan] = None
-                       ) -> AutoscaleReport:
-    """Deprecated: build a :class:`repro.farm.config.FarmConfig` and
-    call :func:`run_autoscale` instead (same report, bit for bit)."""
-    warnings.warn(
-        "simulate_autoscale(...) is deprecated; build a FarmConfig "
-        "and call repro.farm.run_autoscale(config, ...) instead",
-        DeprecationWarning, stacklevel=2)
-    from repro.farm.config import FarmConfig
-    config = FarmConfig(specs=tuple(specs), scheduler=scheduler_name,
-                        profile=profile, seed=seed, clock_hz=clock_hz,
-                        queue=queue, faults=faults, slo=slo)
-    return run_autoscale(config, policy=policy, n_epochs=n_epochs,
-                         epoch_seconds=epoch_seconds, curve=curve)

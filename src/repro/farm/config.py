@@ -1,20 +1,13 @@
 """One config object, one entry point for every farm simulation.
 
-The farm's knobs accreted across four surfaces --
-:class:`~repro.farm.simulator.FarmSimulator` construction,
-``run_sharded(...)``'s dozen keywords, the autoscale loop, and the CLI
-flags -- and every new capability (fault plans, SLO targets) would
-have widened all four.  :class:`FarmConfig` freezes the *description*
-of a run (cores, scheduler, workload, sharding, faults, SLOs) into one
+:class:`FarmConfig` freezes the *description* of a run (cores,
+scheduler, workload, sharding, faults, SLOs, series sampling) into one
 validated dataclass, and :func:`run_farm` is the single execution path
-the CLI, the shard layer, the autoscale epochs, and the benchmark
-scenarios all route through.  Runtime resources that are not part of
-the run's identity (tracers, metric registries, executors) stay out of
-the config and ride as keyword arguments.
-
-The legacy entry points (``run_sharded``, ``simulate_autoscale``)
-survive as deprecation shims that build a config and delegate here
-bit-identically.
+the CLI, the shard layer, the autoscale epochs
+(:func:`~repro.farm.autoscale.run_autoscale`), the soak service, and
+the benchmark scenarios all route through.  Runtime resources that are
+not part of the run's identity (tracers, metric registries, executors)
+stay out of the config and ride as keyword arguments.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +23,7 @@ from repro.costs import PlatformCosts
 from repro.farm.faults import FaultPlan, FaultReport, summarize_faults
 from repro.farm.metrics import FarmMetrics, summarize, window_metrics
 from repro.farm.scheduler import SCHEDULERS
-from repro.farm.shard import ShardedRun, _run_sharded
+from repro.farm.shard import ShardedRun, _run_shards
 from repro.farm.simulator import CoreSpec, FarmResult, build_farm
 from repro.farm.workload import SessionRequest, TrafficProfile
 
@@ -42,9 +35,9 @@ class FarmConfig:
     """Everything that shapes a farm run's results.
 
     Workload comes either from ``requests`` (an explicit or replayed
-    stream) or from ``profile`` + ``n_requests`` (seeded generation);
-    exactly the same choice ``run_sharded`` offered, now validated at
-    construction instead of failing mid-run.  ``faults`` and ``slo``
+    stream, whose ``seq`` values must be unique) or from ``profile`` +
+    ``n_requests`` (seeded generation), validated at construction
+    instead of failing mid-run.  ``faults`` and ``slo``
     are both optional: a config without them describes exactly the
     pre-chaos simulation (and reproduces it byte for byte).
     """
@@ -59,7 +52,6 @@ class FarmConfig:
     jobs: Optional[int] = None
     clock_hz: float = DEFAULT_CLOCK_HZ
     cache_capacity: int = 128
-    queue: str = "heap"
     faults: Optional[FaultPlan] = None
     slo: Optional[SloTarget] = None
     slo_window_seconds: float = 1.0
@@ -73,6 +65,15 @@ class FarmConfig:
         object.__setattr__(self, "specs", tuple(self.specs))
         if self.requests is not None:
             object.__setattr__(self, "requests", tuple(self.requests))
+            # The simulator keys requests by seq; a repeated seq would
+            # serve one request twice and silently drop the other.
+            seen = set()
+            for request in self.requests:
+                if request.seq in seen:
+                    raise ValueError(
+                        f"duplicate request seq {request.seq}; every "
+                        "request in a stream needs a unique seq")
+                seen.add(request.seq)
         if not self.specs:
             raise ValueError("farm needs at least one core")
         if self.scheduler not in SCHEDULERS:
@@ -153,16 +154,8 @@ def run_farm(config: FarmConfig, *, tracer: Optional[Tracer] = None,
     ``slo_window_seconds`` window of the finished run and publishes
     ``farm.slo_*`` counters into ``metrics``.
     """
-    sharded = _run_sharded(
-        list(config.specs), config.scheduler, profile=config.profile,
-        n_requests=config.n_requests, shards=config.shards,
-        seed=config.seed, clock_hz=config.clock_hz,
-        cache_capacity=config.cache_capacity, queue=config.queue,
-        jobs=config.jobs, executor=executor, tracer=tracer,
-        metrics=metrics,
-        requests=(list(config.requests)
-                  if config.requests is not None else None),
-        faults=config.faults)
+    sharded = _run_shards(config, executor=executor, tracer=tracer,
+                          metrics=metrics)
     result = sharded.result
     fault_report = (summarize_faults(result, config.faults)
                     if config.faults is not None else None)
@@ -178,8 +171,7 @@ def run_farm(config: FarmConfig, *, tracer: Optional[Tracer] = None,
     series: Optional[MetricsTimeSeries] = None
     if config.series_interval_seconds is not None:
         # Derived post hoc from the merged completion stream, so the
-        # series is byte-identical for any worker count (and, at
-        # shards=1, to live in-simulator sampling).
+        # series is byte-identical for any worker count.
         from repro.farm.timeseries import series_of
         series = series_of(
             result, faults=config.faults, slo_report=slo_report,

@@ -1,7 +1,7 @@
 """JSONL workload traces: export a request stream, replay it anywhere.
 
-Comparing schedulers, core mixes, or event-queue kinds is only honest
-when every configuration serves the *same* traffic.  Seeded generation
+Comparing schedulers, core mixes, or fault plans is only honest when
+every configuration serves the *same* traffic.  Seeded generation
 already guarantees that in-process; a trace file extends the guarantee
 across processes, CI jobs, and repo versions: one header line of
 metadata, then one JSON record per :class:`~repro.farm.workload.
@@ -26,8 +26,12 @@ __all__ = ["TRACE_FORMAT", "TRACE_VERSION", "WorkloadTrace",
 TRACE_FORMAT = "repro.farm.workload"
 TRACE_VERSION = 1
 
-_FIELDS = ("seq", "arrival_cycle", "protocol", "size_bytes", "resumed",
-           "client_id")
+#: Record fields in :class:`SessionRequest` order, each with the JSON
+#: types it accepts.
+_FIELD_TYPES = {"seq": (int,), "arrival_cycle": (int, float),
+                "protocol": (str,), "size_bytes": (int,),
+                "resumed": (bool,), "client_id": (int,)}
+_FIELDS = tuple(_FIELD_TYPES)
 
 
 @dataclass
@@ -64,17 +68,19 @@ def import_workload(path) -> WorkloadTrace:
     """Read a JSONL trace back into a :class:`WorkloadTrace`.
 
     Validates the header (format marker, version, record count) and
-    every record's protocol against the registry, so a truncated or
-    foreign file fails loudly instead of replaying a partial or
-    unpriceable population.
+    every record's fields, their JSON types, and its protocol against
+    the registry, so a truncated, foreign, or hand-damaged file fails
+    with a :class:`ValueError` naming the line instead of replaying a
+    partial or unpriceable population.
     """
     path = str(path)
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in (raw.strip() for raw in handle)
+        lines = [(number, line) for number, line in
+                 enumerate((raw.strip() for raw in handle), start=1)
                  if line]
     if not lines:
         raise ValueError(f"{path}: empty workload trace")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
     if header.get("version") != TRACE_VERSION:
@@ -87,19 +93,36 @@ def import_workload(path) -> WorkloadTrace:
                          f"found {len(records)} (truncated trace?)")
     known = protocol_names()
     requests = []
-    for line in records:
-        data = json.loads(line)
+    for number, line in records:
+        where = f"{path}: line {number}"
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{where}: record is not a JSON object")
+        for name, types in _FIELD_TYPES.items():
+            if name not in data:
+                raise ValueError(f"{where}: record is missing field "
+                                 f"{name!r}")
+            value = data[name]
+            # bool is an int subclass: only "resumed" may be one.
+            if (not isinstance(value, types)
+                    or isinstance(value, bool) != (bool in types)):
+                kinds = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"{where}: field {name!r} must be "
+                                 f"{kinds}, got {value!r}")
         if data["protocol"] not in known:
             raise ValueError(
-                f"{path}: trace names unregistered protocol "
+                f"{where}: trace names unregistered protocol "
                 f"{data['protocol']!r}; registered: {list(known)}")
         requests.append(SessionRequest(
-            seq=int(data["seq"]),
+            seq=data["seq"],
             arrival_cycle=float(data["arrival_cycle"]),
-            protocol=str(data["protocol"]),
-            size_bytes=int(data["size_bytes"]),
-            resumed=bool(data["resumed"]),
-            client_id=int(data["client_id"])))
+            protocol=data["protocol"],
+            size_bytes=data["size_bytes"],
+            resumed=data["resumed"],
+            client_id=data["client_id"]))
     return WorkloadTrace(requests=requests,
                          clock_hz=float(header.get("clock_hz",
                                                    DEFAULT_CLOCK_HZ)),

@@ -35,24 +35,22 @@ once, in the parent, through
 """
 
 import time
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.mp import DeterministicPrng
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.parallel import Executor, executor_scope
 from repro.protocols import UnknownProtocolError, protocol_names
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
-from repro.farm.faults import FaultPlan
 from repro.farm.scheduler import make_scheduler
-from repro.farm.simulator import (CoreSpec, FarmResult, FarmSimulator,
+from repro.farm.simulator import (FarmResult, FarmSimulator,
                                   publish_metrics)
 from repro.farm.workload import (SessionRequest, TrafficProfile,
                                  _generate_stream, generate_requests)
 
 __all__ = ["ShardedRun", "merge_results", "partition_requests",
-           "run_sharded", "shard_workload"]
+           "shard_workload"]
 
 
 def shard_workload(profile: TrafficProfile, n_requests: int,
@@ -153,31 +151,15 @@ def merge_results(shard_results: Sequence[FarmResult]) -> FarmResult:
         fault_events=sum(r.fault_events for r in shard_results))
 
 
-def _merge_queue_stats(stats: Sequence[Dict[str, float]]
-                       ) -> Dict[str, float]:
-    """Sum per-shard event-queue counters (``kind`` passes through)."""
-    merged: Dict[str, float] = {}
-    for entry in stats:
-        for key, value in entry.items():
-            if key == "kind":
-                merged[key] = value
-            else:
-                merged[key] = merged.get(key, 0.0) + value
-    return merged
-
-
 def _simulate_shard(task):
     """Run one shard (module-level so process pools can pickle it)."""
-    (specs, scheduler_name, requests, clock_hz, cache_capacity,
-     queue, faults) = task
+    specs, scheduler_name, requests, clock_hz, cache_capacity, faults = task
     simulator = FarmSimulator(specs, make_scheduler(scheduler_name),
                               clock_hz=clock_hz,
-                              cache_capacity=cache_capacity, queue=queue,
-                              faults=faults)
+                              cache_capacity=cache_capacity, faults=faults)
     start = time.perf_counter()
     result = simulator.run(requests)
-    wall = time.perf_counter() - start
-    return result, simulator.last_queue_stats, wall
+    return result, time.perf_counter() - start
 
 
 @dataclass
@@ -188,8 +170,6 @@ class ShardedRun:
     shards: int
     jobs: int
     executor: str
-    queue: str
-    queue_stats: Dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0          # parent wall clock
     shard_wall_seconds: float = 0.0    # summed per-shard wall clocks
 
@@ -202,23 +182,16 @@ class ShardedRun:
         return self.shard_wall_seconds / self.wall_seconds
 
 
-def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
-                 profile: TrafficProfile = None, n_requests: int = None,
-                 shards: int = 1, seed: int = 1,
-                 clock_hz: float = DEFAULT_CLOCK_HZ,
-                 cache_capacity: int = 128, queue: str = "heap",
-                 jobs: Optional[int] = None,
-                 executor: Optional[Executor] = None,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 requests: Optional[Sequence[SessionRequest]] = None,
-                 faults: Optional[FaultPlan] = None) -> ShardedRun:
-    """Generate (or replay), shard, simulate, and merge in one call
-    (the engine behind :func:`repro.farm.config.run_farm`).
+def _run_shards(config, *, executor: Optional[Executor] = None,
+                tracer: Optional[Tracer] = None,
+                metrics: Optional[MetricsRegistry] = None) -> ShardedRun:
+    """Generate (or replay), shard, simulate, and merge one
+    :class:`~repro.farm.config.FarmConfig` (the engine behind
+    :func:`repro.farm.config.run_farm`).
 
-    With ``requests`` given (the replay path) the stream is
-    partitioned by :func:`partition_requests` instead of generated;
-    ``profile``/``n_requests``/``seed`` are then unused.
+    With ``config.requests`` set (the replay path) the stream is
+    partitioned by :func:`partition_requests` instead of generated
+    from ``profile``/``n_requests``/``seed``.
 
     Each shard gets a *fresh* scheduler (``make_scheduler(name)``) over
     its own strided slice of the farm (``specs[i::shards]``, so the
@@ -227,8 +200,8 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
     (:meth:`~repro.farm.faults.FaultPlan.subplan_strided` follows the
     same core ownership), and shard count -- not jobs count --
     is the only thing that shapes results: the same ``(profile,
-    n_requests, shards, seed, queue, faults)`` tuple reproduces
-    identical merged metrics under any executor.
+    n_requests, shards, seed, faults)`` tuple reproduces identical
+    merged metrics under any executor.
 
     ``shards=1`` short-circuits to one in-process simulator run with
     the caller's tracer and metrics attached -- byte-identical
@@ -237,46 +210,43 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     trace = tracer is not NULL_TRACER
-    if shards > len(specs):
-        raise ValueError(
-            f"cannot split {len(specs)} cores into {shards} shards")
-    if requests is not None:
-        workloads = partition_requests(requests, shards)
-    elif profile is None or n_requests is None:
+    specs, shards = config.specs, config.shards
+    if config.requests is not None:
+        workloads = partition_requests(config.requests, shards)
+    elif config.n_requests is None:
         raise ValueError("need either requests= or profile+n_requests")
     else:
-        workloads = shard_workload(profile, n_requests, shards, seed,
-                                   clock_hz)
+        workloads = shard_workload(config.profile, config.n_requests,
+                                   shards, config.seed, config.clock_hz)
     start = time.perf_counter()
     if shards == 1:
-        simulator = FarmSimulator(specs, make_scheduler(scheduler_name),
-                                  clock_hz=clock_hz,
-                                  cache_capacity=cache_capacity,
+        simulator = FarmSimulator(specs, make_scheduler(config.scheduler),
+                                  clock_hz=config.clock_hz,
+                                  cache_capacity=config.cache_capacity,
                                   tracer=tracer, metrics=metrics,
-                                  queue=queue, faults=faults)
+                                  faults=config.faults)
         result = simulator.run(workloads[0])
         wall = time.perf_counter() - start
         return ShardedRun(result=result, shards=1, jobs=1,
-                          executor="serial", queue=queue,
-                          queue_stats=dict(simulator.last_queue_stats),
-                          wall_seconds=wall, shard_wall_seconds=wall)
+                          executor="serial", wall_seconds=wall,
+                          shard_wall_seconds=wall)
     # Shard i owns the cores at stride `shards` (specs[i::shards]), so
     # a heterogeneous farm's extended/base mix spreads evenly across
     # shards and the merged farm has exactly the original core count.
     # The fault plan shards under the same ownership map.
-    tasks = [(list(specs[i::shards]), scheduler_name, workloads[i],
-              clock_hz, cache_capacity, queue,
+    faults = config.faults
+    tasks = [(list(specs[i::shards]), config.scheduler, workloads[i],
+              config.clock_hz, config.cache_capacity,
               faults.subplan_strided(shards, i) if faults else None)
              for i in range(shards)]
     root = (tracer.open_virtual("farm.sharded", 0.0,
-                                scheduler=scheduler_name, shards=shards,
-                                queue=queue)
+                                scheduler=config.scheduler, shards=shards)
             if trace else None)
-    with executor_scope(jobs, executor) as pool:
+    with executor_scope(config.jobs, executor) as pool:
         outcomes = pool.map(_simulate_shard, tasks, label="farm.shard")
         kind, pool_jobs = pool.kind, pool.jobs
     wall = time.perf_counter() - start
-    shard_results = [result for result, _, _ in outcomes]
+    shard_results = [result for result, _ in outcomes]
     if trace:
         for i, shard_result in enumerate(shard_results):
             tracer.record(
@@ -292,42 +262,5 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
         publish_metrics(merged, metrics)
     return ShardedRun(
         result=merged, shards=shards, jobs=pool_jobs, executor=kind,
-        queue=queue,
-        queue_stats=_merge_queue_stats([stats for _, stats, _
-                                        in outcomes]),
         wall_seconds=wall,
-        shard_wall_seconds=sum(shard_wall for _, _, shard_wall
-                               in outcomes))
-
-
-def run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
-                profile: TrafficProfile = None, n_requests: int = None,
-                shards: int = 1, seed: int = 1,
-                clock_hz: float = DEFAULT_CLOCK_HZ,
-                cache_capacity: int = 128, queue: str = "heap",
-                jobs: Optional[int] = None,
-                executor: Optional[Executor] = None,
-                tracer: Optional[Tracer] = None,
-                metrics: Optional[MetricsRegistry] = None,
-                requests: Optional[Sequence[SessionRequest]] = None
-                ) -> ShardedRun:
-    """Deprecated: build a :class:`repro.farm.config.FarmConfig` and
-    call :func:`repro.farm.config.run_farm` instead.
-
-    This shim delegates through the facade bit-identically (gated by
-    a regression test), so existing callers keep their exact results
-    while the knobs live in one config object.
-    """
-    warnings.warn(
-        "run_sharded(...) is deprecated; build a FarmConfig and call "
-        "repro.farm.run_farm(config) instead",
-        DeprecationWarning, stacklevel=2)
-    from repro.farm.config import FarmConfig, run_farm
-    config = FarmConfig(
-        specs=tuple(specs), scheduler=scheduler_name, profile=profile,
-        n_requests=n_requests,
-        requests=tuple(requests) if requests is not None else None,
-        shards=shards, seed=seed, jobs=jobs, clock_hz=clock_hz,
-        cache_capacity=cache_capacity, queue=queue)
-    return run_farm(config, tracer=tracer, metrics=metrics,
-                    executor=executor).sharded
+        shard_wall_seconds=sum(shard_wall for _, shard_wall in outcomes))

@@ -17,6 +17,7 @@ cache key, which is what makes scheduler affinity a measurable
 performance lever rather than a flag.
 """
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -27,7 +28,6 @@ from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.protocols import get_protocol
 from repro.ssl.session_cache import SessionCache
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
-from repro.farm.events import make_event_queue
 from repro.farm.faults import FaultPlan
 from repro.farm.workload import SessionRequest, cost_of
 
@@ -148,11 +148,6 @@ class Core:
                 self.cache_capacity)
         return cache
 
-    @property
-    def cache(self) -> SessionCache:
-        """The SSL session cache (the historical single-cache surface)."""
-        return self.cache_for("ssl")
-
     def backlog_cycles(self, now: float) -> float:
         """Estimated outstanding work: remainder of the in-flight
         request plus the (full-handshake-priced) queued estimates."""
@@ -209,9 +204,7 @@ class FarmSimulator:
                  cache_capacity: int = 128,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 queue: str = "heap",
-                 faults: Optional[FaultPlan] = None,
-                 sampler=None):
+                 faults: Optional[FaultPlan] = None):
         if not specs:
             raise ValueError("farm needs at least one core")
         self.specs = list(specs)
@@ -220,17 +213,7 @@ class FarmSimulator:
         self.cache_capacity = cache_capacity
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.queue = queue
         self.faults = faults
-        #: Optional live time-series recorder (e.g. a
-        #: :class:`repro.farm.timeseries.FarmSeriesRecorder`): its
-        #: ``observe(completion)`` runs at each completion event, in
-        #: emission order.  The caller owns ``finish()`` -- the
-        #: simulator never closes the series.
-        self.sampler = sampler
-        #: Operation counters of the last run's event queue (see
-        #: :meth:`repro.farm.events.EventQueue.stats`).
-        self.last_queue_stats: Dict[str, float] = {}
 
     def run(self, requests: Sequence[SessionRequest]) -> FarmResult:
         cores = [Core(i, spec, self.cache_capacity)
@@ -239,7 +222,6 @@ class FarmSimulator:
         # Hoisted no-op checks: the disabled path costs one identity /
         # None comparison per run, not per event (regression-tested).
         trace = tracer is not NULL_TRACER
-        sampler = self.sampler
         sched_name = getattr(self.scheduler, "name", "?")
         # The run's root span: opened now so request spans can parent
         # to it, closed at the makespan once the heap drains.
@@ -247,18 +229,20 @@ class FarmSimulator:
                                     scheduler=sched_name)
                 if trace else None)
         root_id = root.span_id if trace else None
-        heap = make_event_queue(self.queue)
+        heap: List[Tuple[float, int, int, int]] = []
         plan = self.faults
         if plan is not None:
             for order, event in enumerate(plan.events):
                 # Fault events ride the same heap as traffic, keyed
                 # (cycle, _FAULT, plan order, core): same-cycle faults
                 # fire in plan order, before any same-cycle arrival.
-                heap.push((event.cycle, _FAULT, order, event.core))
+                heapq.heappush(heap, (event.cycle, _FAULT, order,
+                                      event.core))
         for request in requests:
             # (time, kind, seq, core): arrivals sort before completions
             # at equal times so a freed core sees new work immediately.
-            heap.push((request.arrival_cycle, _ARRIVAL, request.seq, -1))
+            heapq.heappush(heap, (request.arrival_cycle, _ARRIVAL,
+                                  request.seq, -1))
         by_seq = {r.seq: r for r in requests}
         completions: List[Completion] = []
         starts = {}
@@ -278,7 +262,7 @@ class FarmSimulator:
         events = 0
         makespan = 0.0
         while heap:
-            now, kind, seq, core_index = heap.pop()
+            now, kind, seq, core_index = heapq.heappop(heap)
             events += 1
             if kind == _FAULT:
                 event = plan.events[seq]
@@ -323,8 +307,6 @@ class FarmSimulator:
                     start_cycle=start, finish_cycle=now,
                     service_cycles=service, cache_hit=hit)
                 completions.append(completion)
-                if sampler is not None:
-                    sampler.observe(completion)
                 core.busy_cycles += service
                 core.served += 1
                 model = get_protocol(request.protocol)
@@ -368,7 +350,6 @@ class FarmSimulator:
             if not core.up and core.down_since is not None:
                 core.down_cycles += max(0.0, makespan - core.down_since)
                 core.down_since = makespan
-        self.last_queue_stats = heap.stats()
         result = FarmResult(completions=completions, cores=cores,
                             makespan_cycles=makespan,
                             clock_hz=self.clock_hz,
@@ -421,7 +402,7 @@ class FarmSimulator:
             core.busy_until = now
             retry = now + plan.redispatch_penalty_cycles
             for request in displaced:
-                heap.push((retry, _ARRIVAL, request.seq, -1))
+                heapq.heappush(heap, (retry, _ARRIVAL, request.seq, -1))
             return 1, len(displaced), 0
         if kind == "core_up":
             recovered = 0
@@ -442,7 +423,7 @@ class FarmSimulator:
                 # Requests stranded by a farm-wide outage re-arrive
                 # now that a core is back.
                 for request in stalled:
-                    heap.push((now, _ARRIVAL, request.seq, -1))
+                    heapq.heappush(heap, (now, _ARRIVAL, request.seq, -1))
                 del stalled[:]
             return applied, 0, recovered
         if kind == "cache_flush":
@@ -479,7 +460,8 @@ class FarmSimulator:
         if trace:
             tracer.event("farm.core.queue_depth", time=now,
                          core=core.index, depth=len(core.queue))
-        heap.push((now + service, _COMPLETE, request.seq, core.index))
+        heapq.heappush(heap, (now + service, _COMPLETE, request.seq,
+                              core.index))
 
 
 def publish_metrics(result: FarmResult, registry: MetricsRegistry) -> None:

@@ -2,20 +2,18 @@
 
 The farm's registry metrics are published once, at the end of a run
 (:func:`repro.farm.simulator.publish_metrics`); this module produces
-the *time-resolved* counterpart.  A :class:`FarmSeriesRecorder`
-replays completions -- live from inside :meth:`FarmSimulator.run`, or
-post hoc from a finished :class:`~repro.farm.simulator.FarmResult` --
-through a private registry, sampling it on the virtual cycle clock
-every ``interval_seconds`` of simulated time.
+the *time-resolved* counterpart.  :func:`series_of` replays the
+completions of a finished :class:`~repro.farm.simulator.FarmResult`
+through a :class:`FarmSeriesRecorder`'s private registry, sampling it
+on the virtual cycle clock every ``interval_seconds`` of simulated
+time.
 
 Determinism is the point.  :func:`series_of` derives the series from
 the *merged* completion stream in canonical ``(finish_cycle, seq)``
 order -- the exact order :func:`repro.farm.shard.merge_results`
 establishes -- so a sharded run's series is independent of the worker
-count, repeat runs export byte-identical JSONL, and a ``shards=1``
-post-hoc series equals the live-sampled one bit for bit (the
-``farm_timeseries`` bench scenario gates all three at diff exactly
-zero).
+count and repeat runs export byte-identical JSONL (the
+``farm_timeseries`` bench scenario gates both at diff exactly zero).
 
 Each sample carries the cumulative registry view (counters,
 histogram quantiles) plus three per-interval gauges derived from the
@@ -51,7 +49,7 @@ class FarmSeriesRecorder:
     and the shard merge order) and :meth:`finish` with the makespan.
     All of a completion's effects are attributed at its finish time,
     which is what makes the series a pure function of the completion
-    stream -- derivable identically live or post hoc.
+    stream.
     """
 
     def __init__(self, scheduler: str, n_cores: int, clock_hz: float,
@@ -169,8 +167,8 @@ def series_of(result: FarmResult, *,
 
     Completions replay in canonical ``(finish_cycle, seq)`` order, so
     the series of a sharded run is a pure function of the merged
-    result -- identical for any ``jobs`` count, and identical to live
-    sampling when ``shards=1``.  ``faults`` and ``slo_report``
+    result -- identical for any ``jobs`` count.  ``faults`` and
+    ``slo_report``
     annotate their events onto the series.
     """
     recorder = FarmSeriesRecorder(

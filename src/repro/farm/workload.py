@@ -16,12 +16,11 @@ This module is protocol-agnostic: protocol names, mix weights, cycle
 arithmetic, and resumption semantics all resolve through the registry.
 The historical surface (``cost_of``, ``is_public_key_heavy``,
 ``ecdh_cycles``, ``farm_session``, ``session_id_for_client``,
-``RequestCost``, ``MTU_BYTES``) is preserved as re-exports; the old
-``PROTOCOLS`` tuple survives as a deprecation shim.
+``RequestCost``, ``MTU_BYTES``) is preserved as re-exports; the
+protocol menu is :func:`repro.protocols.protocol_names`.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -208,13 +207,3 @@ def generate_requests(profile: TrafficProfile, n_requests: int,
     return _generate_stream(profile, n_requests, DeterministicPrng(seed),
                             profile.arrival_rate, clock_hz)
 
-
-def __getattr__(name):
-    if name == "PROTOCOLS":
-        warnings.warn(
-            "repro.farm.workload.PROTOCOLS is deprecated; use "
-            "repro.protocols.protocol_names() (the registry now "
-            "defines the protocol menu)", DeprecationWarning,
-            stacklevel=2)
-        return protocol_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -589,42 +589,6 @@ def _farm_sharded_metrics() -> Dict[str, object]:
     }
 
 
-def _farm_events_metrics() -> Dict[str, object]:
-    from repro.farm import (FarmConfig, TrafficProfile, build_farm,
-                            generate_requests, run_farm)
-    base, opt = _measured_pair()
-    metrics: Dict[str, object] = {}
-    for cores, n, rate in ((16, 320, 150.0), (64, 640, 500.0)):
-        specs = build_farm(cores, base, opt, extended_fraction=0.5)
-        requests = generate_requests(
-            TrafficProfile(arrival_rate=rate, clients=4 * cores), n,
-            seed=1)
-        runs = {}
-        for kind in ("heap", "calendar"):
-            run = run_farm(FarmConfig(specs=tuple(specs),
-                                      scheduler="least-loaded",
-                                      requests=tuple(requests),
-                                      queue=kind))
-            runs[kind] = (run.result, run.sharded.queue_stats)
-        heap_result, _ = runs["heap"]
-        cal_result, cal_stats = runs["calendar"]
-        prefix = f"c{cores}"
-        metrics[f"{prefix}.identical"] = float(
-            heap_result.completions == cal_result.completions
-            and heap_result.makespan_cycles == cal_result.makespan_cycles)
-        metrics[f"{prefix}.events"] = float(
-            heap_result.events_processed)
-        # The calendar queue's cost model: bucket scans per pop is the
-        # amortized-O(1) claim, direct searches are its failure mode.
-        metrics[f"{prefix}.calendar.scans_per_pop"] = (
-            cal_stats["scans"] / cal_stats["pops"])
-        metrics[f"{prefix}.calendar.resizes"] = cal_stats["resizes"]
-        metrics[f"{prefix}.calendar.direct_searches"] = \
-            cal_stats["direct_searches"]
-        metrics[f"{prefix}.calendar.buckets"] = cal_stats["buckets"]
-    return metrics
-
-
 def _farm_chaos_metrics() -> Dict[str, object]:
     from dataclasses import replace
     from repro.farm import (FarmConfig, FaultEvent, FaultPlan,
@@ -699,11 +663,8 @@ def _farm_chaos_metrics() -> Dict[str, object]:
 def _farm_timeseries_metrics() -> Dict[str, object]:
     import io
     from dataclasses import replace
-    from repro.farm import (FarmConfig, FarmSimulator, FaultEvent,
-                            FaultPlan, TrafficProfile, build_farm,
-                            generate_requests, make_scheduler,
-                            run_farm)
-    from repro.farm.timeseries import FarmSeriesRecorder
+    from repro.farm import (FarmConfig, FaultEvent, FaultPlan,
+                            TrafficProfile, build_farm, run_farm)
     from repro.obs.slo import SloTarget
     from repro.obs.timeseries import (read_series_jsonl,
                                       write_series_jsonl)
@@ -745,18 +706,6 @@ def _farm_timeseries_metrics() -> Dict[str, object]:
     serial4 = export(run_farm(config4).series)
     with ThreadExecutor(2) as pool:
         par4 = export(run_farm(config4, executor=pool).series)
-    # Live in-simulator sampling at shards=1 equals the post-hoc
-    # derivation bit for bit (healthy run: the plain simulator path).
-    requests = generate_requests(profile, n, seed=1)
-    recorder = FarmSeriesRecorder(scheduler="preferential", n_cores=8,
-                                  clock_hz=DEFAULT_CLOCK_HZ,
-                                  interval_seconds=0.05)
-    live_result = FarmSimulator(specs, make_scheduler("preferential"),
-                                sampler=recorder).run(requests)
-    recorder.finish(live_result.makespan_cycles)
-    live = export(recorder.series)
-    posthoc = export(run_farm(replace(
-        config, faults=None, slo=None)).series)
 
     series = chaos.series
     key = "farm.interval.p99_ms{scheduler=preferential}"
@@ -776,7 +725,6 @@ def _farm_timeseries_metrics() -> Dict[str, object]:
         "repeat_export_diff": float(text != repeat),
         "roundtrip_diff": float(text != reread),
         "shard4.jobs_export_diff": float(serial4 != par4),
-        "live_vs_posthoc_diff": float(live != posthoc),
         "p99_pre_spike_ms": pre_spike,
         "p99_spike_ms": spike,
         "p99_recovered_ms": recovered,
@@ -925,26 +873,6 @@ register_scenario(Scenario(
     }))
 
 register_scenario(Scenario(
-    name="farm_events",
-    description="heap vs calendar event queue at 16/64 cores: "
-                "pop-order equivalence and calendar scan cost",
-    run=_farm_events_metrics,
-    gates={
-        "c16.identical": _EXACT_COUNT,
-        "c64.identical": _EXACT_COUNT,
-        "c16.events": _EXACT_COUNT,
-        "c64.events": _EXACT_COUNT,
-        "c16.calendar.scans_per_pop": Gate(tolerance=0.25,
-                                           direction="lower"),
-        "c64.calendar.scans_per_pop": Gate(tolerance=0.25,
-                                           direction="lower"),
-        "c16.calendar.direct_searches": Gate(tolerance=0.0,
-                                             direction="lower"),
-        "c64.calendar.direct_searches": Gate(tolerance=0.0,
-                                             direction="lower"),
-    }))
-
-register_scenario(Scenario(
     name="farm_chaos",
     description="8-core farm under a committed FaultPlan (core loss, "
                 "cache flush, degradation): deterministic chaos, "
@@ -975,9 +903,9 @@ register_scenario(Scenario(
 register_scenario(Scenario(
     name="farm_timeseries",
     description="virtual-time series of the chaos run: byte-identical "
-                "exports across repeats/jobs, live-vs-posthoc "
-                "equality, JSONL round-trip, and the visible "
-                "p99 spike + recovery around the core outage",
+                "exports across repeats/jobs, JSONL round-trip, and "
+                "the visible p99 spike + recovery around the core "
+                "outage",
     run=_farm_timeseries_metrics,
     gates={
         "cores": _EXACT_COUNT,
@@ -991,7 +919,6 @@ register_scenario(Scenario(
         "roundtrip_diff": Gate(tolerance=0.0, direction="lower"),
         "shard4.jobs_export_diff": Gate(tolerance=0.0,
                                         direction="lower"),
-        "live_vs_posthoc_diff": Gate(tolerance=0.0, direction="lower"),
         "p99_spike_ms": Gate(tolerance=0.15, direction="lower"),
         "p99_spike_ratio": Gate(tolerance=0.15, direction="higher"),
         "p99_recovery_ratio": Gate(tolerance=0.25, direction="lower"),

@@ -9,10 +9,9 @@ runtime :class:`SloMonitor`, and benchmark gate construction all speak
 the same objects instead of growing three private notions of "is the
 service healthy".
 
-:class:`SloTarget` started life inside ``repro.farm.autoscale`` (p99
-latency + secure Mbps only); it lives here now, generalized with
-session-cache hit-rate and utilization floors, and the old import path
-remains as a deprecation shim.
+:class:`SloTarget` covers p99 latency and secure Mbps plus
+session-cache hit-rate and utilization floors; import it from here or
+from :mod:`repro.farm`.
 
 Like everything in :mod:`repro.obs`, this module is dependency-free
 within the repo (stdlib + :mod:`repro.obs` only), so any layer may

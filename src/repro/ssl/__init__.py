@@ -15,25 +15,9 @@ do not accelerate it -- that is exactly what saturates the
 large-transaction speedup in Figure 8.
 """
 
-import warnings
-
 from repro.ssl.record import RecordLayer, RecordError
 from repro.ssl.handshake import SslClient, SslServer, run_handshake
 from repro.ssl.transaction import SslWorkloadModel, TransactionBreakdown
 
 __all__ = ["RecordLayer", "RecordError", "SslClient", "SslServer",
            "run_handshake", "SslWorkloadModel", "TransactionBreakdown"]
-
-
-def __getattr__(name: str):
-    # PlatformCosts moved to the unified cost layer (repro.costs);
-    # keep the old import path working, loudly.
-    if name in ("PlatformCosts", "PROTOCOL_CYCLES_PER_BYTE",
-                "PROTOCOL_FIXED_CYCLES"):
-        warnings.warn(
-            f"importing {name} from repro.ssl is deprecated; "
-            f"import it from repro.costs instead",
-            DeprecationWarning, stacklevel=2)
-        from repro import costs
-        return getattr(costs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,28 +17,12 @@ both platforms and the speedup saturates near
 (sym+misc)_base / (sym+misc)_opt -- the paper's ~3x plateau.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+# Private alias: PlatformCosts and the per-protocol cost constants are
+# imported from repro.costs, never from this module.
 from repro.costs.model import PlatformCosts as _PlatformCosts
-
-# PlatformCosts historically lived here; it is now the heart of the
-# unified cost layer (repro.costs).  The old names are kept importable
-# through a deprecation shim below -- update callers to repro.costs.
-_MOVED_TO_COSTS = ("PlatformCosts", "PROTOCOL_CYCLES_PER_BYTE",
-                   "PROTOCOL_FIXED_CYCLES")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_COSTS:
-        warnings.warn(
-            f"importing {name} from repro.ssl.transaction is deprecated; "
-            f"import it from repro.costs instead",
-            DeprecationWarning, stacklevel=2)
-        from repro import costs
-        return getattr(costs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Handshake bytes hashed into the transcript (hellos, certificate,
 #: key exchange, Finished) -- a representative fixed workload.

@@ -5,9 +5,9 @@ import pytest
 
 from repro.costs import PlatformCosts
 from repro.farm import (ARRIVAL_CURVES, AutoscalePolicy, CapacityPlan,
-                        SloTarget, TrafficProfile, arrival_multiplier,
-                        build_farm, curve_names, plan_farm,
-                        simulate_autoscale, specs_as_configs)
+                        FarmConfig, SloTarget, TrafficProfile,
+                        arrival_multiplier, build_farm, curve_names,
+                        plan_farm, run_autoscale, specs_as_configs)
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -75,6 +75,12 @@ class TestPolicyValidation:
             AutoscalePolicy(**kwargs)
 
 
+def _autoscale(specs, profile, slo=None, seed=1, **kwargs):
+    config = FarmConfig(specs=tuple(specs), scheduler="preferential",
+                        profile=profile, seed=seed, slo=slo)
+    return run_autoscale(config, **kwargs)
+
+
 class TestAutoscale:
     def _run(self, **kwargs):
         defaults = dict(
@@ -83,9 +89,8 @@ class TestAutoscale:
             slo=SloTarget(p99_ms=500.0),
             n_epochs=12, epoch_seconds=1.0, curve="bursty", seed=4)
         defaults.update(kwargs)
-        return simulate_autoscale(
-            _pool(), "preferential",
-            TrafficProfile(arrival_rate=500.0, clients=128),
+        return _autoscale(
+            _pool(), TrafficProfile(arrival_rate=500.0, clients=128),
             **defaults)
 
     def test_deterministic(self):
@@ -112,9 +117,8 @@ class TestAutoscale:
         assert report.slo_violations == len(report.epochs)
 
     def test_scale_in_after_load_drops(self):
-        report = simulate_autoscale(
-            _pool(), "preferential",
-            TrafficProfile(arrival_rate=300.0, clients=128),
+        report = _autoscale(
+            _pool(), TrafficProfile(arrival_rate=300.0, clients=128),
             policy=AutoscalePolicy(min_cores=2, max_cores=16,
                                    scale_in_utilization=0.45,
                                    cooldown_epochs=0),
@@ -141,16 +145,13 @@ class TestAutoscale:
     def test_validation(self):
         profile = TrafficProfile()
         with pytest.raises(ValueError):
-            simulate_autoscale(_pool(), "preferential", profile,
-                               n_epochs=0)
+            _autoscale(_pool(), profile, n_epochs=0)
         with pytest.raises(ValueError):
-            simulate_autoscale(_pool(), "preferential", profile,
-                               epoch_seconds=0.0)
+            _autoscale(_pool(), profile, epoch_seconds=0.0)
         with pytest.raises(ValueError):
-            simulate_autoscale([], "preferential", profile)
+            _autoscale([], profile)
         with pytest.raises(ValueError, match="unknown arrival curve"):
-            simulate_autoscale(_pool(), "preferential", profile,
-                               curve="sawtooth")
+            _autoscale(_pool(), profile, curve="sawtooth")
 
 
 class TestCapacityPlanSerialization:

@@ -46,7 +46,7 @@ class TestParser:
         ["bench", "--json", "--dir", "/tmp/baselines"],
         ["bench", "--check", "--scenario", "farm_mixed", "--scenario",
          "characterize", "--report", "report.json", "--verbose"],
-        ["farm", "--shards", "4", "--jobs", "2", "--queue", "calendar"],
+        ["farm", "--shards", "4", "--jobs", "2"],
         ["farm", "--replay", "trace.jsonl"],
         ["farm", "--list-protocols"],
         ["farm", "--mix", "tls13=0.7,wep=0.3", "--json"],
@@ -376,21 +376,19 @@ class TestExecution:
         assert results["executor"] == "serial"
         sharding = results["sharding"]
         assert sharding["shards"] == 1
-        assert sharding["queue"] == "heap"
-        assert sharding["queue_stats"]["kind"] == "heap"
 
-    def test_farm_sharded_with_calendar_queue(self, capsys):
+    def test_farm_sharded_json(self, capsys):
         import json
         assert main(["farm", "--cores", "4", "--requests", "40",
                      "--seed", "2", "--shards", "2", "--jobs", "1",
-                     "--queue", "calendar", "--json"]) == 0
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["shards"] == 2
         results = payload["results"]
         assert len(results["schedulers"]) == 3
+        assert sorted(results["sharding"]) == [
+            "executor", "jobs", "parallel_speedup", "shards"]
         assert results["sharding"]["shards"] == 2
-        assert results["sharding"]["queue"] == "calendar"
-        assert results["sharding"]["queue_stats"]["pops"] > 0
 
     def test_farm_sharded_matches_unsharded_metrics(self, capsys):
         import json
@@ -408,8 +406,11 @@ class TestExecution:
         assert main(["farm", "--cores", "2", "--shards", "4"]) == 2
         assert "--shards cannot exceed --cores" in \
             capsys.readouterr().err
-        assert main(["farm", "--queue", "wheelbarrow"]) == 2
-        assert "--queue must be one of" in capsys.readouterr().err
+        # The event queue is not selectable: --queue is unknown.
+        with pytest.raises(SystemExit):
+            main(["farm", "--queue", "heap"])
+        assert "unrecognized arguments: --queue" in \
+            capsys.readouterr().err
 
     def test_farm_export_then_replay_round_trip(self, tmp_path,
                                                 capsys):

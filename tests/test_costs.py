@@ -40,20 +40,17 @@ def counted_characterize(monkeypatch):
 class TestCompatReexports:
     def test_platformcosts_import_paths_are_one_class(self):
         from repro.costs import PlatformCosts as from_costs
-        with pytest.warns(DeprecationWarning, match="repro.costs"):
-            from repro.ssl import PlatformCosts as from_ssl
-        with pytest.warns(DeprecationWarning, match="repro.costs"):
-            from repro.ssl.transaction import PlatformCosts as from_transaction
-        assert from_costs is from_ssl is from_transaction
+        from repro.costs.model import PlatformCosts as from_model
+        from repro.farm.workload import PlatformCosts as from_workload
+        assert from_costs is from_model is from_workload
 
-    def test_protocol_constants_shimmed_with_warning(self):
-        import repro.costs
-        import repro.ssl.transaction as txn
-        with pytest.warns(DeprecationWarning, match="repro.costs"):
-            assert txn.PROTOCOL_FIXED_CYCLES == \
-                repro.costs.PROTOCOL_FIXED_CYCLES
-        with pytest.raises(AttributeError):
-            txn.does_not_exist
+    def test_ssl_modules_do_not_reexport_costs(self):
+        import repro.ssl
+        import repro.ssl.transaction
+        for module in (repro.ssl, repro.ssl.transaction):
+            for name in ("PlatformCosts", "PROTOCOL_CYCLES_PER_BYTE",
+                         "PROTOCOL_FIXED_CYCLES"):
+                assert not hasattr(module, name), (module, name)
 
     def test_workload_constants_still_importable(self):
         from repro.farm.workload import (CRC32_CYCLES_PER_BYTE,

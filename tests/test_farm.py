@@ -245,7 +245,7 @@ class TestSchedulers:
         assert hits
         for c in hits:
             sid = session_id_for_client(c.request.client_id)
-            assert sid in result.cores[c.core_index].cache
+            assert sid in result.cores[c.core_index].cache_for("ssl")
 
     def test_affinity_can_be_disabled(self):
         result = _run(PreferentialScheduler(affinity=False),

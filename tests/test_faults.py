@@ -5,7 +5,6 @@ Same frozen measured unit costs as ``test_farm.py`` -- fault handling
 is a pure function of these numbers, so no ISS characterization runs.
 """
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -13,10 +12,9 @@ import pytest
 from repro.costs import PlatformCosts
 from repro.farm import (AutoscalePolicy, FarmConfig, FarmSimulator,
                         FaultEvent, FaultPlan, TrafficProfile,
-                        build_farm, generate_fault_plan,
+                        build_farm, cost_of, generate_fault_plan,
                         generate_requests, make_scheduler,
-                        run_autoscale, run_farm, run_sharded,
-                        simulate_autoscale, summarize)
+                        run_autoscale, run_farm)
 from repro.farm.faults import summarize_faults
 from repro.farm.workload import SessionRequest
 from repro.obs.slo import SloTarget
@@ -235,6 +233,39 @@ class TestSimulatorUnderFaults:
         assert completion.latency_cycles >= 2 * GAP
         assert result.cores[0].down_cycles == pytest.approx(3 * GAP)
 
+    def test_same_cycle_order_fault_arrival_completion(self):
+        """At one cycle the simulator applies the fault first, then the
+        arrivals in seq order, then the completion."""
+        specs = _farm(1, 1.0)
+        first = _req(0, 0.0)
+        finish = cost_of(first, OPT_COSTS).cycles
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=finish, kind="degrade", core=0),),
+            degraded_costs=BASE_COSTS)
+        seen = []
+
+        class Probe:
+            name = "probe"
+
+            def select(self, request, cores, now):
+                core = cores[0]
+                seen.append((request.seq, now, core.degraded,
+                             core.current is not None))
+                return 0
+
+        requests = [first, _req(2, finish, client=2),
+                    _req(1, finish, client=1)]
+        result = FarmSimulator(specs, Probe(), faults=plan).run(requests)
+        # Both same-cycle arrivals see the degrade already applied and
+        # request 0 still in service (its completion pops last).
+        assert seen == [(0, 0.0, False, False), (1, finish, True, True),
+                        (2, finish, True, True)]
+        assert [c.request.seq for c in result.completions] == [0, 1, 2]
+        assert result.completions[1].start_cycle == finish
+        second = result.completions[1]
+        assert second.service_cycles == \
+            cost_of(second.request, BASE_COSTS).cycles
+
     def test_cache_flush_forces_rehandshake(self):
         specs = _farm(2, 0.0)
         requests = [_req(0, 0.0, client=1),
@@ -409,6 +440,13 @@ class TestFarmConfig:
             FarmConfig(specs=specs, profile=profile,
                        slo_window_seconds=0.0)
 
+    def test_duplicate_seq_rejected(self):
+        # The simulator keys requests by seq: a repeated seq would
+        # serve one request twice and never serve the other.
+        requests = [_req(0, 0.0), _req(7, GAP), _req(7, 2 * GAP)]
+        with pytest.raises(ValueError, match="duplicate request seq 7"):
+            FarmConfig(specs=tuple(_farm(2)), requests=requests)
+
     def test_build_and_with_scheduler(self):
         config = FarmConfig.build(4, BASE_COSTS, OPT_COSTS,
                                   profile=TrafficProfile())
@@ -428,46 +466,6 @@ class TestFarmConfig:
         assert run.slo is not None
         assert run.slo.windows_violated > 0
         assert run.slo.attainment < 1.0
-
-
-class TestDeprecatedShims:
-    def test_run_sharded_delegates_bit_identically(self):
-        specs = _farm(8, 0.5)
-        profile = TrafficProfile(arrival_rate=120.0, clients=64)
-        with pytest.deprecated_call():
-            legacy = run_sharded(specs, "preferential", profile, 200,
-                                 shards=4, seed=1)
-        direct = run_farm(FarmConfig(
-            specs=tuple(specs), scheduler="preferential",
-            profile=profile, n_requests=200, shards=4,
-            seed=1)).sharded
-        assert legacy.result.completions == direct.result.completions
-        assert legacy.result.makespan_cycles == \
-            direct.result.makespan_cycles
-        assert summarize(legacy.result).as_dict() == \
-            summarize(direct.result).as_dict()
-
-    def test_simulate_autoscale_delegates_bit_identically(self):
-        specs = _farm(8, 0.5)
-        profile = TrafficProfile(arrival_rate=150.0)
-        slo = SloTarget(p99_ms=50.0)
-        with pytest.deprecated_call():
-            legacy = simulate_autoscale(specs, "preferential", profile,
-                                        slo=slo, n_epochs=6,
-                                        curve="bursty", seed=2)
-        direct = run_autoscale(
-            FarmConfig(specs=tuple(specs), scheduler="preferential",
-                       profile=profile, seed=2, slo=slo),
-            n_epochs=6, curve="bursty")
-        assert legacy.as_dict() == direct.as_dict()
-
-    def test_slo_target_import_shim_warns(self):
-        from repro.farm import autoscale
-        with pytest.deprecated_call():
-            shimmed = autoscale.SloTarget
-        assert shimmed is SloTarget
-        with pytest.raises(AttributeError):
-            autoscale.no_such_name
 
 
 class TestAutoscaleUnderFaults:

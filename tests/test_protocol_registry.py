@@ -9,9 +9,9 @@ merge, and trace replay exactly like the built-ins.
 import pytest
 
 from repro.costs import PlatformCosts
-from repro.farm import (FarmSimulator, TrafficProfile, build_farm,
-                        export_workload, generate_requests,
-                        import_workload, make_scheduler, run_sharded,
+from repro.farm import (FarmConfig, FarmSimulator, TrafficProfile,
+                        build_farm, export_workload, generate_requests,
+                        import_workload, make_scheduler, run_farm,
                         summarize)
 from repro.farm.workload import SessionRequest, cost_of, is_public_key_heavy
 from repro.protocols import (ProtocolModel, RequestCost,
@@ -64,15 +64,6 @@ def test_profile_rejects_unknown_mix():
 def test_abstract_model_rejects_registration():
     with pytest.raises(ValueError):
         register_protocol(ProtocolModel())
-
-
-def test_protocols_tuple_deprecation_shim():
-    from repro.farm import workload
-    with pytest.warns(DeprecationWarning):
-        names = workload.PROTOCOLS
-    assert names == protocol_names()
-    with pytest.raises(AttributeError):
-        workload.NOT_A_THING
 
 
 # -- the registered TLS-1.3 and KASUMI models --------------------------------
@@ -169,9 +160,9 @@ def test_toy_protocol_end_to_end(toy_protocol, tmp_path):
     assert toy_hits >= rr_hits
 
     # Shard merge: the sharded runner prices and merges toy traffic.
-    sharded = run_sharded(specs, "preferential", shards=2,
-                          requests=requests)
-    assert summarize(sharded.result).completed > 0
+    sharded = run_farm(FarmConfig(specs=tuple(specs), shards=2,
+                                  requests=requests))
+    assert sharded.metrics.completed > 0
 
     # Replay round-trip: export -> import preserves every request.
     trace_path = tmp_path / "toy.jsonl"

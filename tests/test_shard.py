@@ -1,19 +1,18 @@
-"""Tests for sharded farm simulation, event queues, and trace replay.
+"""Tests for sharded farm simulation and trace replay.
 
 Same frozen measured unit costs as ``test_farm.py`` -- the shard layer
 is a pure function of these numbers, so no ISS characterization runs.
 """
 
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.costs import PlatformCosts
-from repro.farm import (FarmSimulator, TrafficProfile, build_farm,
-                        export_workload, generate_requests,
-                        import_workload, make_event_queue,
-                        make_scheduler, merge_results, queue_kinds,
-                        run_sharded, shard_workload, summarize)
-from repro.farm.events import CalendarEventQueue, HeapEventQueue
+from repro.farm import (FarmConfig, FarmSimulator, TrafficProfile,
+                        build_farm, export_workload, generate_requests,
+                        import_workload, make_scheduler, merge_results,
+                        run_farm, shard_workload, summarize)
 from repro.farm.shard import partition_requests
 from repro.mp import DeterministicPrng
 from repro.parallel import SerialExecutor, ThreadExecutor
@@ -32,97 +31,12 @@ def _farm(n_cores=8, fraction=0.5):
     return build_farm(n_cores, BASE_COSTS, OPT_COSTS, fraction)
 
 
-_events = st.lists(
-    st.tuples(
-        # Coarse-grained times force plenty of exact ties, so the
-        # (kind, seq, core) tie-break actually gets exercised.
-        st.integers(min_value=0, max_value=50).map(lambda t: t / 2.0),
-        st.integers(min_value=0, max_value=1),
-        st.integers(min_value=0, max_value=999),
-        st.integers(min_value=-1, max_value=63)),
-    max_size=80)
-
-
-class TestEventQueues:
-    def test_registry(self):
-        assert queue_kinds() == ["heap", "calendar"]
-        assert isinstance(make_event_queue("heap"), HeapEventQueue)
-        assert isinstance(make_event_queue("calendar"),
-                          CalendarEventQueue)
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_event_queue("wheel")
-
-    def test_empty_pop_raises(self):
-        for kind in queue_kinds():
-            with pytest.raises(IndexError):
-                make_event_queue(kind).pop()
-
-    def test_invalid_calendar_parameters(self):
-        with pytest.raises(ValueError):
-            CalendarEventQueue(bucket_count=0)
-        with pytest.raises(ValueError):
-            CalendarEventQueue(bucket_width=0.0)
-
-    @given(events=_events)
-    @settings(max_examples=200)
-    def test_drain_matches_sorted(self, events):
-        for kind in queue_kinds():
-            queue = make_event_queue(kind)
-            for event in events:
-                queue.push(event)
-            drained = [queue.pop() for _ in range(len(events))]
-            assert drained == sorted(events)
-            assert len(queue) == 0 and not queue
-
-    @given(events=_events, data=st.data())
-    @settings(max_examples=200)
-    def test_interleaved_pop_order_equivalence(self, events, data):
-        """Heap and calendar pop identically under arbitrary push/pop
-        interleavings -- including pushes into the calendar's past."""
-        heap, cal = make_event_queue("heap"), make_event_queue("calendar")
-        pending = list(events)
-        while pending or heap:
-            push = pending and (not heap
-                                or data.draw(st.booleans(), label="push"))
-            if push:
-                event = pending.pop()
-                heap.push(event)
-                cal.push(event)
-            else:
-                assert heap.pop() == cal.pop()
-        assert len(cal) == 0
-
-    def test_stats_are_deterministic_counters(self):
-        events = [(float(t % 7), t % 2, t, -1) for t in range(40)]
-
-        def drain(kind):
-            queue = make_event_queue(kind)
-            for event in events:
-                queue.push(event)
-            while queue:
-                queue.pop()
-            return queue.stats()
-
-        first, second = drain("calendar"), drain("calendar")
-        assert first == second
-        assert first["pushes"] == first["pops"] == 40.0
-        heap_stats = drain("heap")
-        assert heap_stats["kind"] == "heap"
-        assert heap_stats["pushes"] == 40.0
-
-    def test_simulator_queue_kinds_agree(self):
-        requests = generate_requests(
-            TrafficProfile(arrival_rate=120.0), 150, seed=3)
-        results = {}
-        for kind in queue_kinds():
-            sim = FarmSimulator(_farm(), make_scheduler("preferential"),
-                                queue=kind)
-            results[kind] = sim.run(requests)
-            assert sim.last_queue_stats["kind"] == kind
-        assert (results["heap"].completions
-                == results["calendar"].completions)
-        assert (results["heap"].makespan_cycles
-                == results["calendar"].makespan_cycles)
+def _sharded(specs, scheduler, profile=None, n_requests=None,
+             executor=None, **kwargs):
+    """One :func:`run_farm` call, returning its :class:`ShardedRun`."""
+    config = FarmConfig(specs=tuple(specs), scheduler=scheduler,
+                        profile=profile, n_requests=n_requests, **kwargs)
+    return run_farm(config, executor=executor).sharded
 
 
 class TestForkHygiene:
@@ -205,8 +119,8 @@ class TestShardedRun:
         specs = _farm()
         plain = FarmSimulator(specs,
                               make_scheduler("preferential")).run(requests)
-        run = run_sharded(specs, "preferential", profile, 150, shards=1,
-                          seed=3)
+        run = _sharded(specs, "preferential", profile, 150, shards=1,
+                       seed=3)
         assert run.result.completions == plain.completions
         assert run.result.makespan_cycles == plain.makespan_cycles
         assert run.result.offered == plain.offered
@@ -219,8 +133,8 @@ class TestShardedRun:
         rows = []
         for executor in (SerialExecutor(), ThreadExecutor(4)):
             with executor:
-                run = run_sharded(specs, "preferential", profile, 160,
-                                  shards=8, seed=3, executor=executor)
+                run = _sharded(specs, "preferential", profile, 160,
+                               shards=8, seed=3, executor=executor)
             assert run.result.offered == 160
             rows.append(summarize(run.result).as_dict())
         assert rows[0] == rows[1]
@@ -228,13 +142,13 @@ class TestShardedRun:
     def test_repeated_runs_reproduce(self):
         profile = TrafficProfile(arrival_rate=200.0, clients=128)
         specs = _farm(16)
-        a = run_sharded(specs, "preferential", profile, 120, shards=8,
-                        seed=9)
-        b = run_sharded(specs, "preferential", profile, 120, shards=8,
-                        seed=9)
+        a = _sharded(specs, "preferential", profile, 120, shards=8,
+                     seed=9)
+        b = _sharded(specs, "preferential", profile, 120, shards=8,
+                     seed=9)
         assert summarize(a.result).as_dict() == \
             summarize(b.result).as_dict()
-        assert a.queue_stats == b.queue_stats
+        assert a.result.events_processed == b.result.events_processed
 
     def test_merge_order_does_not_change_metrics(self):
         profile = TrafficProfile(arrival_rate=200.0, clients=128)
@@ -262,8 +176,8 @@ class TestShardedRun:
 
     def test_merged_core_indices_are_consistent(self):
         profile = TrafficProfile(arrival_rate=200.0, clients=128)
-        run = run_sharded(_farm(8), "least-loaded", profile, 100,
-                          shards=4, seed=2)
+        run = _sharded(_farm(8), "least-loaded", profile, 100,
+                       shards=4, seed=2)
         result = run.result
         assert len(result.cores) == 8
         assert [core.index for core in result.cores] == list(range(8))
@@ -273,35 +187,25 @@ class TestShardedRun:
         finishes = [c.finish_cycle for c in result.completions]
         assert finishes == sorted(finishes)
 
-    def test_calendar_queue_matches_heap_when_sharded(self):
-        profile = TrafficProfile(arrival_rate=200.0, clients=128)
-        specs = _farm(16)
-        by_queue = {
-            kind: summarize(run_sharded(specs, "preferential", profile,
-                                        160, shards=8, seed=3,
-                                        queue=kind).result).as_dict()
-            for kind in queue_kinds()}
-        assert by_queue["heap"] == by_queue["calendar"]
-
     def test_more_shards_than_cores_rejected(self):
         with pytest.raises(ValueError, match="cores"):
-            run_sharded(_farm(4), "preferential",
-                        TrafficProfile(clients=64), 50, shards=8)
+            _sharded(_farm(4), "preferential",
+                     TrafficProfile(clients=64), 50, shards=8)
 
     def test_requires_workload_or_profile(self):
         with pytest.raises(ValueError, match="requests"):
-            run_sharded(_farm(4), "preferential")
+            _sharded(_farm(4), "preferential")
 
     def test_replay_partition_equals_generated(self):
         profile = TrafficProfile(arrival_rate=200.0, clients=128)
         specs = _farm(8)
-        generated = run_sharded(specs, "preferential", profile, 120,
-                                shards=4, seed=9)
+        generated = _sharded(specs, "preferential", profile, 120,
+                             shards=4, seed=9)
         flat = sorted((r for shard in
                        shard_workload(profile, 120, 4, seed=9)
                        for r in shard), key=lambda r: r.seq)
-        replayed = run_sharded(specs, "preferential", shards=4,
-                               requests=flat)
+        replayed = _sharded(specs, "preferential", shards=4,
+                            requests=flat)
         assert summarize(generated.result).as_dict() == \
             summarize(replayed.result).as_dict()
 
@@ -348,3 +252,60 @@ class TestReplay:
         truncated.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
             import_workload(truncated)
+
+    def _edited_trace(self, tmp_path, edit):
+        """Export a 10-request trace, then apply ``edit`` to the record
+        on line 4 (the third request)."""
+        path = tmp_path / "edited.jsonl"
+        export_workload(path, generate_requests(TrafficProfile(), 10,
+                                                seed=1))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        edit(record)
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_rejects_record_missing_a_field(self, tmp_path):
+        path = self._edited_trace(
+            tmp_path, lambda record: record.pop("client_id"))
+        with pytest.raises(ValueError) as info:
+            import_workload(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "line 4" in message
+        assert "missing field 'client_id'" in message
+
+    def test_rejects_record_field_of_wrong_type(self, tmp_path):
+        path = self._edited_trace(
+            tmp_path, lambda record: record.update(resumed="false"))
+        with pytest.raises(ValueError) as info:
+            import_workload(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "line 4" in message
+        assert "field 'resumed' must be bool" in message
+        seq_path = self._edited_trace(
+            tmp_path, lambda record: record.update(seq=2.5))
+        with pytest.raises(ValueError, match="field 'seq' must be int"):
+            import_workload(seq_path)
+
+    def test_rejects_malformed_record_lines(self, tmp_path):
+        requests = generate_requests(TrafficProfile(), 3, seed=1)
+        path = tmp_path / "malformed.jsonl"
+        export_workload(path, requests)
+        lines = path.read_text().splitlines()
+        for bad, expected in (("{not json", "line 3: invalid JSON"),
+                              ("42", "line 3: record is not a JSON "
+                                     "object")):
+            lines[2] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=expected):
+                import_workload(path)
+
+    def test_replayed_duplicate_seq_rejected(self, tmp_path):
+        path = self._edited_trace(
+            tmp_path, lambda record: record.update(seq=0))
+        requests = import_workload(path).requests
+        with pytest.raises(ValueError, match="duplicate request seq 0"):
+            FarmConfig(specs=tuple(_farm()), requests=requests)

@@ -7,11 +7,8 @@ import json
 import pytest
 
 from repro.costs import PlatformCosts
-from repro.farm import (FarmConfig, FarmSimulator, FaultEvent,
-                        FaultPlan, TrafficProfile, build_farm,
-                        generate_requests, make_scheduler, run_farm,
-                        series_of)
-from repro.farm.timeseries import FarmSeriesRecorder
+from repro.farm import (FarmConfig, FaultEvent, FaultPlan,
+                        TrafficProfile, build_farm, run_farm, series_of)
 from repro.obs import (MetricsRegistry, MetricsTimeSeries,
                        TimeSeriesSampler, read_series_jsonl,
                        render_dashboard_html, render_metrics,
@@ -258,18 +255,14 @@ class TestFarmSeries:
             f"farm.requests.completed{tag}"] == 150.0
         assert series.samples[-1].t_cycles == run.result.makespan_cycles
 
-    def test_live_sampling_equals_posthoc_derivation(self):
-        specs = build_farm(4, BASE_COSTS, OPT_COSTS, 0.5)
-        requests = generate_requests(TrafficProfile(arrival_rate=60.0),
-                                     150, seed=1)
-        recorder = FarmSeriesRecorder(
-            scheduler="preferential", n_cores=4,
-            clock_hz=DEFAULT_CLOCK_HZ, interval_seconds=0.1)
-        result = FarmSimulator(specs, make_scheduler("preferential"),
-                               sampler=recorder).run(requests)
-        recorder.finish(result.makespan_cycles)
-        posthoc = series_of(result, interval_seconds=0.1)
-        assert self._export(recorder.series) == self._export(posthoc)
+    def test_series_of_replays_in_canonical_order(self):
+        # series_of sorts by (finish_cycle, seq), so the order a result
+        # lists its completions in (e.g. after a merge) is irrelevant.
+        run = run_farm(self._config(series_interval_seconds=0.1))
+        result = run.result
+        result.completions.reverse()
+        assert self._export(series_of(result, interval_seconds=0.1)) == \
+            self._export(run.series)
 
     def test_sharded_series_independent_of_jobs(self):
         from repro.parallel import ThreadExecutor
