@@ -24,10 +24,16 @@ from repro.farm.faults import FaultPlan, FaultReport, summarize_faults
 from repro.farm.metrics import FarmMetrics, summarize, window_metrics
 from repro.farm.scheduler import SCHEDULERS
 from repro.farm.shard import ShardedRun, _run_shards
-from repro.farm.simulator import CoreSpec, FarmResult, build_farm
+from repro.farm.simulator import (CoreSpec, FarmResult, build_farm,
+                                  check_unique_seqs)
 from repro.farm.workload import SessionRequest, TrafficProfile
 
 __all__ = ["FarmConfig", "FarmRun", "run_farm"]
+
+
+def _is_int(value) -> bool:
+    """A real integer: ``bool`` is an ``int`` subclass but no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,7 @@ class FarmConfig:
         object.__setattr__(self, "specs", tuple(self.specs))
         if self.requests is not None:
             object.__setattr__(self, "requests", tuple(self.requests))
-            # The simulator keys requests by seq; a repeated seq would
-            # serve one request twice and silently drop the other.
-            seen = set()
-            for request in self.requests:
-                if request.seq in seen:
-                    raise ValueError(
-                        f"duplicate request seq {request.seq}; every "
-                        "request in a stream needs a unique seq")
-                seen.add(request.seq)
+            check_unique_seqs(self.requests)
         if not self.specs:
             raise ValueError("farm needs at least one core")
         if self.scheduler not in SCHEDULERS:
@@ -87,6 +85,15 @@ class FarmConfig:
         if self.requests is None and self.profile is None:
             raise ValueError(
                 "need either requests= or profile= (+ n_requests=)")
+        if self.n_requests is not None and not (
+                _is_int(self.n_requests) and self.n_requests >= 0):
+            raise ValueError(
+                f"n_requests must be None or an int >= 0, got "
+                f"{self.n_requests!r}")
+        if self.jobs is not None and not (
+                _is_int(self.jobs) and self.jobs >= 1):
+            raise ValueError(
+                f"jobs must be None or an int >= 1, got {self.jobs!r}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shards > len(self.specs):

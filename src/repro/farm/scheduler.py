@@ -20,17 +20,30 @@ scheduling algorithm, arXiv:1410.7560):
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.farm.workload import SessionRequest, is_public_key_heavy
-from repro.protocols import get_protocol
+from repro.protocols import SessionKeys, get_protocol
 
 
 class Scheduler:
     """Base policy: picks a core index for each arriving request."""
 
     name = "abstract"
+    #: The running simulation's session-key memo (see
+    #: :meth:`bind_session_keys`); ``None`` before the first run.
+    _session_keys: Optional[SessionKeys] = None
 
     def select(self, request: SessionRequest, cores: Sequence,
                now: float) -> int:
         raise NotImplementedError
+
+    def bind_session_keys(self, keys: SessionKeys) -> None:
+        """Share the simulator's run-scoped session-key memo.
+
+        :meth:`~repro.farm.simulator.FarmSimulator.run` calls this
+        before its first dispatch when the scheduler defines it, so
+        affinity probes reuse the keys the simulator derives for
+        cache stores and lookups instead of re-deriving them.
+        """
+        self._session_keys = keys
 
     @staticmethod
     def _least_loaded(cores: Sequence, now: float,
@@ -44,17 +57,18 @@ class Scheduler:
         indices = [i for i in indices if cores[i].up]
         return min(indices, key=lambda i: (cores[i].backlog_cycles(now), i))
 
-    @staticmethod
-    def _affine_core(request: SessionRequest,
+    def _affine_core(self, request: SessionRequest,
                      cores: Sequence) -> Optional[int]:
         """The *live* core whose session cache can resume this request
         (a failed core's cache is gone; affinity must fall back)."""
         if not request.resumed:
             return None
-        model = get_protocol(request.protocol)
-        if not model.resumable:
+        if not get_protocol(request.protocol).resumable:
             return None
-        key = model.cache_key(request.client_id)
+        keys = self._session_keys
+        if keys is None:
+            keys = SessionKeys()
+        key = keys[request.protocol, request.client_id]
         for core in cores:
             if core.up and core.knows_session(key, request.protocol):
                 return core.index

@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.costs import PlatformCosts
 from repro.explore.codesign import HardwareConfig
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-from repro.protocols import get_protocol
+from repro.protocols import SessionKeys, get_protocol
 from repro.ssl.session_cache import SessionCache
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.farm.faults import FaultPlan
@@ -123,6 +123,9 @@ class Core:
         #: hit/miss counters stay separable.
         self.caches: Dict[str, SessionCache] = {}
         self.queue: Deque[Tuple[SessionRequest, float]] = deque()
+        #: ``sum`` of the queued estimates, or ``None`` when the queue
+        #: changed since it was last summed (see :meth:`backlog_cycles`).
+        self._queued_cycles: Optional[float] = None
         self.current: Optional[SessionRequest] = None
         self.busy_until = 0.0
         self.busy_cycles = 0.0
@@ -150,9 +153,35 @@ class Core:
 
     def backlog_cycles(self, now: float) -> float:
         """Estimated outstanding work: remainder of the in-flight
-        request plus the (full-handshake-priced) queued estimates."""
+        request plus the (full-handshake-priced) queued estimates.
+
+        The queued sum is cached until the queue next changes and is
+        then re-summed from scratch, never kept as a running total:
+        incremental float addition rounds differently, which could
+        flip least-loaded ties."""
         remaining = max(0.0, self.busy_until - now)
-        return remaining + sum(est for _, est in self.queue)
+        queued = self._queued_cycles
+        if queued is None:
+            queued = self._queued_cycles = sum(est for _, est in self.queue)
+        return remaining + queued
+
+    def enqueue(self, request: SessionRequest, estimate: float) -> None:
+        """Append a dispatched request with its estimated cycles."""
+        self.queue.append((request, estimate))
+        self._queued_cycles = None
+
+    def dequeue(self) -> SessionRequest:
+        """Pop the oldest queued request."""
+        request, _ = self.queue.popleft()
+        self._queued_cycles = None
+        return request
+
+    def drain(self) -> List[SessionRequest]:
+        """Empty the queue, returning its requests in order."""
+        requests = [request for request, _ in self.queue]
+        self.queue.clear()
+        self._queued_cycles = None
+        return requests
 
     def knows_session(self, session_id: bytes,
                       protocol: str = "ssl") -> bool:
@@ -244,6 +273,16 @@ class FarmSimulator:
             heapq.heappush(heap, (request.arrival_cycle, _ARRIVAL,
                                   request.seq, -1))
         by_seq = {r.seq: r for r in requests}
+        if len(by_seq) != len(requests):
+            check_unique_seqs(requests)
+        # Run-scoped session-key memo: each (protocol, client) key is
+        # derived at most once per run, shared with the scheduler's
+        # affinity probe.  Never process-global, so every run pays its
+        # own keying, as a single farm invocation does.
+        keys = SessionKeys()
+        bind = getattr(self.scheduler, "bind_session_keys", None)
+        if bind is not None:
+            bind(keys)
         completions: List[Completion] = []
         starts = {}
         #: (core, seq, finish_cycle) tombstones of completion events
@@ -288,13 +327,13 @@ class FarmSimulator:
                 target = self.scheduler.select(request, cores, now)
                 core = cores[target]
                 estimate = cost_of(request, core.active_costs).cycles
-                core.queue.append((request, estimate))
+                core.enqueue(request, estimate)
                 if trace:
                     tracer.event("farm.core.queue_depth", time=now,
                                  core=core.index, depth=len(core.queue))
                 if core.current is None:
-                    self._start_next(core, now, heap, starts, tracer,
-                                     trace)
+                    self._start_next(core, now, heap, starts, keys,
+                                     tracer, trace)
             else:
                 if (core_index, seq, now) in cancelled:
                     cancelled.discard((core_index, seq, now))
@@ -312,7 +351,7 @@ class FarmSimulator:
                 model = get_protocol(request.protocol)
                 if model.resumable and not (request.resumed and hit):
                     core.cache_for(request.protocol).store_entry(
-                        model.cache_key(request.client_id),
+                        keys[request.protocol, request.client_id],
                         model.session_record(request.client_id))
                 core.current = None
                 if trace:
@@ -342,8 +381,8 @@ class FarmSimulator:
                                   protocol=request.protocol,
                                   cache_hit=hit)
                 if core.queue:
-                    self._start_next(core, now, heap, starts, tracer,
-                                     trace)
+                    self._start_next(core, now, heap, starts, keys,
+                                     tracer, trace)
         if trace:
             tracer.close_virtual(root, makespan)
         for core in cores:
@@ -397,8 +436,7 @@ class FarmSimulator:
                                core.busy_until))
                 core.current = None
                 displaced.append(request)
-            displaced.extend(request for request, _ in core.queue)
-            core.queue.clear()
+            displaced.extend(core.drain())
             core.busy_until = now
             retry = now + plan.redispatch_penalty_cycles
             for request in displaced:
@@ -445,14 +483,13 @@ class FarmSimulator:
 
     @staticmethod
     def _start_next(core: Core, now: float, heap, starts,
-                    tracer=NULL_TRACER, trace: bool = False) -> None:
-        request, _ = core.queue.popleft()
+                    keys: SessionKeys, tracer=NULL_TRACER,
+                    trace: bool = False) -> None:
+        request = core.dequeue()
         hit = False
-        if request.resumed:
-            model = get_protocol(request.protocol)
-            if model.resumable:
-                hit = core.cache_for(request.protocol).lookup(
-                    model.cache_key(request.client_id)) is not None
+        if request.resumed and get_protocol(request.protocol).resumable:
+            hit = core.cache_for(request.protocol).lookup(
+                keys[request.protocol, request.client_id]) is not None
         service = cost_of(request, core.active_costs, cache_hit=hit).cycles
         core.current = request
         core.busy_until = now + service
@@ -462,6 +499,21 @@ class FarmSimulator:
                          core=core.index, depth=len(core.queue))
         heapq.heappush(heap, (now + service, _COMPLETE, request.seq,
                               core.index))
+
+
+def check_unique_seqs(requests: Sequence[SessionRequest]) -> None:
+    """Raise :class:`ValueError` naming the first repeated ``seq``.
+
+    The simulator keys requests by seq; a repeated seq would serve one
+    request twice and silently drop the other.
+    """
+    seen = set()
+    for request in requests:
+        if request.seq in seen:
+            raise ValueError(
+                f"duplicate request seq {request.seq}; every request "
+                "in a stream needs a unique seq")
+        seen.add(request.seq)
 
 
 def publish_metrics(result: FarmResult, registry: MetricsRegistry) -> None:

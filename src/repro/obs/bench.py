@@ -660,6 +660,33 @@ def _farm_chaos_metrics() -> Dict[str, object]:
     return metrics
 
 
+def _farm_scale_metrics() -> Dict[str, object]:
+    from repro.farm import FarmConfig, TrafficProfile, run_farm
+    base, opt = _measured_pair()
+    cores, n = 256, 50_000
+    config = FarmConfig.build(
+        cores, base, opt, extended_fraction=0.5,
+        scheduler="preferential", n_requests=n, seed=1,
+        profile=TrafficProfile(arrival_rate=8000.0,
+                               resumption_ratio=0.4, clients=4096))
+    run = run_farm(config)
+    row = run.metrics
+    events = run.result.events_processed
+    # Host speed is machine-dependent: extras, never baseline.
+    record_extra("sim_seconds", run.sharded.wall_seconds)
+    record_extra("events_per_s", events / run.sharded.wall_seconds)
+    return {
+        "cores": float(cores),
+        "requests": float(n),
+        "completed": float(row.completed),
+        "events": float(events),
+        "cache_hit_rate": row.cache_hit_rate,
+        "p50_ms": row.p50_ms,
+        "p99_ms": row.p99_ms,
+        "mean_utilization": row.mean_utilization,
+    }
+
+
 def _farm_timeseries_metrics() -> Dict[str, object]:
     import io
     from dataclasses import replace
@@ -922,6 +949,23 @@ register_scenario(Scenario(
         "p99_spike_ms": Gate(tolerance=0.15, direction="lower"),
         "p99_spike_ratio": Gate(tolerance=0.15, direction="higher"),
         "p99_recovery_ratio": Gate(tolerance=0.25, direction="lower"),
+    }))
+
+register_scenario(Scenario(
+    name="farm_scale",
+    description="256-core heterogeneous farm, 50,000 preferential "
+                "requests at 8000/s over 4096 clients (seed 1): the "
+                "host hot path at scale, results gated exactly",
+    run=_farm_scale_metrics,
+    gates={
+        "cores": _EXACT_COUNT,
+        "requests": _EXACT_COUNT,
+        "completed": _EXACT_COUNT,
+        "events": _EXACT_COUNT,
+        "cache_hit_rate": Gate(tolerance=0.0, direction="higher"),
+        "p50_ms": Gate(tolerance=0.0, direction="lower"),
+        "p99_ms": Gate(tolerance=0.0, direction="lower"),
+        "mean_utilization": Gate(tolerance=0.0, direction="higher"),
     }))
 
 register_scenario(Scenario(

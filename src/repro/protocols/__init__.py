@@ -18,7 +18,8 @@ protocol, registered by name:
 """
 
 from repro.protocols.registry import (MTU_BYTES, ProtocolModel,
-                                      RequestCost, UnknownProtocolError,
+                                      RequestCost, SessionKeys,
+                                      UnknownProtocolError,
                                       default_mix, get_protocol,
                                       protocol_names, register_protocol,
                                       unregister_protocol)
@@ -33,8 +34,8 @@ from repro.protocols.esp import EspError, EspSecurityAssociation
 
 __all__ = [
     "EspError", "EspSecurityAssociation", "KasumiLinkProtocolModel",
-    "MTU_BYTES", "ProtocolModel", "RequestCost", "Tls13ProtocolModel",
-    "UnknownProtocolError", "WepError", "WepPeer", "default_mix",
-    "get_protocol", "protocol_names", "register_protocol",
+    "MTU_BYTES", "ProtocolModel", "RequestCost", "SessionKeys",
+    "Tls13ProtocolModel", "UnknownProtocolError", "WepError", "WepPeer",
+    "default_mix", "get_protocol", "protocol_names", "register_protocol",
     "unregister_protocol",
 ]

@@ -24,7 +24,7 @@ edits to the farm engine (locked in by the toy-protocol plugin test).
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["MTU_BYTES", "ProtocolModel", "RequestCost",
+__all__ = ["MTU_BYTES", "ProtocolModel", "RequestCost", "SessionKeys",
            "UnknownProtocolError", "default_mix", "get_protocol",
            "protocol_names", "register_protocol",
            "unregister_protocol"]
@@ -102,7 +102,11 @@ class ProtocolModel:
         return False
 
     def cache_key(self, client_id: int) -> bytes:
-        """The session-cache/affinity key a resuming client presents."""
+        """The session-cache/affinity key a resuming client presents.
+
+        Must be a pure function of ``client_id``: a farm run derives
+        each client's key at most once (see :class:`SessionKeys`) and
+        reuses it for every store, lookup and affinity probe."""
         raise NotImplementedError(
             f"protocol {self.name!r} is not resumable")
 
@@ -111,6 +115,21 @@ class ProtocolModel:
         full handshake (the cached value is never inspected, only its
         presence matters)."""
         return client_id
+
+
+class SessionKeys(dict):
+    """A run-scoped memo ``(protocol, client_id) -> cache key``.
+
+    Indexing a missing pair derives the key once through the
+    registered model's :meth:`ProtocolModel.cache_key`.  Each farm run
+    creates its own instance, so no run reuses a key another run
+    derived.
+    """
+
+    def __missing__(self, ident):
+        protocol, client_id = ident
+        key = self[ident] = get_protocol(protocol).cache_key(client_id)
+        return key
 
 
 #: Insertion-ordered: registration order IS the default-mix key order,

@@ -16,6 +16,7 @@ from repro.farm import (AutoscalePolicy, FarmConfig, FarmSimulator,
                         generate_requests, make_scheduler,
                         run_autoscale, run_farm)
 from repro.farm.faults import summarize_faults
+from repro.farm.scheduler import PreferentialScheduler
 from repro.farm.workload import SessionRequest
 from repro.obs.slo import SloTarget
 from repro.parallel import ThreadExecutor
@@ -336,6 +337,43 @@ class TestSimulatorUnderFaults:
         assert by_seq[3].core_index == by_seq[2].core_index
         assert by_seq[3].cache_hit
 
+    def test_cached_backlog_matches_fresh_sum_under_faults(self):
+        """Every dispatch sees each live core's cached backlog equal to
+        a from-scratch re-sum of its queue, bit for bit, across core
+        loss, cache flush, degradation and recovery."""
+        checks = []
+
+        class Checking(PreferentialScheduler):
+            def select(self, request, cores, now):
+                for core in cores:
+                    if core.up:
+                        fresh = (max(0.0, core.busy_until - now)
+                                 + sum(est for _, est in core.queue))
+                        assert core.backlog_cycles(now) == fresh
+                        checks.append(len(core.queue))
+                return super().select(request, cores, now)
+
+        specs = _farm(4, 0.5)
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=0.2 * GAP, kind="core_down", core=0),
+            FaultEvent(cycle=0.3 * GAP, kind="cache_flush", core=1),
+            FaultEvent(cycle=0.4 * GAP, kind="degrade", core=2),
+            FaultEvent(cycle=0.6 * GAP, kind="core_up", core=0),
+            FaultEvent(cycle=0.7 * GAP, kind="core_up", core=2),),
+            degraded_costs=BASE_COSTS)
+        requests = generate_requests(
+            TrafficProfile(arrival_rate=400.0, resumption_ratio=0.5,
+                           clients=16), 300, seed=5)
+        checked = FarmSimulator(specs, Checking(), faults=plan).run(
+            requests)
+        plain = _run_with_plan(specs, "preferential", requests, plan)
+        assert checked.fault_events == 5 and checked.redispatches > 0
+        assert max(checks) > 1          # queues really were non-trivial
+        assert ([(c.request.seq, c.core_index, c.finish_cycle)
+                 for c in checked.completions]
+                == [(c.request.seq, c.core_index, c.finish_cycle)
+                    for c in plain.completions])
+
     def test_double_down_and_double_up_are_noops(self):
         specs = _farm(2, 0.0)
         plan = FaultPlan(events=(
@@ -446,6 +484,38 @@ class TestFarmConfig:
         requests = [_req(0, 0.0), _req(7, GAP), _req(7, 2 * GAP)]
         with pytest.raises(ValueError, match="duplicate request seq 7"):
             FarmConfig(specs=tuple(_farm(2)), requests=requests)
+
+    def test_simulator_rejects_duplicate_seq(self):
+        # Direct callers bypass FarmConfig; the engine checks too.
+        requests = [_req(i, i * GAP, client=i) for i in range(5)]
+        requests.append(_req(0, 6 * GAP, client=9))
+        sim = FarmSimulator(_farm(2), make_scheduler("round-robin"))
+        with pytest.raises(ValueError, match="duplicate request seq 0"):
+            sim.run(requests)
+
+    @pytest.mark.parametrize("field, value", [
+        ("jobs", 0), ("jobs", -2), ("jobs", 1.5), ("jobs", True),
+        ("jobs", "2"), ("n_requests", -1), ("n_requests", 2.5),
+        ("n_requests", True), ("n_requests", "10"),
+    ])
+    def test_jobs_and_n_requests_validated(self, field, value):
+        kwargs = dict(specs=tuple(_farm(4, 0.5)),
+                      profile=TrafficProfile(), n_requests=10)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            FarmConfig(**kwargs)
+        # Sharded configs fail at construction too, not in the pool.
+        with pytest.raises(ValueError, match=field):
+            FarmConfig(shards=2, **kwargs)
+
+    def test_jobs_and_n_requests_accept_valid_values(self):
+        specs = tuple(_farm(4, 0.5))
+        for jobs in (None, 1, 3):
+            for n_requests in (None, 0, 10):
+                config = FarmConfig(specs=specs, profile=TrafficProfile(),
+                                    jobs=jobs, n_requests=n_requests)
+                assert (config.jobs, config.n_requests) == \
+                    (jobs, n_requests)
 
     def test_build_and_with_scheduler(self):
         config = FarmConfig.build(4, BASE_COSTS, OPT_COSTS,

@@ -187,3 +187,48 @@ def test_replay_rejects_unregistered_protocol(toy_protocol, tmp_path):
 
 def test_unregister_is_idempotent():
     assert not unregister_protocol("never-registered")
+
+
+# -- the run-scoped session-key memo -----------------------------------------
+
+class CountingToyModel(ToyProtocolModel):
+    """The toy protocol, counting every key derivation per client."""
+
+    name = "toy-counting"
+
+    def __init__(self):
+        self.derived = {}
+
+    def cache_key(self, client_id):
+        self.derived[client_id] = self.derived.get(client_id, 0) + 1
+        return super().cache_key(client_id)
+
+
+def test_cache_key_derived_once_per_client_per_run():
+    model = register_protocol(CountingToyModel())
+    try:
+        profile = TrafficProfile(arrival_rate=80.0, resumption_ratio=0.6,
+                                 clients=12,
+                                 mix={"toy-counting": 0.8, "wep": 0.2})
+        requests = generate_requests(profile, 120, seed=4)
+        toy = [r for r in requests if r.protocol == "toy-counting"]
+        # Every served toy request either resumes (lookup + affinity)
+        # or stores its session: each client's key is needed.
+        keyed = {r.client_id for r in toy}
+        assert any(r.resumed for r in toy) and len(keyed) > 1
+        specs = build_farm(4, BASE_COSTS, OPT_COSTS, 0.5)
+        scheduler = make_scheduler("preferential")
+        sim = FarmSimulator(specs, scheduler)
+        first = sim.run(requests)
+        assert model.derived == {client: 1 for client in keyed}
+        # The memo is run-scoped: a second run derives every key again
+        # and reproduces the first run exactly.
+        second = sim.run(requests)
+        assert model.derived == {client: 2 for client in keyed}
+        assert ([(c.request.seq, c.core_index, c.cache_hit)
+                 for c in first.completions]
+                == [(c.request.seq, c.core_index, c.cache_hit)
+                    for c in second.completions])
+        assert any(c.cache_hit for c in first.completions)
+    finally:
+        unregister_protocol("toy-counting")
