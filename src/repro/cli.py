@@ -226,8 +226,14 @@ def _cmd_explore(args) -> int:
 
     _configure_cache(args)
     _setup_obs(args)
-    models = (load_modelset(args.models) if args.models
-              else characterize_cached(jobs=args.jobs))
+    if args.models:
+        try:
+            models = load_modelset(args.models)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        models = characterize_cached(jobs=args.jobs)
     workload = (RsaDecryptWorkload.bits1024() if args.bits == 1024
                 else RsaDecryptWorkload.bits512())
     configs = list(iter_configs())[:: args.stride]

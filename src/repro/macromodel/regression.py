@@ -11,18 +11,20 @@ family of model forms suffices:
 - ``step_affine``: c0 + c1*n + c2*ceil(n/w) for a fixed chunk width w
   (captures the chunked extended-ISA kernels, whose cost steps at
   multiples of the vector width)
+- ``chunk_affine``: c0 + c1*floor(n/w) + c2*(n mod w), a w-wide
+  vector kernel with a scalar tail loop
 
 Model selection minimizes leave-one-out-style validation error with a
 small parsimony penalty.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-#: Basis functions per form: name -> (terms builder, arity description)
+#: Basis functions per form: name -> builder of the (n, width) design matrix
 FORMS: Dict[str, Callable[[np.ndarray, int], np.ndarray]] = {}
 
 
@@ -55,6 +57,19 @@ FORMS["quadratic"] = _basis_quadratic
 FORMS["step_affine"] = _basis_step_affine
 FORMS["chunk_affine"] = _basis_chunk_affine
 
+#: Coefficient count (basis columns) of each form in :data:`FORMS`.
+ARITY: Dict[str, int] = {"constant": 1, "affine": 2, "quadratic": 3,
+                         "step_affine": 3, "chunk_affine": 3}
+
+
+def form_arity(form: str) -> int:
+    """Number of coefficients of ``form``; unknown forms are rejected."""
+    try:
+        return ARITY[form]
+    except KeyError:
+        raise ValueError(f"unknown model form {form!r}; "
+                         f"expected one of {sorted(FORMS)}") from None
+
 
 @dataclass
 class FitResult:
@@ -62,14 +77,21 @@ class FitResult:
 
     form: str
     coeffs: Tuple[float, ...]
-    width: int                     # chunk width for step_affine (else 1)
+    width: int                     # chunk width (step/chunk_affine; else 1)
     mean_abs_pct_error: float      # on the training data
     max_abs_pct_error: float
+    #: n -> predict(n).  An estimation run asks for a handful of sizes
+    #: ~10^5 times; the memo holds the numpy result itself because a
+    #: pure-Python ``c0 + c1*n`` can differ from it in the last bit.
+    _memo: Dict[float, float] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def predict(self, n: float) -> float:
-        arr = np.array([float(n)])
-        basis = FORMS[self.form](arr, self.width)
-        return float((basis @ np.array(self.coeffs))[0])
+        value = self._memo.get(n)
+        if value is None:
+            basis = FORMS[self.form](np.array([float(n)]), self.width)
+            value = self._memo[n] = float((basis @ np.array(self.coeffs))[0])
+        return value
 
 
 def fit_form(samples: Sequence[Tuple[float, float]], form: str,
@@ -102,8 +124,7 @@ def select_model(samples: Sequence[Tuple[float, float]],
     candidates: List[FitResult] = []
     distinct_n = len({s[0] for s in samples})
     for form in forms:
-        arity = {"constant": 1, "affine": 2, "quadratic": 3}[form]
-        if distinct_n >= arity:
+        if distinct_n >= form_arity(form):
             candidates.append(fit_form(samples, form))
     if step_width > 1 and distinct_n >= 3:
         candidates.append(fit_form(samples, "step_affine", step_width))

@@ -144,6 +144,23 @@ class TestCacheDisk:
         # ... and the entry was rewritten cleanly.
         assert json.loads(open(path).read())["key"] == key.as_dict()
 
+    def test_invalid_model_entry_is_a_miss(self, tmp_path,
+                                           counted_characterize):
+        key = CharacterizationKey(**SMALL)
+        cache = CharacterizationCache(cache_dir=str(tmp_path))
+        cache.models_for(key)
+        path = cache.path_for(key)
+        entry = json.loads(open(path).read())
+        entry["models"]["models"]["mpn_add_n"]["width"] = 0
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+        fresh = CharacterizationCache(cache_dir=str(tmp_path))
+        fresh.models_for(key)
+        assert len(counted_characterize) == 2
+        assert fresh.stats.disk_stale == 1
+        entry = json.loads(open(path).read())
+        assert entry["models"]["models"]["mpn_add_n"]["width"] == 1
+
     def test_mismatched_schema_is_a_miss(self, tmp_path,
                                          counted_characterize):
         key = CharacterizationKey(**SMALL)

@@ -1,15 +1,21 @@
 """Tests for performance characterization and macro-model estimation."""
 
+import sys
+
+import numpy as np
 import pytest
 
+from repro.costs import characterize_cached
 from repro.crypto.modexp import ModExpConfig, ModExpEngine
 from repro.isa.kernels.modexp_kernel import ModExpKernel
 from repro.macromodel import characterize_platform, estimate_cycles
 from repro.macromodel.estimator import ledger
 from repro.macromodel.model import MacroModel, MacroModelSet
-from repro.macromodel.regression import (FitResult, fit_form, r_squared,
-                                         select_model)
+from repro.macromodel.persist import modelset_from_dict, modelset_to_dict
+from repro.macromodel.regression import (ARITY, FORMS, FitResult, fit_form,
+                                         r_squared, select_model)
 from repro.mp import Mpz
+from repro.parallel import ThreadExecutor
 
 
 class TestRegression:
@@ -54,6 +60,20 @@ class TestRegression:
         with pytest.raises(ValueError):
             select_model([(1, 5)], forms=("affine",))
 
+    def test_arity_covers_every_form(self):
+        assert set(ARITY) == set(FORMS)
+        for form, arity in ARITY.items():
+            assert FORMS[form](np.arange(1.0, 5.0), 4).shape == (4, arity)
+
+    def test_selection_accepts_any_known_form(self):
+        samples = [(n, 5 + 2 * n) for n in (1, 2, 4, 8, 16)]
+        fit = select_model(samples, forms=("affine", "step_affine"))
+        assert fit.form in ("affine", "step_affine")
+
+    def test_selection_names_unknown_form(self):
+        with pytest.raises(ValueError, match="'cubic'"):
+            select_model([(1, 5), (2, 7)], forms=("affine", "cubic"))
+
     def test_r_squared_perfect(self):
         samples = [(n, 3 * n) for n in (1, 2, 3)]
         fit = fit_form(samples, "affine")
@@ -63,6 +83,91 @@ class TestRegression:
         fit = FitResult(form="affine", coeffs=(4.0, 17.0), width=1,
                         mean_abs_pct_error=0, max_abs_pct_error=0)
         assert fit.predict(10) == pytest.approx(174.0)
+
+
+def _numpy_predict(fit: FitResult, n) -> float:
+    """A fresh, unmemoized evaluation of the fit's numpy expression."""
+    basis = FORMS[fit.form](np.array([float(n)]), fit.width)
+    return float((basis @ np.array(fit.coeffs))[0])
+
+
+def _assert_memo_exact(fit: FitResult) -> None:
+    """Every size, asked as int then float then int again (a miss and
+    two hits), returns the numpy value bit for bit."""
+    for n in range(1, 65):
+        want = _numpy_predict(fit, n).hex()
+        for asked in (n, float(n), n):
+            assert fit.predict(asked).hex() == want, (fit.form, asked)
+
+
+class TestPredictMemo:
+    """``FitResult.predict`` memoizes the exact numpy result per size."""
+
+    @pytest.mark.parametrize("widths", [(0, 0), (8, 8)],
+                             ids=["base", "ext8x8"])
+    def test_characterized_sets_bit_exact(self, widths):
+        models = modelset_from_dict(modelset_to_dict(
+            characterize_cached(*widths)))
+        for model in models:
+            assert not model.fit._memo
+            _assert_memo_exact(model.fit)
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_every_form_bit_exact(self, form):
+        coeffs = (0.1, 1 / 3, 2.0 ** -20 + 7.7)[:ARITY[form]]
+        _assert_memo_exact(FitResult(form=form, coeffs=coeffs, width=7,
+                                     mean_abs_pct_error=0.0,
+                                     max_abs_pct_error=0.0))
+
+    def test_fits_do_not_share_a_memo(self):
+        a = FitResult("affine", (1.0, 2.0), 1, 0.0, 0.0)
+        b = FitResult("affine", (3.0, 4.0), 1, 0.0, 0.0)
+        assert a.predict(5) == 11.0
+        assert b.predict(5) == 23.0
+        assert a.predict(5) == 11.0
+        assert a._memo is not b._memo
+
+    def test_memo_is_invisible_to_eq_repr_and_persistence(self):
+        models = modelset_from_dict(modelset_to_dict(characterize_cached()))
+        twin = modelset_from_dict(modelset_to_dict(models))
+        before = ([repr(m.fit) for m in models], modelset_to_dict(models))
+        for model in models:
+            for n in range(1, 33):
+                model.predict(n)
+            assert model.fit._memo
+        assert [repr(m.fit) for m in models] == before[0]
+        assert modelset_to_dict(models) == before[1]
+        for model in models:
+            assert model.fit == twin.get(model.routine).fit
+            assert not twin.get(model.routine).fit._memo
+
+    def test_concurrent_estimates_match_serial(self):
+        """Threads sharing one cold model set charge exactly what a
+        serial run charges: a racing memo fill stores the same float."""
+        configs = [ModExpConfig(modmul=modmul, window=window, crt="none")
+                   for modmul in ("montgomery", "barrett")
+                   for window in (1, 2, 4)]
+        modulus, base, exp = (1 << 192) + 0x169, 0xC0FFEE1234567, 0xBEEF
+
+        def run(models):
+            def one(config):
+                est = estimate_cycles(models, ModExpEngine(config).powm,
+                                      base, exp, modulus)
+                return est.cycles, est.breakdown, est.unmodeled
+            return one
+
+        source = modelset_to_dict(characterize_cached())
+        serial = [run(modelset_from_dict(source))(c) for c in configs]
+        shared = modelset_from_dict(source)
+        assert not any(model.fit._memo for model in shared)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # interleave the memo fills
+        try:
+            with ThreadExecutor(4) as pool:
+                threaded = pool.map(run(shared), configs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 @pytest.fixture(scope="module")
