@@ -44,7 +44,7 @@ class Instruction:
 
 
 # eq=False: identity semantics, so programs are hashable and can key the
-# weak per-program cache of threaded code in repro.isa.compile.
+# weak per-program cache of compiled code in repro.isa.compile.
 @dataclass(eq=False)
 class Program:
     """An assembled program: decoded instructions plus the symbol table."""

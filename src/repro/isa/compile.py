@@ -1,26 +1,32 @@
-"""Threaded-code compiler for the XT32 instruction-set simulator.
+"""Code-generating compiler for the XT32 instruction-set simulator.
 
 The interpreter in :mod:`repro.isa.machine` re-decodes every
 instruction on every execution: one trip through a ~35-way if/elif
 chain, tuple indexing for operands, an immediate re-mask, a dcache
 presence test, and dict updates per step.  This module removes all of
-that by *predecoding*.  :func:`compile_program` translates an
-assembled :class:`~repro.isa.assembler.Program` once into two layers:
+that by *predecoding*: :func:`compile_program` translates an assembled
+:class:`~repro.isa.assembler.Program` once into generated Python
+source, with operand indices, masked immediates, cycle costs, branch
+targets, extension semantics, and zero-register handling baked in as
+literals and globals.
 
-1. **Threaded code** -- a parallel table of per-instruction Python
-   closures, each with its operand indices, masked immediates, cycle
-   cost, branch targets, extension semantics, and zero-register
-   handling baked into captured variables, so executing one
-   instruction is a single indirect call returning the next pc.
-2. **Fused basic blocks (superinstructions)** -- straight-line runs
-   between branch targets and control transfers are additionally
-   emitted as one generated Python function per block, amortizing the
-   dispatch loop, the instruction-budget check, and per-instruction
-   counting over the whole block.  Executed-instruction histograms are
-   recovered from one counter per block via a precomputed per-block
-   opcode histogram; a jump into the middle of a block (a computed
-   ``jr``) simply falls back to the per-instruction closures until the
-   next block leader.
+One emitter, :class:`_BlockGen` (with :func:`_alu_source` and
+:func:`_branch_cond`), is the only compiled-side statement of each
+opcode's semantics.  It renders two kinds of function, each taking the
+machine and returning the next pc:
+
+1. **Fused basic blocks (superinstructions)** -- the straight-line run
+   from each block leader to the next control transfer or leader,
+   rendered eagerly as one function.  This amortizes the dispatch loop,
+   the instruction-budget check, and per-instruction counting over the
+   whole block.  Executed-instruction histograms are recovered from one
+   counter per block via a precomputed per-block opcode histogram.
+2. **Single-instruction steps** -- a block of length 1, rendered
+   lazily the first time the driver single-steps a pc and memoized in
+   :attr:`CompiledProgram.steps`.  Normal runs never single-step; steps
+   serve only the tail of an instruction budget and a computed ``jr``
+   into the middle of a block, which runs one instruction at a time
+   until the next leader.
 
 The compiled backend is **bit-identical** to the interpreter --
 ``cycles``, ``instret``, ``opcode_counts``, the :class:`Profile`
@@ -35,12 +41,15 @@ a hard zero.  Three mechanisms preserve exactness while batching work:
   equal the interpreter's per-step accumulation).
 - Static cycle costs inside a block are summed at compile time and
   charged in batches, but always flushed *before* any instruction
-  that can fault (memory ops, custom instructions), so a trapped run
-  has charged exactly the cycles of the instructions that completed.
+  that can fault (memory ops, custom and unknown instructions), so a
+  trapped run has charged exactly the cycles of the instructions that
+  completed.
 - A block that faults reports ``(start, length, sub-index)`` through
   ``machine._block_fault`` so the driver can repair the pre-charged
   instruction count and attribute per-pc counts for the partial run,
-  matching the interpreter's state at the raise point.
+  matching the interpreter's state at the raise point.  A single step
+  needs no such repair: the driver counts it before calling it, so it
+  is rendered without the ``try`` wrapper and progress marker.
 
 Compilation is cached per ``(Program, ExtensionSet)`` identity in a
 weak registry, so fleets and kernel runners that spawn a fresh
@@ -54,480 +63,82 @@ from repro.isa.assembler import Instruction, Program
 from repro.isa.extensions import ExtensionSet
 from repro.isa.instructions import (BRANCH_TAKEN_PENALTY, LINK_REG,
                                     WORD_MASK, ZERO_REG)
+from repro.isa.machine import MachineError
 
-#: One compiled instruction (or fused block): machine -> next pc.
+#: One compiled block or step: machine -> next pc.
 Step = Callable[[object], int]
 
 _SIGN_BIT = 0x80000000
 _TAKEN_COST = 1 + BRANCH_TAKEN_PENALTY
 
-_TERMINATORS = frozenset(
-    ("beq", "bne", "blt", "bge", "bltu", "bgeu", "j", "jal", "jr", "halt"))
+_BRANCHES = frozenset(("beq", "bne", "blt", "bge", "bltu", "bgeu"))
+
+_TERMINATORS = _BRANCHES | frozenset(("j", "jal", "jr", "halt"))
+
+_MEM_OPS = frozenset(("lw", "lb", "sw", "sb"))
 
 _BASE_OPS = frozenset(
     ("add", "addi", "sub", "subi", "li", "mov", "and", "andi", "or", "ori",
      "xor", "xori", "sll", "slli", "srl", "srli", "sra", "srai",
-     "sltu", "sltui", "slt", "mul", "mulhu",
-     "lw", "lb", "sw", "sb")) | _TERMINATORS
+     "sltu", "sltui", "slt", "mul", "mulhu")) | _MEM_OPS | _TERMINATORS
 
 
 class CompiledProgram:
-    """The threaded-code form of one program + extension configuration."""
+    """The compiled form of one program + extension configuration."""
 
-    __slots__ = ("steps", "op_names", "sentinel", "extensions",
-                 "blocks", "block_hists")
+    __slots__ = ("code", "op_names", "sentinel", "extensions", "func_at",
+                 "glob", "steps", "blocks", "block_hists")
 
-    def __init__(self, steps: List[Step], op_names: List[str],
-                 sentinel: int, extensions: Optional[ExtensionSet],
-                 blocks: List[Optional[Tuple[Step, int, int]]],
-                 block_hists: List[Tuple[Tuple[str, int], ...]]):
-        self.steps = steps
-        self.op_names = op_names
-        self.sentinel = sentinel
-        #: ``blocks[pc]`` is ``(fn, length, block_id)`` at block leaders.
-        self.blocks = blocks
-        #: per block id: ((opcode, multiplicity), ...) for count merging
-        self.block_hists = block_hists
+    def __init__(self, program: Program,
+                 extensions: Optional[ExtensionSet]):
+        # The instructions, not the Program: the weak cache's value must
+        # not keep its key alive.
+        self.code: Sequence[Instruction] = program.instructions
+        self.op_names = [instr.op for instr in self.code]
+        self.sentinel = len(self.code)
         # Held strongly so the id()-keyed cache slot cannot be reused
         # by a different ExtensionSet while this entry is alive.
         self.extensions = extensions
+        # Same first-label-wins mapping the Machine builds for profiling.
+        self.func_at: Dict[int, str] = {}
+        for label, index in program.labels.items():
+            self.func_at.setdefault(index, label)
+        #: namespace every generated block and step executes in
+        self.glob: Dict[str, object] = {"_fb": int.from_bytes,
+                                        "MachineError": MachineError}
+        #: ``steps[pc]`` is the single-instruction step, or None until
+        #: :meth:`step` first renders it.
+        self.steps: List[Optional[Step]] = [None] * self.sentinel
+        #: ``blocks[pc]`` is ``(fn, length, block_id)`` at block leaders.
+        self.blocks: List[Optional[Tuple[Step, int, int]]] = \
+            [None] * self.sentinel
+        #: per block id: ((opcode, multiplicity), ...) for count merging
+        self.block_hists: List[Tuple[Tuple[str, int], ...]] = []
+
+    def step(self, pc: int) -> Step:
+        """Render, memoize and return the single-instruction step at
+        ``pc``: a block of length 1."""
+        gen = _BlockGen(pc, self)
+        if not _emit(gen, self.code[pc], pc, None):
+            gen.emit_fallthrough(pc + 1)
+        name = f"_s{pc}"
+        exec(compile(gen.render(name, 1), "<repro.isa.compile>", "exec"),
+             self.glob)
+        step = self.steps[pc] = self.glob[name]
+        return step
 
 
-def _machine_error(message: str):
-    from repro.isa.machine import MachineError
-    return MachineError(message)
-
-
-# -- per-instruction closure emitters ----------------------------------------
+# -- the emitter -------------------------------------------------------------
 #
-# Every emitter returns a Step closure.  Registers written by the base
-# ISA are re-forced to zero by the interpreter after every instruction;
-# here that is resolved at compile time: a pure ALU op targeting r0 is
-# compiled to a cost-only step (the write is unobservable), and memory
-# reads targeting r0 keep their side effects (bounds check, dcache
-# access) but discard the loaded value.
-
-def _cost_only(cost: int, nxt: int) -> Step:
-    def step(m):
-        m.cycles += cost
-        return nxt
-    return step
-
-
-def _emit_binary(op: str, a, nxt: int) -> Optional[Step]:
-    d, s1, s2 = a[0], a[1], a[2]
-    if d == ZERO_REG:
-        return _cost_only(2 if op in ("mul", "mulhu") else 1, nxt)
-    if op == "add":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] + r[s2]) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "sub":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] - r[s2]) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "and":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] & r[s2]
-            m.cycles += 1
-            return nxt
-    elif op == "or":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] | r[s2]
-            m.cycles += 1
-            return nxt
-    elif op == "xor":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] ^ r[s2]
-            m.cycles += 1
-            return nxt
-    elif op == "sll":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] << (r[s2] & 31)) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "srl":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] >> (r[s2] & 31)
-            m.cycles += 1
-            return nxt
-    elif op == "sra":
-        def step(m):
-            r = m.regs
-            r[d] = ((((r[s1] ^ _SIGN_BIT) - _SIGN_BIT) >> (r[s2] & 31))
-                    & WORD_MASK)
-            m.cycles += 1
-            return nxt
-    elif op == "sltu":
-        def step(m):
-            r = m.regs
-            r[d] = 1 if r[s1] < r[s2] else 0
-            m.cycles += 1
-            return nxt
-    elif op == "slt":
-        def step(m):
-            r = m.regs
-            r[d] = 1 if (r[s1] ^ _SIGN_BIT) < (r[s2] ^ _SIGN_BIT) else 0
-            m.cycles += 1
-            return nxt
-    elif op == "mul":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] * r[s2]) & WORD_MASK
-            m.cycles += 2
-            return nxt
-    elif op == "mulhu":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] * r[s2]) >> 32
-            m.cycles += 2
-            return nxt
-    else:
-        return None
-    return step
-
-
-def _emit_immediate(op: str, a, nxt: int) -> Optional[Step]:
-    d, s1 = a[0], a[1]
-    if op == "li":
-        value = a[1] & WORD_MASK
-        if d == ZERO_REG:
-            return _cost_only(1, nxt)
-
-        def step(m):
-            m.regs[d] = value
-            m.cycles += 1
-            return nxt
-        return step
-    if op == "mov":
-        if d == ZERO_REG:
-            return _cost_only(1, nxt)
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1]
-            m.cycles += 1
-            return nxt
-        return step
-    imm = a[2]
-    if d == ZERO_REG:
-        return _cost_only(1, nxt)
-    if op == "addi":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] + imm) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "subi":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] - imm) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "andi":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] & masked
-            m.cycles += 1
-            return nxt
-    elif op == "ori":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] | masked
-            m.cycles += 1
-            return nxt
-    elif op == "xori":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] ^ masked
-            m.cycles += 1
-            return nxt
-    elif op == "slli":
-        shift = imm & 31
-
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] << shift) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "srli":
-        shift = imm & 31
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] >> shift
-            m.cycles += 1
-            return nxt
-    elif op == "srai":
-        shift = imm & 31
-
-        def step(m):
-            r = m.regs
-            r[d] = (((r[s1] ^ _SIGN_BIT) - _SIGN_BIT) >> shift) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "sltui":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = 1 if r[s1] < masked else 0
-            m.cycles += 1
-            return nxt
-    else:
-        return None
-    return step
-
-
-def _emit_load(op: str, a, nxt: int) -> Step:
-    d = a[0]
-    off, base = a[1]
-    if op == "lw":
-        if d == ZERO_REG:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 4 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+4")
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-        else:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 4 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+4")
-                m.regs[d] = int.from_bytes(mem[addr: addr + 4], "little")
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-    else:  # lb
-        if d == ZERO_REG:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 1 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+1")
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-        else:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 1 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+1")
-                m.regs[d] = mem[addr]
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-    return step
-
-
-def _emit_store(op: str, a, nxt: int) -> Step:
-    s = a[0]
-    off, base = a[1]
-    if op == "sw":
-        def step(m):
-            addr = m.regs[base] + off
-            mem = m.mem
-            if addr < 0 or addr + 4 > len(mem):
-                raise _machine_error(
-                    f"memory access out of range: {addr:#x}+4")
-            mem[addr: addr + 4] = (m.regs[s] & WORD_MASK).to_bytes(4, "little")
-            dc = m.dcache
-            m.cycles += 1 if dc is None else 1 + dc.access(addr)
-            return nxt
-    else:  # sb
-        def step(m):
-            addr = m.regs[base] + off
-            mem = m.mem
-            if addr < 0 or addr + 1 > len(mem):
-                raise _machine_error(
-                    f"memory access out of range: {addr:#x}+1")
-            mem[addr] = m.regs[s] & 0xFF
-            dc = m.dcache
-            m.cycles += 1 if dc is None else 1 + dc.access(addr)
-            return nxt
-    return step
-
-
-def _emit_branch(op: str, a, nxt: int) -> Step:
-    s1, s2, target = a[0], a[1], a[2]
-    if op == "beq":
-        def step(m):
-            r = m.regs
-            if r[s1] == r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "bne":
-        def step(m):
-            r = m.regs
-            if r[s1] != r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "bltu":
-        def step(m):
-            r = m.regs
-            if r[s1] < r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "bgeu":
-        def step(m):
-            r = m.regs
-            if r[s1] >= r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "blt":
-        def step(m):
-            r = m.regs
-            if (r[s1] ^ _SIGN_BIT) < (r[s2] ^ _SIGN_BIT):
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    else:  # bge
-        def step(m):
-            r = m.regs
-            if (r[s1] ^ _SIGN_BIT) >= (r[s2] ^ _SIGN_BIT):
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    return step
-
-
-def _emit_j(a) -> Step:
-    target = a[0]
-    return _cost_only(3, target)
-
-
-def _emit_jal(a, pc: int, func_at: Dict[int, str]) -> Step:
-    target = a[0]
-    link = pc + 1
-    callee = func_at.get(target, f"func@{target}")
-
-    def step(m):
-        m.regs[LINK_REG] = link
-        m.cycles += 3
-        m._compiled_call(callee)
-        return target
-    return step
-
-
-def _emit_jr(a) -> Step:
-    src = a[0]
-
-    def step(m):
-        m.cycles += 3
-        m._compiled_ret()
-        return m.regs[src]
-    return step
-
-
-def _emit_halt(pc: int, sentinel: int) -> Step:
-    def step(m):
-        m.cycles += 1
-        m._halted = True
-        m._halt_pc = pc
-        return sentinel
-    return step
-
-
-def _emit_custom(op: str, a, pc: int, nxt: int,
-                 extensions: Optional[ExtensionSet]) -> Step:
-    custom = extensions.get(op) if extensions is not None else None
-    if custom is None:
-        message = f"unknown opcode {op!r} at pc={pc}"
-
-        def step(m):
-            raise _machine_error(message)
-        return step
-    semantics = custom.semantics
-    latency = custom.latency
-    if callable(latency):
-        def step(m):
-            semantics(m, a)
-            cost = latency(m, a)
-            m.regs[ZERO_REG] = 0
-            m.cycles += cost
-            return nxt
-    else:
-        cost = latency
-
-        def step(m):
-            semantics(m, a)
-            m.regs[ZERO_REG] = 0
-            m.cycles += cost
-            return nxt
-    return step
-
-
-def _compile_instruction(instr: Instruction, pc: int, sentinel: int,
-                         func_at: Dict[int, str],
-                         extensions: Optional[ExtensionSet]) -> Step:
-    op = instr.op
-    a = instr.args
-    nxt = pc + 1
-    if op in ("add", "sub", "and", "or", "xor", "sll", "srl", "sra",
-              "sltu", "slt", "mul", "mulhu"):
-        return _emit_binary(op, a, nxt)
-    if op in ("addi", "subi", "li", "mov", "andi", "ori", "xori",
-              "slli", "srli", "srai", "sltui"):
-        return _emit_immediate(op, a, nxt)
-    if op in ("lw", "lb"):
-        return _emit_load(op, a, nxt)
-    if op in ("sw", "sb"):
-        return _emit_store(op, a, nxt)
-    if op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-        return _emit_branch(op, a, nxt)
-    if op == "j":
-        return _emit_j(a)
-    if op == "jal":
-        return _emit_jal(a, pc, func_at)
-    if op == "jr":
-        return _emit_jr(a)
-    if op == "halt":
-        return _emit_halt(pc, sentinel)
-    return _emit_custom(op, a, pc, nxt, extensions)
-
-
-# -- basic-block fusion (superinstructions) ----------------------------------
-#
-# Straight-line runs are re-emitted as one generated Python function
-# per block: registers hoisted to a local, immediates and addresses
-# inlined as literals, static cycle costs pre-summed.  Only memory and
-# custom instructions can fault; blocks containing them get a
-# try/except wrapper and a sub-instruction progress marker so the
-# driver can repair counts exactly (see the module docstring).
+# Registers hoisted to a local, immediates and addresses inlined as
+# literals, static cycle costs pre-summed.  The interpreter re-forces r0
+# to zero after every instruction; here that is resolved at compile
+# time: a pure ALU op targeting r0 emits no statement (the write is
+# unobservable), and memory reads targeting r0 keep their side effects
+# (bounds check, dcache access) but discard the loaded value.  Only
+# memory, custom and unknown instructions can fault; a block containing
+# one gets a try/except wrapper and a sub-instruction progress marker
+# so the driver can repair counts exactly (see the module docstring).
 
 def _alu_source(op: str, a) -> Optional[str]:
     """The statement for one non-faulting ALU op, or None when the
@@ -603,11 +214,12 @@ def _branch_cond(op: str, a) -> str:
 
 
 class _BlockGen:
-    """Accumulates the generated source of one fused block."""
+    """Accumulates the generated source of one block or step."""
 
-    def __init__(self, start: int, glob: Dict[str, object]):
+    def __init__(self, start: int, compiled: CompiledProgram):
         self.start = start
-        self.glob = glob
+        self.compiled = compiled
+        self.glob = compiled.glob
         self.lines: List[str] = []
         self.pending = 0        # static cycles not yet charged
         self.faulting = False   # needs the try/except + progress marker
@@ -619,21 +231,27 @@ class _BlockGen:
             self.lines.append(f"m.cycles += {self.pending}")
             self.pending = 0
 
+    def fault_point(self, sub: Optional[int]) -> None:
+        """Charge everything up to here before an op that can fault, so
+        a trapped run's cycle count matches the interpreter's exactly.
+        Inside a block (``sub`` is the op's index in it) also record
+        the progress marker; a single step (``sub`` None) needs none."""
+        self.flush()
+        if sub is not None:
+            self.faulting = True
+            self.lines.append(f"f_ = {sub}")
+
     def emit_alu(self, op: str, a) -> None:
         stmt = _alu_source(op, a)
         if stmt is not None:
             self.lines.append(stmt)
         self.pending += 2 if op in ("mul", "mulhu") else 1
 
-    def emit_mem(self, op: str, a, sub: int) -> None:
+    def emit_mem(self, op: str, a, sub: Optional[int]) -> None:
         self.uses_mem = True
         size = 4 if op in ("lw", "sw") else 1
         off, base = a[1]
-        # Charge everything up to here before the op can fault, so a
-        # trapped run's cycle count matches the interpreter's exactly.
-        self.flush()
-        self.faulting = True
-        self.lines.append(f"f_ = {sub}")
+        self.fault_point(sub)
         self.lines.append(f"a_ = r[{base}] + {off!r}")
         self.lines.append(f"if a_ < 0 or a_ + {size} > len(mem):")
         self.lines.append(
@@ -662,24 +280,27 @@ class _BlockGen:
         self.lines.append("if dc is not None:")
         self.lines.append("    m.cycles += dc.access(a_)")
 
-    def emit_custom(self, custom, a, pc: int, sub: int) -> None:
-        self.flush()
-        self.faulting = True
-        self.lines.append(f"f_ = {sub}")
+    def emit_custom(self, custom, a, pc: int, sub: Optional[int]) -> None:
+        self.fault_point(sub)
         self.glob[f"S{pc}"] = custom.semantics
         self.glob[f"A{pc}"] = a
         self.lines.append(f"S{pc}(m, A{pc})")
-        self.lines.append("r[0] = 0")
         latency = custom.latency
         if callable(latency):
+            # Priced before r0 is re-zeroed, as the interpreter does.
             self.glob[f"L{pc}"] = latency
             self.lines.append(f"m.cycles += L{pc}(m, A{pc})")
         else:
             self.pending += latency
+        self.lines.append("r[0] = 0")
 
-    def emit_terminator(self, op: str, a, pc: int, sentinel: int,
-                        func_at: Dict[int, str]) -> None:
-        if op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
+    def emit_unknown(self, op: str, pc: int, sub: Optional[int]) -> None:
+        self.fault_point(sub)
+        message = f"unknown opcode {op!r} at pc={pc}"
+        self.lines.append(f"raise MachineError({message!r})")
+
+    def emit_terminator(self, op: str, a, pc: int) -> None:
+        if op in _BRANCHES:
             self.lines.append(f"if {_branch_cond(op, a)}:")
             self.lines.append(f"    m.cycles += {self.pending + _TAKEN_COST}")
             self.lines.append(f"    return {a[2]}")
@@ -692,7 +313,8 @@ class _BlockGen:
             target = a[0]
             self.lines.append(f"r[{LINK_REG}] = {pc + 1}")
             self.lines.append(f"m.cycles += {self.pending + 3}")
-            self.glob[f"cn{pc}"] = func_at.get(target, f"func@{target}")
+            self.glob[f"cn{pc}"] = self.compiled.func_at.get(
+                target, f"func@{target}")
             self.lines.append(f"m._compiled_call(cn{pc})")
             self.lines.append(f"return {target}")
         elif op == "jr":
@@ -703,15 +325,14 @@ class _BlockGen:
             self.lines.append(f"m.cycles += {self.pending + 1}")
             self.lines.append("m._halted = True")
             self.lines.append(f"m._halt_pc = {pc}")
-            self.lines.append(f"return {sentinel}")
+            self.lines.append(f"return {self.compiled.sentinel}")
         self.pending = 0
 
     def emit_fallthrough(self, next_pc: int) -> None:
         self.flush()
         self.lines.append(f"return {next_pc}")
 
-    def render(self, length: int) -> str:
-        name = f"_b{self.start}"
+    def render(self, name: str, length: int) -> str:
         head = [f"def {name}(m):", "    r = m.regs"]
         if self.uses_mem:
             head.append("    mem = m.mem")
@@ -730,6 +351,29 @@ class _BlockGen:
         return "\n".join(head + body)
 
 
+def _emit(gen: _BlockGen, instr: Instruction, pc: int,
+          sub: Optional[int]) -> bool:
+    """Append ``instr`` (at ``pc``, index ``sub`` of its block, or None
+    for a single step) to ``gen``; True when it ends the block."""
+    op = instr.op
+    a = instr.args
+    if op in _TERMINATORS:
+        gen.emit_terminator(op, a, pc)
+        return True
+    if op in _MEM_OPS:
+        gen.emit_mem(op, a, sub)
+    elif op in _BASE_OPS:
+        gen.emit_alu(op, a)
+    else:
+        extensions = gen.compiled.extensions
+        custom = extensions.get(op) if extensions is not None else None
+        if custom is None:
+            gen.emit_unknown(op, pc, sub)
+            return True
+        gen.emit_custom(custom, a, pc, sub)
+    return False
+
+
 def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
                   sentinel: int) -> List[int]:
     """Every pc a block may legally start at: labels (function entries,
@@ -740,7 +384,7 @@ def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
         leaders.add(0)
     for pc, instr in enumerate(code):
         op = instr.op
-        if op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
+        if op in _BRANCHES:
             if instr.args[2] < sentinel:
                 leaders.add(instr.args[2])
         elif op in ("j", "jal"):
@@ -751,93 +395,52 @@ def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
     return sorted(leaders)
 
 
-def _build_blocks(program: Program, extensions: Optional[ExtensionSet],
-                  sentinel: int, func_at: Dict[int, str]
-                  ) -> Tuple[List[Optional[Tuple[Step, int, int]]],
-                             List[Tuple[Tuple[str, int], ...]]]:
-    from repro.isa.machine import MachineError
-    code = program.instructions
-    leaders = _find_leaders(code, program.labels, sentinel)
+def _build_blocks(compiled: CompiledProgram, labels: Dict[str, int]) -> None:
+    """Render every fused block into ``compiled.blocks``."""
+    code = compiled.code
+    sentinel = compiled.sentinel
+    leaders = _find_leaders(code, labels, sentinel)
     leader_set = set(leaders)
-    blocks: List[Optional[Tuple[Step, int, int]]] = [None] * sentinel
-    hists: List[Tuple[Tuple[str, int], ...]] = []
-    glob: Dict[str, object] = {"_fb": int.from_bytes,
-                               "MachineError": MachineError}
     sources: List[str] = []
     placed: List[Tuple[int, int]] = []  # (start, length) awaiting exec
-
     for start in leaders:
-        gen = _BlockGen(start, glob)
+        gen = _BlockGen(start, compiled)
         hist: Dict[str, int] = {}
         pc = start
-        terminated = False
         while True:
             instr = code[pc]
-            op = instr.op
-            if op not in _BASE_OPS and (extensions is None
-                                        or extensions.get(op) is None):
-                # Unknown opcode: end the block before it; the
-                # per-instruction closure raises with exact state.
-                break
-            hist[op] = hist.get(op, 0) + 1
-            if op in _TERMINATORS:
-                gen.emit_terminator(op, instr.args, pc, sentinel, func_at)
-                terminated = True
-                pc += 1
-                break
-            if op in ("lw", "lb", "sw", "sb"):
-                gen.emit_mem(op, instr.args, pc - start)
-            elif op in _BASE_OPS:
-                gen.emit_alu(op, instr.args)
-            else:
-                gen.emit_custom(extensions.get(op), instr.args, pc,
-                                pc - start)
+            hist[instr.op] = hist.get(instr.op, 0) + 1
+            ended = _emit(gen, instr, pc, pc - start)
             pc += 1
-            if pc == sentinel or pc in leader_set:
+            if ended or pc == sentinel or pc in leader_set:
                 break
-        length = pc - start
-        if length == 0:
-            continue  # first instruction unknown; no fused block here
-        if not terminated:
+        if not ended:
             gen.emit_fallthrough(pc)
-        sources.append(gen.render(length))
-        placed.append((start, length))
-        hists.append(tuple(sorted(hist.items())))
-
-    if sources:
-        exec(compile("\n".join(sources), "<repro.isa.compile>", "exec"), glob)
-        for bid, (start, length) in enumerate(placed):
-            blocks[start] = (glob[f"_b{start}"], length, bid)
-    return blocks, hists
+        sources.append(gen.render(f"_b{start}", pc - start))
+        placed.append((start, pc - start))
+        compiled.block_hists.append(tuple(sorted(hist.items())))
+    glob = compiled.glob
+    exec(compile("\n".join(sources), "<repro.isa.compile>", "exec"), glob)
+    for bid, (start, length) in enumerate(placed):
+        compiled.blocks[start] = (glob[f"_b{start}"], length, bid)
 
 
 def compile_program(program: Program,
                     extensions: Optional[ExtensionSet] = None
                     ) -> CompiledProgram:
-    """Predecode ``program`` into its threaded-code form (uncached)."""
-    code = program.instructions
-    sentinel = len(code)
-    # Same first-label-wins mapping the Machine builds for profiling.
-    func_at: Dict[int, str] = {}
-    for label, index in program.labels.items():
-        func_at.setdefault(index, label)
-    steps: List[Step] = []
-    op_names: List[str] = []
-    for pc, instr in enumerate(code):
-        steps.append(_compile_instruction(instr, pc, sentinel, func_at,
-                                          extensions))
-        op_names.append(instr.op)
-    blocks, hists = _build_blocks(program, extensions, sentinel, func_at)
-    return CompiledProgram(steps, op_names, sentinel, extensions,
-                           blocks, hists)
+    """Compile ``program``'s fused blocks (uncached); single-instruction
+    steps are rendered on first use."""
+    compiled = CompiledProgram(program, extensions)
+    _build_blocks(compiled, program.labels)
+    return compiled
 
 
 # -- compilation cache -------------------------------------------------------
 #
-# Keyed weakly on the Program (so a dropped program frees its closures)
-# and, within a program, on the identity of the extension set.  All
-# machines with no custom instructions share one entry: a fresh empty
-# ExtensionSet is indistinguishable from another.
+# Keyed weakly on the Program (so a dropped program frees its generated
+# code) and, within a program, on the identity of the extension set.
+# All machines with no custom instructions share one entry: a fresh
+# empty ExtensionSet is indistinguishable from another.
 
 _cache: "weakref.WeakKeyDictionary[Program, Dict[object, CompiledProgram]]" \
     = weakref.WeakKeyDictionary()
@@ -846,7 +449,7 @@ _cache: "weakref.WeakKeyDictionary[Program, Dict[object, CompiledProgram]]" \
 def compiled_for(program: Program,
                  extensions: Optional[ExtensionSet] = None
                  ) -> CompiledProgram:
-    """The (cached) threaded-code form of ``program`` + ``extensions``."""
+    """The (cached) compiled form of ``program`` + ``extensions``."""
     per_ext = _cache.get(program)
     if per_ext is None:
         per_ext = _cache[program] = {}

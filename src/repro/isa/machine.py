@@ -11,9 +11,9 @@ Two execution backends share one architectural contract:
 
 - ``interp`` (default): the readable reference loop -- one if/elif
   dispatch chain, the semantic spec for the ISA.
-- ``compiled``: threaded-code dispatch via :mod:`repro.isa.compile` --
-  the program is predecoded once into per-instruction closures and
-  each step is a single indirect call.
+- ``compiled``: generated code via :mod:`repro.isa.compile` -- the
+  program is predecoded once into one Python function per fused basic
+  block, and the driver makes one call per block.
 
 Both are bit-identical in ``cycles``, ``instret``, ``opcode_counts``,
 the :class:`Profile`, and final memory/registers; select with the
@@ -49,14 +49,16 @@ ISS_BACKEND_ENV = "REPRO_ISS_BACKEND"
 
 _BACKENDS = ("interp", "compiled")
 
-_backend_override: Optional[str] = None
+#: per-thread backend_scope() state, like repro.mp.hooks' tracer
+_scope = threading.local()
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name: explicit argument, then any active
-    :func:`backend_scope`, then ``$REPRO_ISS_BACKEND``, then ``interp``."""
+    """Resolve a backend name: explicit argument, then this thread's
+    active :func:`backend_scope`, then ``$REPRO_ISS_BACKEND``, then
+    ``interp``."""
     if name is None:
-        name = _backend_override
+        name = getattr(_scope, "backend", None)
     if name is None:
         name = os.environ.get(ISS_BACKEND_ENV, "") or "interp"
     if name not in _BACKENDS:
@@ -68,15 +70,21 @@ def resolve_backend(name: Optional[str] = None) -> str:
 
 @contextmanager
 def backend_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily make ``name`` the default backend for new machines."""
-    global _backend_override
+    """Temporarily make ``name`` the default backend for machines
+    constructed on the calling thread.
+
+    The scope is per thread: worker threads (a
+    :class:`repro.parallel.ThreadExecutor`'s, say) do not inherit it
+    and resolve through ``$REPRO_ISS_BACKEND`` instead.  A
+    :class:`MachineFleet` whose workers need a backend pins it with
+    ``backend=``."""
     resolved = resolve_backend(name)
-    previous = _backend_override
-    _backend_override = resolved
+    previous = getattr(_scope, "backend", None)
+    _scope.backend = resolved
     try:
         yield resolved
     finally:
-        _backend_override = previous
+        _scope.backend = previous
 
 
 @dataclass
@@ -354,7 +362,7 @@ class Machine:
 
         Execution stops at ``halt`` or when the entry function returns
         (jr to the sentinel return address).  Dispatches to the
-        interpreter or the threaded-code backend per ``self.backend``;
+        interpreter or the compiled backend per ``self.backend``;
         both produce bit-identical architectural and profile state.
         """
         if self.backend == "compiled":
@@ -380,14 +388,16 @@ class Machine:
         completed = False
         top_fault = False
         try:
-            while pc != sentinel:
+            # A negative pc (a custom instruction can leave one in a jr
+            # register) would index the tables from the end.
+            while 0 <= pc != sentinel:
                 blk = blocks[pc]
                 if blk is not None:
                     fn, length, bid = blk
                     after = executed + length
-                    # Near the instruction budget, fall through to the
-                    # per-instruction path so the budget trap fires at
-                    # exactly the same instruction as the interpreter.
+                    # Near the instruction budget, fall through to
+                    # single steps so the budget trap fires at exactly
+                    # the same instruction as the interpreter.
                     if after <= max_instructions:
                         executed = after
                         pc = fn(self)
@@ -398,7 +408,10 @@ class Machine:
                 if executed > max_instructions:
                     raise MachineError(
                         "instruction budget exceeded (runaway program?)")
-                pc = steps[pc](self)
+                pc = (steps[pc] or compiled.step(pc))(self)
+            if pc < 0:
+                top_fault = True
+                raise MachineError(f"pc out of range: {pc}")
             completed = not self._halted
         except IndexError:
             if 0 <= pc < sentinel:
@@ -644,7 +657,7 @@ class Machine:
                   ) -> List[Tuple[int, int]]:
         """Run many independent ``(entry, args)`` calls on this machine,
         resetting architectural state between runs (the decoded program
-        and, on the compiled backend, its threaded code are reused).
+        and, on the compiled backend, its compiled code are reused).
         Returns ``[(result, cycles), ...]`` in request order."""
         out = []
         for entry, args in requests:

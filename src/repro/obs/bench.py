@@ -981,7 +981,7 @@ register_scenario(Scenario(
     }))
 
 
-# -- compiled fast paths (threaded-code ISS + flat mpn) ----------------------
+# -- compiled fast paths (generated-code ISS + flat mpn) ---------------------
 
 def _timed(fn, reps: int = 3) -> float:
     """Mean wall seconds of ``reps`` calls after one warm-up call."""

@@ -1,4 +1,4 @@
-"""Differential tests: compiled (threaded-code) ISS vs the interpreter.
+"""Differential tests: compiled (generated-code) ISS vs the interpreter.
 
 The compiled backend must be **bit-identical** to the interpreter --
 cycles, instret, opcode counts, the whole profile, and final
@@ -9,13 +9,15 @@ plus the batched-execution API built on top of it.
 
 import hashlib
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.compile import compiled_for
+from repro.isa.compile import compile_program, compiled_for
 from repro.isa.machine import (ISS_BACKEND_ENV, Machine, MachineError,
                                MachineFleet, backend_scope, resolve_backend)
 
@@ -103,6 +105,33 @@ class TestBackendSelection:
     def test_compile_cache_reuses_programs(self):
         program = assemble("main:\n    addi r1, r1, 1\n    halt\n")
         assert compiled_for(program, None) is compiled_for(program, None)
+
+    def test_scope_is_per_thread(self, monkeypatch):
+        # Thread A holds a compiled scope while thread B constructs a
+        # machine: B must not see A's scope.
+        monkeypatch.delenv(ISS_BACKEND_ENV, raising=False)
+        program = assemble("main:\n    halt\n")
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def holder():
+            with backend_scope("compiled"):
+                seen["a"] = Machine(program).backend
+                barrier.wait()      # scope entered
+                barrier.wait()      # B has built its machine
+
+        def other():
+            barrier.wait()
+            seen["b"] = Machine(program).backend
+            barrier.wait()
+
+        threads = [threading.Thread(target=holder),
+                   threading.Thread(target=other)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen == {"a": "compiled", "b": "interp"}
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +272,29 @@ _ALU_RRI = ("addi", "subi", "andi", "ori", "xori", "slli", "srli",
 _BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
 
 
-def _random_program(draw):
+def _random_program(draw, computed_jr=False):
     """Build a terminating random program: forward-only branches, a
     leaf helper reached by jal, and memory ops inside a scratch
-    region."""
+    region.
+
+    With ``computed_jr`` one body slot becomes ``li r9, <pc>; jr r9``
+    to a later body pc, and only branch targets keep their labels, so
+    the jump usually lands inside a fused block."""
     body_len = draw(st.integers(2, 14))
-    lines = ["main:", "    li r8, 8192"]
+    jr_at = draw(st.integers(0, body_len - 1)) if computed_jr else None
+    body = []         # per body slot: its instruction lines
+    targets = set()   # body slots named by a branch or j
     regs = lambda: draw(st.integers(0, 7))   # r0..r7 data registers
     for i in range(body_len):
-        lines.append(f"main_{i}:")
+        lines = []
+        body.append(lines)
+        if i == jr_at:
+            # Slot k > jr_at sits at pc k + 2: `li r8` and the extra
+            # `li r9` come before it.
+            target_pc = draw(st.integers(i + 1, body_len)) + 2
+            lines.append(f"    li r9, {target_pc}")
+            lines.append("    jr r9")
+            continue
         kind = draw(st.integers(0, 5))
         if kind == 0:
             op = draw(st.sampled_from(_ALU_RRR))
@@ -278,12 +321,18 @@ def _random_program(draw):
         else:
             # Forward-only control flow keeps the program terminating.
             target = draw(st.integers(i + 1, body_len))
+            targets.add(target)
             label = f"main_{target}" if target < body_len else "main_end"
             if draw(st.booleans()):
                 op = draw(st.sampled_from(_BRANCHES))
                 lines.append(f"    {op} r{regs()}, r{regs()}, {label}")
             else:
                 lines.append(f"    j {label}")
+    lines = ["main:", "    li r8, 8192"]
+    for i, slot in enumerate(body):
+        if not computed_jr or i in targets:
+            lines.append(f"main_{i}:")
+        lines.extend(slot)
     lines.append("main_end:")
     if draw(st.booleans()):
         lines.append("    jal helper")
@@ -314,10 +363,38 @@ class TestDifferentialFuzz:
         budget = data.draw(st.integers(1, 12))
         assert_identical(source, "main", [], max_instructions=budget)
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_random_programs_with_computed_jr(self, data):
+        """A computed jr into a fused block single-steps to the next
+        leader; with or without a budget the state stays identical."""
+        source = _random_program(data.draw, computed_jr=True)
+        budget = data.draw(st.sampled_from([200_000_000, 3, 6, 9, 12]))
+        assert_identical(source, "main", [], max_instructions=budget)
+
 
 # ---------------------------------------------------------------------------
 # Error-path parity
 # ---------------------------------------------------------------------------
+
+# `jr r9` lands on pc 5, inside the fused block 4..8 (pc 4 follows the
+# jr, pc 9 is labeled), and single-steps addi, sw, lw and add up to
+# the next leader, pc 9.
+# The lw reads through {base}: r8 is the scratch buffer, r7 is out of
+# range.
+MID_BLOCK_ENTRY = ("main:\n"
+                   "    li r8, 8192\n"
+                   "    li r7, 0x7FFFFFF0\n"
+                   "    li r9, 5\n"
+                   "    jr r9\n"
+                   "    addi r1, r1, 1\n"
+                   "    addi r3, r3, 3\n"
+                   "    sw r3, 0(r8)\n"
+                   "    lw r4, 0({base})\n"
+                   "    add r1, r3, r4\n"
+                   "done:\n"
+                   "    halt\n")
+
 
 class TestErrorParity:
     def test_budget_exceeded(self):
@@ -343,6 +420,37 @@ class TestErrorParity:
                   "    halt\n")
         assert_identical(source, "main", [0, 0, 0, 0, 0, 0x7FFFFFF0])
 
+    def test_negative_pc(self):
+        # Base-ISA writes are masked to 32 bits; a custom instruction's
+        # need not be, so a jr can reach a negative pc.
+        from repro.isa.extensions import CustomInstruction, ExtensionSet
+
+        def semantics(machine, args):
+            machine.regs[args[0]] = -1
+
+        ext = ExtensionSet()
+        ext.add(CustomInstruction(name="negpc", signature="r",
+                                  semantics=semantics, latency=1))
+        source = ("main:\n    negpc r5\n    jr r5\n"
+                  "    addi r1, r1, 7\n    halt\n")
+        interp, compiled = run_both(source, "main", [], extensions=ext)
+        assert interp == compiled
+        assert interp["result"] == ("error", "pc out of range: -1")
+
+    def test_computed_jr_into_block(self):
+        source = MID_BLOCK_ENTRY.format(base="r8")
+        compiled = compiled_for(assemble(source))
+        assert compiled.blocks[4][1] == 5 and compiled.blocks[5] is None
+        interp, compiled_snap = run_both(source, "main", [])
+        assert interp == compiled_snap
+        assert interp["result"] == 6 and interp["opcode_counts"]["lw"] == 1
+
+    def test_computed_jr_into_block_faulting_load(self):
+        interp, compiled = run_both(MID_BLOCK_ENTRY.format(base="r7"),
+                                    "main", [])
+        assert interp == compiled
+        assert interp["result"][0] == "error" and interp["pc"] == 7
+
     def test_unknown_opcode(self):
         # Assemble with an extension, run without it: the machine must
         # fault on the custom opcode identically on both backends.
@@ -363,6 +471,91 @@ class TestErrorParity:
             snaps.append(snapshot(machine, result))
         assert snaps[0] == snaps[1]
         assert snaps[0]["result"][0] == "error"
+
+
+# ---------------------------------------------------------------------------
+# Lazily rendered single-instruction steps
+# ---------------------------------------------------------------------------
+
+def _built(compiled):
+    return [pc for pc, step in enumerate(compiled.steps) if step is not None]
+
+
+class TestLazySteps:
+    def test_compiling_builds_no_step(self):
+        from repro.isa.kernels.modexp_kernel import ModExpKernel
+        for kernel in (ModExpKernel(), ModExpKernel(8, 8)):
+            runner = kernel.runner
+            compiled = compile_program(runner.program, runner.extensions)
+            assert compiled.sentinel > 0
+            assert _built(compiled) == []
+
+    def test_powm_builds_no_step(self):
+        from repro.isa.kernels.modexp_kernel import ModExpKernel
+        kernel = ModExpKernel()
+        # A fresh Program, so no other test's steps are in its cache slot.
+        kernel.runner.program = assemble(kernel.runner.source)
+        modulus = (1 << 256) - 189
+        with backend_scope("compiled"):
+            value, _, _ = kernel.powm(0x1234567, 0x1B5, modulus)
+        assert value == pow(0x1234567, 0x1B5, modulus)
+        assert _built(compiled_for(kernel.runner.program)) == []
+
+    def test_budget_trap_builds_the_stepped_pcs(self):
+        # One 4-instruction block: two passes use 8 of the 10-instruction
+        # budget, pcs 0 and 1 single-step, and pc 2 trips the budget
+        # before its step is needed.
+        program = assemble("main:\n    addi r1, r1, 1\n"
+                           "    addi r2, r2, 1\n    addi r3, r3, 1\n"
+                           "    j main\n")
+        machine = Machine(program, mem_size=1 << 12, backend="compiled")
+        with pytest.raises(MachineError, match="budget"):
+            machine.run("main", [], max_instructions=10)
+        assert machine.regs[1:4] == [3, 3, 2]
+        assert _built(compiled_for(program)) == [0, 1]
+
+    @pytest.mark.parametrize("base, stepped", [("r8", [5, 6, 7, 8]),
+                                               ("r7", [5, 6, 7])])
+    def test_computed_jr_builds_the_stepped_pcs(self, base, stepped):
+        program = assemble(MID_BLOCK_ENTRY.format(base=base))
+        machine = Machine(program, mem_size=1 << 16, backend="compiled")
+        try:
+            machine.run("main", [])
+        except MachineError:
+            pass
+        assert _built(compiled_for(program)) == stepped
+
+    def test_threads_render_shared_steps_correctly(self):
+        # Four threads single-step the same fresh program at once: a
+        # step may be rendered twice, but every run stays identical to
+        # the interpreter.
+        source = MID_BLOCK_ENTRY.format(base="r8")
+        expected = run_both(source, "main", [])[0]
+        results = []
+
+        def worker(program, barrier):
+            barrier.wait()
+            machine = Machine(program, None, 1 << 16, backend="compiled")
+            results.append(snapshot(machine, machine.run("main", [])))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                program = assemble(source)
+                barrier = threading.Barrier(4, timeout=30)
+                threads = [threading.Thread(target=worker,
+                                            args=(program, barrier))
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert _built(compiled_for(program)) == [5, 6, 7, 8]
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [expected] * 40
 
 
 # ---------------------------------------------------------------------------
