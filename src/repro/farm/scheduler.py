@@ -15,16 +15,29 @@ scheduling algorithm, arXiv:1410.7560):
   protocol are first routed to the core whose session cache holds the
   client's key (cache affinity), so the abbreviated-handshake price is
   actually realized.
+
+Dispatch is scan-free in the common case: least-loaded selection
+returns the lowest-index idle core (backlog exactly ``0.0``) as soon
+as it meets one, and the preferential pools are built once per run
+and rebuilt only when the simulator reports a fault through the
+optional :meth:`Scheduler.cores_changed` hook.
 """
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.farm.workload import SessionRequest, is_public_key_heavy
 from repro.protocols import SessionKeys, get_protocol
 
 
 class Scheduler:
-    """Base policy: picks a core index for each arriving request."""
+    """Base policy: picks a core index for each arriving request.
+
+    The simulator calls two optional hooks when a scheduler defines
+    them, found by ``getattr`` so duck-typed policies without them
+    keep working: :meth:`bind_session_keys` once before a run's first
+    dispatch, and :meth:`cores_changed` after every applied fault
+    (a core's ``up`` or ``degraded`` state may have changed).
+    """
 
     name = "abstract"
     #: The running simulation's session-key memo (see
@@ -45,17 +58,40 @@ class Scheduler:
         """
         self._session_keys = keys
 
+    def cores_changed(self) -> None:
+        """Forget state derived from the cores' fault status.
+
+        :meth:`~repro.farm.simulator.FarmSimulator.run` calls this
+        after every applied fault event.  The base policy keeps no
+        such state.
+        """
+
     @staticmethod
     def _least_loaded(cores: Sequence, now: float,
                       indices: Optional[Sequence[int]] = None) -> int:
         """Smallest estimated backlog among the *live* candidates;
-        lowest index breaks ties.  The simulator never dispatches with
-        zero live cores, so the filtered pool is never empty when at
-        least one candidate is up."""
+        lowest index breaks ties.
+
+        ``indices`` must ascend.  Backlogs are never negative, so the
+        first live core with a backlog of exactly ``0.0`` is the
+        answer and the scan stops there; otherwise the strict ``<``
+        keeps the lowest index among equal backlogs."""
         if indices is None:
             indices = range(len(cores))
-        indices = [i for i in indices if cores[i].up]
-        return min(indices, key=lambda i: (cores[i].backlog_cycles(now), i))
+        best = -1
+        least = 0.0
+        for i in indices:
+            core = cores[i]
+            if not core.up:
+                continue
+            backlog = core.backlog_cycles(now)
+            if backlog == 0.0:
+                return i
+            if best < 0 or backlog < least:
+                best, least = i, backlog
+        if best < 0:
+            raise RuntimeError("no live core to dispatch to")
+        return best
 
     def _affine_core(self, request: SessionRequest,
                      cores: Sequence) -> Optional[int]:
@@ -117,6 +153,27 @@ class PreferentialScheduler(Scheduler):
 
     def __init__(self, affinity: bool = True):
         self.affinity = affinity
+        #: The ``cores`` list the pools were built from, and the
+        #: ``(extended, base)`` index pools themselves.
+        self._pools_for: Optional[Sequence] = None
+        self._pools: Tuple[List[int], List[int]] = ([], [])
+
+    def cores_changed(self) -> None:
+        self._pools_for = None
+
+    def _pools_of(self, cores: Sequence) -> Tuple[List[int], List[int]]:
+        """The live ``(extended, base)`` pools, rebuilt for a new run
+        (a different ``cores`` list) or after :meth:`cores_changed`."""
+        if self._pools_for is not cores:
+            # A degraded extended core prices like a base core, so it
+            # routes like one until it recovers.
+            extended = [c.index for c in cores
+                        if c.up and c.spec.extended and not c.degraded]
+            base = [c.index for c in cores
+                    if c.up and not (c.spec.extended and not c.degraded)]
+            self._pools = (extended, base)
+            self._pools_for = cores
+        return self._pools
 
     def select(self, request: SessionRequest, cores: Sequence,
                now: float) -> int:
@@ -124,12 +181,7 @@ class PreferentialScheduler(Scheduler):
             affine = self._affine_core(request, cores)
             if affine is not None:
                 return affine
-        # A degraded extended core prices like a base core, so it
-        # routes like one until it recovers.
-        extended = [c.index for c in cores
-                    if c.up and c.spec.extended and not c.degraded]
-        base = [c.index for c in cores
-                if c.up and not (c.spec.extended and not c.degraded)]
+        extended, base = self._pools_of(cores)
         preferred = extended if is_public_key_heavy(request) else base
         if not preferred:
             preferred = base or extended

@@ -283,6 +283,9 @@ class FarmSimulator:
         bind = getattr(self.scheduler, "bind_session_keys", None)
         if bind is not None:
             bind(keys)
+        # Told after every applied fault, so a scheduler can cache
+        # what it derives from the cores' up/degraded state.
+        cores_changed = getattr(self.scheduler, "cores_changed", None)
         completions: List[Completion] = []
         starts = {}
         #: (core, seq, finish_cycle) tombstones of completion events
@@ -314,6 +317,8 @@ class FarmSimulator:
                     alive += woken
                     if event.kind == "core_down" and applied:
                         alive -= 1
+                    if applied and cores_changed is not None:
+                        cores_changed()
                 continue
             makespan = max(makespan, now)
             if kind == _ARRIVAL:

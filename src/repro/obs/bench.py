@@ -1168,7 +1168,7 @@ def _mpn_fast_metrics() -> Dict[str, object]:
 
 register_scenario(Scenario(
     name="iss_compiled",
-    description="threaded-code ISS backend vs interpreter: "
+    description="generated-code ISS backend vs interpreter: "
                 "bit-identical kernel/characterize results, cycle "
                 "totals, wall-clock speedups in extras",
     run=_iss_compiled_metrics,

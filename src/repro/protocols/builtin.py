@@ -8,10 +8,10 @@ the legacy farm benchmark baselines gate that byte for byte.
 """
 
 import math
+from hashlib import sha1
 
 from repro.protocols.registry import (MTU_BYTES, ProtocolModel,
                                       RequestCost, register_protocol)
-from repro.ssl.session_cache import SessionCache
 from repro.ssl.transaction import (HANDSHAKE_TRANSCRIPT_BYTES,
                                    SslWorkloadModel)
 
@@ -39,8 +39,15 @@ def farm_session(client_id: int) -> _FarmSession:
 
 
 def session_id_for_client(client_id: int) -> bytes:
-    """The session id a resuming SSL client presents (affinity key)."""
-    return SessionCache.session_id(farm_session(client_id))
+    """The session id a resuming SSL client presents (affinity key).
+
+    Equal to ``SessionCache.session_id(farm_session(client_id))``, but
+    hashed with :mod:`hashlib`: farm keying is host bookkeeping, not
+    estimated work, so it skips the traced pure-Python SHA-1 that SSL
+    estimation charges through :func:`repro.mp.hooks.trace`.
+    """
+    return sha1(b"session-id" + client_id.to_bytes(32, "big")
+                + _SERVER_RANDOM).digest()[:16]
 
 
 class SslProtocolModel(ProtocolModel):

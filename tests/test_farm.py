@@ -6,8 +6,11 @@ pure function of these numbers.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.farm import (FarmSimulator, LeastLoadedScheduler,
+from repro.farm import (FarmSimulator, FaultEvent, FaultPlan,
+                        LeastLoadedScheduler,
                         PreferentialScheduler, RoundRobinScheduler,
                         SCHEDULERS, SessionRequest, TrafficProfile,
                         build_farm, capacity_table, cores_for_rate,
@@ -15,7 +18,11 @@ from repro.farm import (FarmSimulator, LeastLoadedScheduler,
                         is_public_key_heavy, make_scheduler, percentile,
                         plan_farm, session_id_for_client,
                         specs_as_configs, summarize)
-from repro.farm.simulator import BASE_CORE_GATES, extension_gates
+from repro.farm.faults import FAULT_KINDS
+from repro.farm.scheduler import Scheduler
+from repro.farm.simulator import BASE_CORE_GATES, Core, extension_gates
+from repro.protocols import (ProtocolModel, RequestCost,
+                             register_protocol, unregister_protocol)
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.costs import PlatformCosts
 
@@ -259,6 +266,142 @@ class TestSchedulers:
         pref = summarize(_run(make_scheduler("preferential")))
         rr = summarize(_run(make_scheduler("round-robin")))
         assert pref.sessions_per_s >= rr.sessions_per_s
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_every_core_down_is_a_named_error(self, name):
+        cores = [Core(i, spec) for i, spec in enumerate(_farm())]
+        for core in cores:
+            core.up = False
+        request = SessionRequest(seq=0, arrival_cycle=0.0,
+                                 protocol="ssl", size_bytes=1024,
+                                 resumed=False, client_id=0)
+        with pytest.raises(RuntimeError,
+                           match="no live core to dispatch to"):
+            make_scheduler(name).select(request, cores, 0.0)
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_core_finishing_now_counts_as_idle(self, free_protocol,
+                                               name):
+        """A core whose ``busy_until`` equals the arrival cycle has a
+        backlog of exactly 0.0 while its request is still in flight
+        (arrivals sort before same-cycle completions), so it wins over
+        a higher-index core with nothing in flight."""
+        requests = [_free_req(0, 0.0), _free_req(1, 0.0)]
+        result = FarmSimulator(_farm(3, 0.0), make_scheduler(name)).run(
+            requests)
+        assert [c.core_index for c in result.completions] == [0, 0]
+
+
+#: Arrival and fault spacing of the dispatch property test: coarse
+#: enough that handshakes queue, exact in binary floating point.
+GRID = 1e6
+
+
+class FreeProtocolModel(ProtocolModel):
+    """Prices every request at zero cycles: the core serving one stays
+    busy until the very cycle it started."""
+
+    name = "free"
+    default_mix_weight = 0.0
+
+    def request_cost(self, request, costs, cache_hit=False):
+        return RequestCost(cycles=0.0, public_key_cycles=0.0,
+                           payload_bytes=request.size_bytes)
+
+    def public_key_heavy(self, request):
+        return not request.resumed
+
+
+@pytest.fixture(scope="module")
+def free_protocol():
+    register_protocol(FreeProtocolModel())
+    yield
+    unregister_protocol("free")
+
+
+def _free_req(seq, arrival):
+    return SessionRequest(seq=seq, arrival_cycle=arrival,
+                          protocol="free", size_bytes=64,
+                          resumed=False, client_id=seq)
+
+
+def _scan(cores, now, indices):
+    """The full-scan least-loaded pick the production scan reproduces."""
+    live = [i for i in indices if cores[i].up]
+    return min(live, key=lambda i: (cores[i].backlog_cycles(now), i))
+
+
+class ScanLeastLoaded(Scheduler):
+    def select(self, request, cores, now):
+        return _scan(cores, now, range(len(cores)))
+
+
+class ScanPreferential(Scheduler):
+    """Pools rebuilt and every candidate probed on each dispatch."""
+
+    def select(self, request, cores, now):
+        affine = self._affine_core(request, cores)
+        if affine is not None:
+            return affine
+        extended = [c.index for c in cores
+                    if c.up and c.spec.extended and not c.degraded]
+        base = [c.index for c in cores
+                if c.up and not (c.spec.extended and not c.degraded)]
+        preferred = extended if is_public_key_heavy(request) else base
+        return _scan(cores, now, preferred or base or extended)
+
+
+def _timeline(result):
+    return [(c.request.seq, c.core_index, c.start_cycle, c.finish_cycle)
+            for c in result.completions]
+
+
+class TestDispatchExactness:
+    """Idle-first dispatch over cached pools picks exactly the core the
+    full ``(backlog, index)`` scan picks, faults and reuse included."""
+
+    @settings(max_examples=60)
+    @given(n_cores=st.integers(1, 12),
+           fraction=st.floats(0.0, 1.0),
+           draws=st.lists(st.tuples(
+               st.integers(0, 3),      # grid steps since the last arrival
+               st.sampled_from(["ssl", "wtls", "esp", "wep", "free"]),
+               st.sampled_from([64, 1024, 8192]),
+               st.booleans(),          # resumed
+               st.integers(0, 5)),     # client
+               min_size=1, max_size=40),
+           faults=st.lists(st.tuples(st.integers(0, 60),
+                                     st.sampled_from(FAULT_KINDS),
+                                     st.integers(0, 11)), max_size=8),
+           penalty=st.sampled_from([0.0, GRID, 2000.0]),
+           degrade=st.booleans())
+    def test_matches_full_scan(self, free_protocol, n_cores, fraction,
+                               draws, faults, penalty, degrade):
+        specs = _farm(n_cores, fraction)
+        requests, arrival = [], 0.0
+        for seq, (steps, protocol, size, resumed, client) in enumerate(
+                draws):
+            arrival += steps * GRID
+            requests.append(SessionRequest(
+                seq=seq, arrival_cycle=arrival, protocol=protocol,
+                size_bytes=size, resumed=resumed, client_id=client))
+        plan = FaultPlan(
+            events=tuple(FaultEvent(cycle=steps * GRID, kind=kind,
+                                    core=core % n_cores)
+                         for steps, kind, core in faults),
+            redispatch_penalty_cycles=penalty,
+            degraded_costs=BASE_COSTS if degrade else None)
+        for name, reference in (("least-loaded", ScanLeastLoaded),
+                                ("preferential", ScanPreferential)):
+            scheduler = make_scheduler(name)
+            # One instance for both runs: the second must not reuse
+            # pools the first run's faults left behind.
+            for run_plan in (plan, None):
+                got = FarmSimulator(specs, scheduler,
+                                    faults=run_plan).run(requests)
+                want = FarmSimulator(specs, reference(),
+                                     faults=run_plan).run(requests)
+                assert _timeline(got) == _timeline(want)
 
 
 class TestMetrics:

@@ -1,4 +1,4 @@
-"""Tests for DH, WEP, ESP and CRC-32."""
+"""Tests for DH, WEP, ESP, CRC-32 and farm session keying."""
 
 import binascii
 
@@ -11,9 +11,11 @@ from repro.crypto.crc import crc32
 from repro.crypto.dh import (DiffieHellman, DhGroup, OAKLEY_GROUP1,
                              generate_group, validate_group)
 from repro.crypto.modexp import ModExpConfig
-from repro.mp import DeterministicPrng, Mpz
+from repro.mp import DeterministicPrng, Mpz, hooks
+from repro.protocols.builtin import farm_session, session_id_for_client
 from repro.protocols.esp import EspError, EspSecurityAssociation
 from repro.protocols.wep import WepError, WepPeer
+from repro.ssl.session_cache import SessionCache
 
 
 class TestCrc32:
@@ -188,3 +190,22 @@ class TestEsp:
         _, in_sa = self._pair()
         with pytest.raises(EspError, match="short"):
             in_sa.open(b"\x00" * 10)
+
+
+class TestFarmSessionKeying:
+    """Farm keying hashes with hashlib; the SSL session cache keeps the
+    traced SHA-1 that estimation charges."""
+
+    def test_matches_session_cache_id(self):
+        for client in [*range(2000), 2 ** 64, 2 ** 256 - 1]:
+            assert (session_id_for_client(client)
+                    == SessionCache.session_id(farm_session(client)))
+
+    def test_session_cache_id_still_traced(self):
+        routines = []
+        with hooks.traced(lambda name, params: routines.append(name)):
+            SessionCache.session_id(farm_session(7))
+            traced = len(routines)
+            session_id_for_client(7)
+        assert "rotl" in routines
+        assert len(routines) == traced     # farm keying traces nothing
