@@ -28,8 +28,9 @@
     python -m repro timeseries --series series.jsonl [--key NAME]...
                                [--html dashboard.html] [--width 64]
                                [--json]
-    python -m repro bench [--scenario NAME]... [--dir DIR]
-                          [--check] [--report FILE]
+    python -m repro bench [--scenario NAME]... --dir DIR
+    python -m repro bench --check [--scenario NAME]... [--dir DIR]
+                          [--report FILE]
 
 Each subcommand runs one phase of the paper's methodology and prints
 the corresponding report; ``--json`` swaps the table for a
@@ -61,9 +62,10 @@ the rendered registry to a file (``--metrics-format text`` or
 ``prometheus``); ``--profile FILE`` additionally reduces the run's
 span tree to a cycle-attribution profile
 (:class:`repro.obs.CycleProfile`), written as JSON with a top-10 table
-on stdout.  ``profile`` analyses a saved trace log offline; ``bench``
-records ``BENCH_<scenario>.json`` baselines and ``bench --check``
-gates the current tree against them.
+on stdout.  ``profile`` analyses a saved trace log offline; ``bench
+--dir DIR`` records ``BENCH_<scenario>.json`` baselines into ``DIR``
+and ``bench --check`` gates the current tree against the committed
+ones.
 
 Time series: ``farm --series-out FILE`` exports the run as a
 virtual-time metrics series (JSONL; fault and SLO-alert events
@@ -961,7 +963,8 @@ def _cmd_bench(args) -> int:
         return 2
 
     if args.check:
-        reports, ok = bench.check_scenarios(args.dir, names)
+        reports, ok = bench.check_scenarios(
+            args.dir or bench.DEFAULT_BASELINE_DIR, names)
         payload = {"ok": ok,
                    "scenarios": [r.as_dict() for r in reports],
                    "extras": {name: bench.scenario_extras(name)
@@ -980,6 +983,12 @@ def _cmd_bench(args) -> int:
                 print(f"wrote report to {args.report}")
         return 0 if ok else 1
 
+    if args.dir is None:
+        # Recording into the committed baselines must be asked for.
+        print("error: recording baselines needs --dir DIR (pass --dir "
+              f"{bench.DEFAULT_BASELINE_DIR} to rewrite the committed "
+              "ones)", file=sys.stderr)
+        return 2
     results = {}
     for name in names:
         metrics = bench.run_scenario(name)
@@ -1250,8 +1259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", metavar="NAME",
                    help="run only this scenario (repeatable; default "
                         "all)")
-    p.add_argument("--dir", default=DEFAULT_BASELINE_DIR,
-                   help="baseline directory holding BENCH_<name>.json")
+    p.add_argument("--dir",
+                   help="baseline directory holding BENCH_<name>.json; "
+                        "required to record, --check defaults to "
+                        f"{DEFAULT_BASELINE_DIR}")
     p.add_argument("--check", action="store_true",
                    help="compare against committed baselines and exit "
                         "non-zero on regressions")

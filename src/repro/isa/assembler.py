@@ -98,7 +98,8 @@ def assemble(source: str, extensions: Optional[object] = None) -> Program:
     (or anything with a ``signatures()`` -> {opcode: signature} method)
     contributing custom opcodes.
     """
-    opcode_table: Dict[str, str] = {op: sig for op, (sig, _) in BASE_ISA.items()}
+    opcode_table: Dict[str, str] = {op: spec.sig
+                                    for op, spec in BASE_ISA.items()}
     if extensions is not None:
         for op, sig in extensions.signatures().items():
             if op in opcode_table:
@@ -186,16 +187,15 @@ def disassemble(program: Program, extensions: Optional[object] = None) -> str:
     for label, index in sorted(program.labels.items()):
         labels_at.setdefault(index, []).append(label)
     # Synthesize names for branch targets that carry no label.
-    opcode_table: Dict[str, Tuple[str, int]] = dict(BASE_ISA)
+    signatures: Dict[str, str] = {op: spec.sig
+                                  for op, spec in BASE_ISA.items()}
     if extensions is not None:
-        for op, sig in extensions.signatures().items():
-            opcode_table[op] = (sig, 1)
+        signatures.update(extensions.signatures())
     lines: List[str] = []
     for index, instr in enumerate(program.instructions):
         for label in labels_at.get(index, ()):
             lines.append(f"{label}:")
-        signature = (opcode_table[instr.op][0] if instr.op in opcode_table
-                     else None)
+        signature = signatures.get(instr.op)
         rendered = []
         for pos, arg in enumerate(instr.args):
             kind = signature[pos] if signature else (

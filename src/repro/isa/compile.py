@@ -1,19 +1,20 @@
 """Code-generating compiler for the XT32 instruction-set simulator.
 
 The interpreter in :mod:`repro.isa.machine` re-decodes every
-instruction on every execution: one trip through a ~35-way if/elif
-chain, tuple indexing for operands, an immediate re-mask, a dcache
-presence test, and dict updates per step.  This module removes all of
-that by *predecoding*: :func:`compile_program` translates an assembled
+instruction on every execution: an opcode lookup and a handler call,
+tuple indexing for operands, an immediate re-mask, a dcache presence
+test, and per-step counting.  This module removes all of that by
+*predecoding*: :func:`compile_program` translates an assembled
 :class:`~repro.isa.assembler.Program` once into generated Python
 source, with operand indices, masked immediates, cycle costs, branch
 targets, extension semantics, and zero-register handling baked in as
 literals and globals.
 
-One emitter, :class:`_BlockGen` (with :func:`_alu_source` and
-:func:`_branch_cond`), is the only compiled-side statement of each
-opcode's semantics.  It renders two kinds of function, each taking the
-machine and returning the next pc:
+One emitter, :class:`_BlockGen`, renders each base op from its
+:data:`~repro.isa.instructions.BASE_ISA` entry: the same expression
+template and cycle cost the interpreter's handlers are built from,
+here with literal operands.  It renders two kinds of function, each
+taking the machine and returning the next pc:
 
 1. **Fused basic blocks (superinstructions)** -- the straight-line run
    from each block leader to the next control transfer or leader,
@@ -61,26 +62,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.assembler import Instruction, Program
 from repro.isa.extensions import ExtensionSet
-from repro.isa.instructions import (BRANCH_TAKEN_PENALTY, LINK_REG,
-                                    WORD_MASK, ZERO_REG)
+from repro.isa.instructions import (BASE_ISA, BRANCH_TAKEN_PENALTY,
+                                    LINK_REG, WORD_MASK, ZERO_REG, render)
 from repro.isa.machine import MachineError
 
 #: One compiled block or step: machine -> next pc.
 Step = Callable[[object], int]
 
-_SIGN_BIT = 0x80000000
-_TAKEN_COST = 1 + BRANCH_TAKEN_PENALTY
+#: ops that end a block: branches, jumps and halt
+_TERMINATORS = frozenset(op for op, spec in BASE_ISA.items()
+                         if spec.kind in ("branch", "control"))
 
-_BRANCHES = frozenset(("beq", "bne", "blt", "bge", "bltu", "bgeu"))
-
-_TERMINATORS = _BRANCHES | frozenset(("j", "jal", "jr", "halt"))
-
-_MEM_OPS = frozenset(("lw", "lb", "sw", "sb"))
-
-_BASE_OPS = frozenset(
-    ("add", "addi", "sub", "subi", "li", "mov", "and", "andi", "or", "ori",
-     "xor", "xori", "sll", "slli", "srl", "srli", "sra", "srai",
-     "sltu", "sltui", "slt", "mul", "mulhu")) | _MEM_OPS | _TERMINATORS
+#: op -> index of its static label operand (branch or jump target)
+_TARGET_ARG = {op: spec.sig.index("l") for op, spec in BASE_ISA.items()
+               if "l" in spec.sig}
 
 
 class CompiledProgram:
@@ -140,79 +135,6 @@ class CompiledProgram:
 # one gets a try/except wrapper and a sub-instruction progress marker
 # so the driver can repair counts exactly (see the module docstring).
 
-def _alu_source(op: str, a) -> Optional[str]:
-    """The statement for one non-faulting ALU op, or None when the
-    destination is r0 (the write is unobservable)."""
-    d = a[0]
-    if d == ZERO_REG:
-        return None
-    if op == "add":
-        return f"r[{d}] = (r[{a[1]}] + r[{a[2]}]) & {WORD_MASK}"
-    if op == "addi":
-        return f"r[{d}] = (r[{a[1]}] + {a[2]!r}) & {WORD_MASK}"
-    if op == "sub":
-        return f"r[{d}] = (r[{a[1]}] - r[{a[2]}]) & {WORD_MASK}"
-    if op == "subi":
-        return f"r[{d}] = (r[{a[1]}] - {a[2]!r}) & {WORD_MASK}"
-    if op == "li":
-        return f"r[{d}] = {a[1] & WORD_MASK}"
-    if op == "mov":
-        return f"r[{d}] = r[{a[1]}]"
-    if op == "and":
-        return f"r[{d}] = r[{a[1]}] & r[{a[2]}]"
-    if op == "andi":
-        return f"r[{d}] = r[{a[1]}] & {a[2] & WORD_MASK}"
-    if op == "or":
-        return f"r[{d}] = r[{a[1]}] | r[{a[2]}]"
-    if op == "ori":
-        return f"r[{d}] = r[{a[1]}] | {a[2] & WORD_MASK}"
-    if op == "xor":
-        return f"r[{d}] = r[{a[1]}] ^ r[{a[2]}]"
-    if op == "xori":
-        return f"r[{d}] = r[{a[1]}] ^ {a[2] & WORD_MASK}"
-    if op == "sll":
-        return f"r[{d}] = (r[{a[1]}] << (r[{a[2]}] & 31)) & {WORD_MASK}"
-    if op == "slli":
-        return f"r[{d}] = (r[{a[1]}] << {a[2] & 31}) & {WORD_MASK}"
-    if op == "srl":
-        return f"r[{d}] = r[{a[1]}] >> (r[{a[2]}] & 31)"
-    if op == "srli":
-        return f"r[{d}] = r[{a[1]}] >> {a[2] & 31}"
-    if op == "sra":
-        return (f"r[{d}] = (((r[{a[1]}] ^ {_SIGN_BIT}) - {_SIGN_BIT})"
-                f" >> (r[{a[2]}] & 31)) & {WORD_MASK}")
-    if op == "srai":
-        return (f"r[{d}] = (((r[{a[1]}] ^ {_SIGN_BIT}) - {_SIGN_BIT})"
-                f" >> {a[2] & 31}) & {WORD_MASK}")
-    if op == "sltu":
-        return f"r[{d}] = 1 if r[{a[1]}] < r[{a[2]}] else 0"
-    if op == "sltui":
-        return f"r[{d}] = 1 if r[{a[1]}] < {a[2] & WORD_MASK} else 0"
-    if op == "slt":
-        return (f"r[{d}] = 1 if (r[{a[1]}] ^ {_SIGN_BIT})"
-                f" < (r[{a[2]}] ^ {_SIGN_BIT}) else 0")
-    if op == "mul":
-        return f"r[{d}] = (r[{a[1]}] * r[{a[2]}]) & {WORD_MASK}"
-    if op == "mulhu":
-        return f"r[{d}] = (r[{a[1]}] * r[{a[2]}]) >> 32"
-    return None
-
-
-def _branch_cond(op: str, a) -> str:
-    if op == "beq":
-        return f"r[{a[0]}] == r[{a[1]}]"
-    if op == "bne":
-        return f"r[{a[0]}] != r[{a[1]}]"
-    if op == "bltu":
-        return f"r[{a[0]}] < r[{a[1]}]"
-    if op == "bgeu":
-        return f"r[{a[0]}] >= r[{a[1]}]"
-    if op == "blt":
-        return f"(r[{a[0]}] ^ {_SIGN_BIT}) < (r[{a[1]}] ^ {_SIGN_BIT})"
-    # bge
-    return f"(r[{a[0]}] ^ {_SIGN_BIT}) >= (r[{a[1]}] ^ {_SIGN_BIT})"
-
-
 class _BlockGen:
     """Accumulates the generated source of one block or step."""
 
@@ -242,14 +164,14 @@ class _BlockGen:
             self.lines.append(f"f_ = {sub}")
 
     def emit_alu(self, op: str, a) -> None:
-        stmt = _alu_source(op, a)
-        if stmt is not None:
-            self.lines.append(stmt)
-        self.pending += 2 if op in ("mul", "mulhu") else 1
+        if a[0] != ZERO_REG:
+            self.lines.append(f"r[{a[0]}] = {render(op, a)}")
+        self.pending += BASE_ISA[op].cost
 
     def emit_mem(self, op: str, a, sub: Optional[int]) -> None:
         self.uses_mem = True
-        size = 4 if op in ("lw", "sw") else 1
+        spec = BASE_ISA[op]
+        size = spec.size
         off, base = a[1]
         self.fault_point(sub)
         self.lines.append(f"a_ = r[{base}] + {off!r}")
@@ -258,23 +180,20 @@ class _BlockGen:
             '    raise MachineError('
             f'"memory access out of range: %#x+{size}" % a_)')
         d = a[0]
-        if op == "lw":
-            self.uses_load = True
-            if d != ZERO_REG:
+        if spec.kind == "store":
+            if size == 4:
+                self.lines.append(
+                    f'mem[a_:a_ + 4] = (r[{d}] & {WORD_MASK}).to_bytes'
+                    f'(4, "little")')
+            else:
+                self.lines.append(f"mem[a_] = r[{d}] & 0xFF")
+        elif d != ZERO_REG:
+            if size == 4:
+                self.uses_load = True
                 self.lines.append(f'r[{d}] = fb(mem[a_:a_ + 4], "little")')
-            self.pending += 2
-        elif op == "lb":
-            if d != ZERO_REG:
+            else:
                 self.lines.append(f"r[{d}] = mem[a_]")
-            self.pending += 2
-        elif op == "sw":
-            self.lines.append(
-                f'mem[a_:a_ + 4] = (r[{d}] & {WORD_MASK}).to_bytes'
-                f'(4, "little")')
-            self.pending += 1
-        else:  # sb
-            self.lines.append(f"mem[a_] = r[{d}] & 0xFF")
-            self.pending += 1
+        self.pending += spec.cost
         # Dynamic dcache penalties go straight to m.cycles in program
         # order (the access sequence drives the cache model's state).
         self.lines.append("if dc is not None:")
@@ -300,29 +219,32 @@ class _BlockGen:
         self.lines.append(f"raise MachineError({message!r})")
 
     def emit_terminator(self, op: str, a, pc: int) -> None:
-        if op in _BRANCHES:
-            self.lines.append(f"if {_branch_cond(op, a)}:")
-            self.lines.append(f"    m.cycles += {self.pending + _TAKEN_COST}")
+        spec = BASE_ISA[op]
+        cost = self.pending + spec.cost
+        if spec.kind == "branch":
+            self.lines.append(f"if {render(op, a)}:")
+            self.lines.append(
+                f"    m.cycles += {cost + BRANCH_TAKEN_PENALTY}")
             self.lines.append(f"    return {a[2]}")
-            self.lines.append(f"m.cycles += {self.pending + 1}")
+            self.lines.append(f"m.cycles += {cost}")
             self.lines.append(f"return {pc + 1}")
         elif op == "j":
-            self.lines.append(f"m.cycles += {self.pending + 3}")
+            self.lines.append(f"m.cycles += {cost}")
             self.lines.append(f"return {a[0]}")
         elif op == "jal":
             target = a[0]
             self.lines.append(f"r[{LINK_REG}] = {pc + 1}")
-            self.lines.append(f"m.cycles += {self.pending + 3}")
+            self.lines.append(f"m.cycles += {cost}")
             self.glob[f"cn{pc}"] = self.compiled.func_at.get(
                 target, f"func@{target}")
             self.lines.append(f"m._compiled_call(cn{pc})")
             self.lines.append(f"return {target}")
         elif op == "jr":
-            self.lines.append(f"m.cycles += {self.pending + 3}")
+            self.lines.append(f"m.cycles += {cost}")
             self.lines.append("m._compiled_ret()")
             self.lines.append(f"return r[{a[0]}]")
         else:  # halt
-            self.lines.append(f"m.cycles += {self.pending + 1}")
+            self.lines.append(f"m.cycles += {cost}")
             self.lines.append("m._halted = True")
             self.lines.append(f"m._halt_pc = {pc}")
             self.lines.append(f"return {self.compiled.sentinel}")
@@ -357,20 +279,21 @@ def _emit(gen: _BlockGen, instr: Instruction, pc: int,
     for a single step) to ``gen``; True when it ends the block."""
     op = instr.op
     a = instr.args
-    if op in _TERMINATORS:
-        gen.emit_terminator(op, a, pc)
-        return True
-    if op in _MEM_OPS:
-        gen.emit_mem(op, a, sub)
-    elif op in _BASE_OPS:
-        gen.emit_alu(op, a)
-    else:
+    spec = BASE_ISA.get(op)
+    if spec is None:
         extensions = gen.compiled.extensions
         custom = extensions.get(op) if extensions is not None else None
         if custom is None:
             gen.emit_unknown(op, pc, sub)
             return True
         gen.emit_custom(custom, a, pc, sub)
+    elif spec.kind == "alu":
+        gen.emit_alu(op, a)
+    elif spec.size:
+        gen.emit_mem(op, a, sub)
+    else:
+        gen.emit_terminator(op, a, pc)
+        return True
     return False
 
 
@@ -384,12 +307,9 @@ def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
         leaders.add(0)
     for pc, instr in enumerate(code):
         op = instr.op
-        if op in _BRANCHES:
-            if instr.args[2] < sentinel:
-                leaders.add(instr.args[2])
-        elif op in ("j", "jal"):
-            if instr.args[0] < sentinel:
-                leaders.add(instr.args[0])
+        target = _TARGET_ARG.get(op)
+        if target is not None and instr.args[target] < sentinel:
+            leaders.add(instr.args[target])
         if op in _TERMINATORS and pc + 1 < sentinel:
             leaders.add(pc + 1)
     return sorted(leaders)

@@ -53,19 +53,14 @@ RESOURCE_ENERGY_PJ: Dict[str, float] = {
 
 
 def _classify(op: str) -> str:
-    if op in ("lw", "lb"):
-        return "load"
-    if op in ("sw", "sb"):
-        return "store"
+    """The op's datapath class: its ``BASE_ISA`` kind, with multiplies
+    and halt split out of ``alu``/``control``."""
     if op in ("mul", "mulhu"):
         return "mul"
-    if op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-        return "branch"
-    if op in ("j", "jal", "jr"):
-        return "jump"
-    if op == "halt":
-        return "halt"
-    return "alu"
+    kind = BASE_ISA[op].kind
+    if kind == "control":
+        return "halt" if op == "halt" else "jump"
+    return kind
 
 
 def custom_instruction_energy(instruction) -> float:

@@ -1,7 +1,8 @@
 """The XT32 instruction-set simulator with cycle accounting and profiling.
 
 The machine executes a decoded :class:`~repro.isa.assembler.Program`
-and charges cycles per the base-ISA cost table (plus custom-instruction
+and charges cycles per the base-ISA table
+(:data:`~repro.isa.instructions.BASE_ISA`, plus custom-instruction
 latencies).  A lightweight profiler attributes cycles to functions
 (``jal`` targets), producing the annotated call graphs of the paper's
 Figure 4 and the per-routine cycle counts that characterization fits
@@ -9,11 +10,13 @@ macro-models to.
 
 Two execution backends share one architectural contract:
 
-- ``interp`` (default): the readable reference loop -- one if/elif
-  dispatch chain, the semantic spec for the ISA.
+- ``interp`` (default): the readable reference loop -- one step per
+  instruction, dispatched by opcode to a handler rendered at import
+  from the op's ``BASE_ISA`` expression and cost.
 - ``compiled``: generated code via :mod:`repro.isa.compile` -- the
   program is predecoded once into one Python function per fused basic
-  block, and the driver makes one call per block.
+  block, rendered from the same templates, and the driver makes one
+  call per block.
 
 Both are bit-identical in ``cycles``, ``instret``, ``opcode_counts``,
 the :class:`Profile`, and final memory/registers; select with the
@@ -36,12 +39,36 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.assembler import Program
 from repro.isa.extensions import ExtensionSet
-from repro.isa.instructions import (BRANCH_TAKEN_PENALTY, LINK_REG,
-                                    SP_REG, WORD_MASK, ZERO_REG, to_signed)
+from repro.isa.instructions import (BASE_ISA, BRANCH_TAKEN_PENALTY,
+                                    LINK_REG, SP_REG, WORD_MASK, ZERO_REG,
+                                    render)
 
 
 class MachineError(RuntimeError):
     """Raised on simulator faults (bad memory access, runaway programs)."""
+
+
+def _build_handlers():
+    """Render the interpreter's handlers from :data:`BASE_ISA` in one
+    ``exec``: per ALU op ``(regs, args) -> cost`` (writes the result;
+    the loop re-zeroes r0), per branch ``(regs, args) -> taken``."""
+    args = ("a[0]", "a[1]", "a[2]")
+    lines = []
+    for op, spec in BASE_ISA.items():
+        if spec.kind == "alu":
+            lines += [f"def _{op}(r, a):",
+                      f"    r[a[0]] = {render(op, args)}",
+                      f"    return {spec.cost}"]
+        elif spec.kind == "branch":
+            lines += [f"def _{op}(r, a):",
+                      f"    return {render(op, args)}"]
+    namespace: Dict[str, object] = {}
+    exec(compile("\n".join(lines), "<repro.isa.machine>", "exec"), namespace)
+    return tuple({op: namespace[f"_{op}"] for op, spec in BASE_ISA.items()
+                  if spec.kind == kind} for kind in ("alu", "branch"))
+
+
+_ALU, _BRANCH = _build_handlers()
 
 
 #: Environment variable selecting the default execution backend.
@@ -481,150 +508,12 @@ class Machine:
                         "instruction budget exceeded (runaway program?)")
                 next_pc = pc + 1
 
-                if op == "add":
-                    regs[a[0]] = (regs[a[1]] + regs[a[2]]) & WORD_MASK
-                    cost = 1
-                elif op == "addi":
-                    regs[a[0]] = (regs[a[1]] + a[2]) & WORD_MASK
-                    cost = 1
-                elif op == "sub":
-                    regs[a[0]] = (regs[a[1]] - regs[a[2]]) & WORD_MASK
-                    cost = 1
-                elif op == "subi":
-                    regs[a[0]] = (regs[a[1]] - a[2]) & WORD_MASK
-                    cost = 1
-                elif op == "li":
-                    regs[a[0]] = a[1] & WORD_MASK
-                    cost = 1
-                elif op == "mov":
-                    regs[a[0]] = regs[a[1]]
-                    cost = 1
-                elif op == "and":
-                    regs[a[0]] = regs[a[1]] & regs[a[2]]
-                    cost = 1
-                elif op == "andi":
-                    regs[a[0]] = regs[a[1]] & (a[2] & WORD_MASK)
-                    cost = 1
-                elif op == "or":
-                    regs[a[0]] = regs[a[1]] | regs[a[2]]
-                    cost = 1
-                elif op == "ori":
-                    regs[a[0]] = regs[a[1]] | (a[2] & WORD_MASK)
-                    cost = 1
-                elif op == "xor":
-                    regs[a[0]] = regs[a[1]] ^ regs[a[2]]
-                    cost = 1
-                elif op == "xori":
-                    regs[a[0]] = regs[a[1]] ^ (a[2] & WORD_MASK)
-                    cost = 1
-                elif op == "sll":
-                    regs[a[0]] = (regs[a[1]] << (regs[a[2]] & 31)) & WORD_MASK
-                    cost = 1
-                elif op == "slli":
-                    regs[a[0]] = (regs[a[1]] << (a[2] & 31)) & WORD_MASK
-                    cost = 1
-                elif op == "srl":
-                    regs[a[0]] = regs[a[1]] >> (regs[a[2]] & 31)
-                    cost = 1
-                elif op == "srli":
-                    regs[a[0]] = regs[a[1]] >> (a[2] & 31)
-                    cost = 1
-                elif op == "sra":
-                    regs[a[0]] = (to_signed(regs[a[1]])
-                                  >> (regs[a[2]] & 31)) & WORD_MASK
-                    cost = 1
-                elif op == "srai":
-                    regs[a[0]] = (to_signed(regs[a[1]])
-                                  >> (a[2] & 31)) & WORD_MASK
-                    cost = 1
-                elif op == "sltu":
-                    regs[a[0]] = 1 if regs[a[1]] < regs[a[2]] else 0
-                    cost = 1
-                elif op == "sltui":
-                    regs[a[0]] = 1 if regs[a[1]] < (a[2] & WORD_MASK) else 0
-                    cost = 1
-                elif op == "slt":
-                    regs[a[0]] = (1 if to_signed(regs[a[1]])
-                                  < to_signed(regs[a[2]]) else 0)
-                    cost = 1
-                elif op == "mul":
-                    regs[a[0]] = (regs[a[1]] * regs[a[2]]) & WORD_MASK
-                    cost = 2
-                elif op == "mulhu":
-                    regs[a[0]] = (regs[a[1]] * regs[a[2]]) >> 32
-                    cost = 2
-                elif op == "lw":
-                    off, base = a[1]
-                    addr = regs[base] + off
-                    regs[a[0]] = self.read_word(addr)
-                    cost = 2
-                    if dcache is not None:
-                        cost += dcache.access(addr)
-                elif op == "lb":
-                    off, base = a[1]
-                    addr = regs[base] + off
-                    regs[a[0]] = self.read_byte(addr)
-                    cost = 2
-                    if dcache is not None:
-                        cost += dcache.access(addr)
-                elif op == "sw":
-                    off, base = a[1]
-                    addr = regs[base] + off
-                    self.write_word(addr, regs[a[0]])
-                    cost = 1
-                    if dcache is not None:
-                        cost += dcache.access(addr)
-                elif op == "sb":
-                    off, base = a[1]
-                    addr = regs[base] + off
-                    self.write_byte(addr, regs[a[0]])
-                    cost = 1
-                    if dcache is not None:
-                        cost += dcache.access(addr)
-                elif op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-                    lhs, rhs = regs[a[0]], regs[a[1]]
-                    if op == "beq":
-                        taken = lhs == rhs
-                    elif op == "bne":
-                        taken = lhs != rhs
-                    elif op == "bltu":
-                        taken = lhs < rhs
-                    elif op == "bgeu":
-                        taken = lhs >= rhs
-                    elif op == "blt":
-                        taken = to_signed(lhs) < to_signed(rhs)
-                    else:  # bge
-                        taken = to_signed(lhs) >= to_signed(rhs)
-                    cost = 1 + (penalty if taken else 0)
-                    if taken:
-                        next_pc = a[2]
-                elif op == "j":
-                    next_pc = a[0]
-                    cost = 3
-                elif op == "jal":
-                    regs[LINK_REG] = pc + 1
-                    next_pc = a[0]
-                    cycles += 3
-                    self.cycles = cycles
-                    self._flush_frame_cycles()
-                    self._enter(next_pc)
-                    regs[ZERO_REG] = 0
-                    pc = next_pc
-                    continue
-                elif op == "jr":
-                    next_pc = regs[a[0]]
-                    cycles += 3
-                    self.cycles = cycles
-                    self._flush_frame_cycles()
-                    self._leave()
-                    regs[ZERO_REG] = 0
-                    pc = next_pc
-                    continue
-                elif op == "halt":
-                    cycles += 1
-                    halted = True
-                    break
-                else:
+                # ALU ops, the common case, skip the table lookup.
+                alu = _ALU.get(op)
+                spec = BASE_ISA.get(op) if alu is None else None
+                if alu is not None:
+                    cost = alu(regs, a)
+                elif spec is None:
                     custom = ext.get(op)
                     if custom is None:
                         raise MachineError(
@@ -633,6 +522,48 @@ class Machine:
                     custom.semantics(self, a)
                     cost = custom.cycle_cost(self, a)
                     cycles = self.cycles
+                elif spec.kind == "branch":
+                    cost = spec.cost
+                    if _BRANCH[op](regs, a):
+                        cost += penalty
+                        next_pc = a[2]
+                elif spec.size:
+                    cost = spec.cost
+                    off, base = a[1]
+                    addr = regs[base] + off
+                    word = spec.size == 4
+                    if spec.kind == "store":
+                        if word:
+                            self.write_word(addr, regs[a[0]])
+                        else:
+                            self.write_byte(addr, regs[a[0]])
+                    else:
+                        regs[a[0]] = (self.read_word(addr) if word
+                                      else self.read_byte(addr))
+                    if dcache is not None:
+                        cost += dcache.access(addr)
+                elif op == "j":
+                    next_pc = a[0]
+                    cost = spec.cost
+                elif op == "halt":
+                    cycles += spec.cost
+                    halted = True
+                    break
+                else:
+                    # jal / jr: charge, then enter or leave a profile frame
+                    cycles += spec.cost
+                    self.cycles = cycles
+                    self._flush_frame_cycles()
+                    if op == "jal":
+                        regs[LINK_REG] = pc + 1
+                        next_pc = a[0]
+                        self._enter(next_pc)
+                    else:
+                        next_pc = regs[a[0]]
+                        self._leave()
+                    regs[ZERO_REG] = 0
+                    pc = next_pc
+                    continue
 
                 regs[ZERO_REG] = 0  # r0 stays hardwired to zero
                 cycles += cost

@@ -284,7 +284,8 @@ def check_scenarios(directory: str,
             reports.append(ScenarioReport(
                 scenario=name, rows=[], failed=True,
                 error=f"no baseline at {baseline_path(directory, name)} "
-                      f"(record one with: python -m repro bench)"))
+                      f"(record one with: python -m repro bench --dir "
+                      f"{directory})"))
             ok = False
             continue
         report = compare_metrics(get_scenario(name), baseline,

@@ -365,6 +365,18 @@ class TestExecution:
         assert main(["bench", "--scenario", "nope"]) == 2
         assert "unknown bench scenario" in capsys.readouterr().err
 
+    def test_bench_record_without_dir_exits_2(self, capsys, monkeypatch):
+        from repro.obs import bench
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bench recorded without --dir")
+
+        monkeypatch.setattr(bench, "run_scenario", forbidden)
+        monkeypatch.setattr(bench, "write_baseline", forbidden)
+        assert main(["bench", "--scenario", "farm_mixed"]) == 2
+        assert "error: recording baselines needs --dir" in \
+            capsys.readouterr().err
+
     def test_farm_json_surfaces_parallel_speedup(self, capsys):
         import json
         assert main(["farm", "--cores", "2", "--requests", "30",

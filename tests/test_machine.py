@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa.assembler import assemble
 from repro.isa.extensions import CustomInstruction, ExtensionSet
+from repro.isa.instructions import BASE_ISA
 from repro.isa.machine import Machine, MachineError
 
 
@@ -215,3 +216,187 @@ class TestCustomInstructions:
         result, _ = run("main: setur r2\n getur r1\n halt", args=[0, 77],
                         extensions=ext)
         assert result == 77
+
+
+# -- golden per-opcode oracle ---------------------------------------------
+#
+# Every base opcode on edge operands, on both backends.  Expected values
+# are plain Python over unsigned 32-bit words and literal cycle counts,
+# written independently of the ISA table, so a change to any one
+# opcode's expression or cost fails here.
+
+BACKENDS = ("interp", "compiled")
+WORD = 1 << 32
+EDGE = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+SHIFTS = (0, 31, 32, 33)
+IMMEDIATES = (0, 1, 31, 32, 33, -1, -5, -0x800, 0x7FFFFFFF, 0x80000000,
+              0xFFFFFFFF)
+
+
+def signed(value):
+    return value - WORD if value >= WORD // 2 else value
+
+
+#: register-register ALU ops: (x, y) -> result
+ALU_ORACLE = {
+    "add": lambda x, y: (x + y) % WORD,
+    "sub": lambda x, y: (x - y) % WORD,
+    "and": lambda x, y: x & y,
+    "or": lambda x, y: x | y,
+    "xor": lambda x, y: x ^ y,
+    "sll": lambda x, y: (x * 2 ** (y % 32)) % WORD,
+    "srl": lambda x, y: x // 2 ** (y % 32),
+    "sra": lambda x, y: (signed(x) // 2 ** (y % 32)) % WORD,
+    "sltu": lambda x, y: int(x < y),
+    "slt": lambda x, y: int(signed(x) < signed(y)),
+    "mul": lambda x, y: (x * y) % WORD,
+    "mulhu": lambda x, y: (x * y) // WORD,
+}
+
+#: register-immediate ops: the register form, applied to imm mod 2**32
+IMMEDIATE_FORMS = {"addi": "add", "subi": "sub", "andi": "and",
+                   "ori": "or", "xori": "xor", "slli": "sll",
+                   "srli": "srl", "srai": "sra", "sltui": "sltu"}
+
+BRANCH_ORACLE = {
+    "beq": lambda x, y: x == y,
+    "bne": lambda x, y: x != y,
+    "blt": lambda x, y: signed(x) < signed(y),
+    "bge": lambda x, y: signed(x) >= signed(y),
+    "bltu": lambda x, y: x < y,
+    "bgeu": lambda x, y: x >= y,
+}
+
+CYCLES = {
+    "li": 1, "mov": 1, "add": 1, "sub": 1, "and": 1, "or": 1, "xor": 1,
+    "sll": 1, "srl": 1, "sra": 1, "sltu": 1, "slt": 1, "addi": 1,
+    "subi": 1, "andi": 1, "ori": 1, "xori": 1, "slli": 1, "srli": 1,
+    "srai": 1, "sltui": 1, "mul": 2, "mulhu": 2, "lw": 2, "lb": 2,
+    "sw": 1, "sb": 1, "j": 3, "jal": 3, "jr": 3, "halt": 1,
+}
+BRANCH_NOT_TAKEN, BRANCH_TAKEN = 1, 3
+HALT = 1
+
+
+def golden_run(source, backend, args=(), setup=None):
+    machine = Machine(assemble(source), backend=backend)
+    if setup is not None:
+        setup(machine)
+    machine.run("main", list(args))
+    assert machine.regs[0] == 0
+    return machine
+
+
+def test_golden_oracle_covers_every_base_opcode():
+    assert set(CYCLES) | set(BRANCH_ORACLE) == set(BASE_ISA)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestGoldenOpcodes:
+    @pytest.mark.parametrize("op", sorted(ALU_ORACLE))
+    def test_register_alu(self, backend, op):
+        # The second write targets r0 and must be discarded.
+        program = assemble(f"main: {op} r3, r1, r2\n {op} r0, r1, r2\n"
+                           " halt")
+        machine = Machine(program, backend=backend)
+        for x in EDGE:
+            for y in EDGE + SHIFTS:
+                machine.reset()
+                machine.run("main", [x, y])
+                assert machine.regs[3] == ALU_ORACLE[op](x, y), (x, y)
+                assert machine.regs[0] == 0
+                assert machine.cycles == 2 * CYCLES[op] + HALT
+
+    @pytest.mark.parametrize("op", sorted(IMMEDIATE_FORMS))
+    @pytest.mark.parametrize("imm", IMMEDIATES)
+    def test_immediate_alu(self, backend, op, imm):
+        program = assemble(f"main: {op} r3, r1, {imm}\n {op} r0, r1, {imm}\n"
+                           " halt")
+        machine = Machine(program, backend=backend)
+        oracle = ALU_ORACLE[IMMEDIATE_FORMS[op]]
+        for x in EDGE:
+            machine.reset()
+            machine.run("main", [x])
+            assert machine.regs[3] == oracle(x, imm % WORD), x
+            assert machine.regs[0] == 0
+            assert machine.cycles == 2 * CYCLES[op] + HALT
+
+    @pytest.mark.parametrize("imm", IMMEDIATES)
+    def test_li(self, backend, imm):
+        machine = golden_run(f"main: li r3, {imm}\n li r0, {imm}\n halt",
+                             backend)
+        assert machine.regs[3] == imm % WORD
+        assert machine.cycles == 2 * CYCLES["li"] + HALT
+
+    @pytest.mark.parametrize("x", EDGE)
+    def test_mov(self, backend, x):
+        machine = golden_run("main: mov r3, r1\n mov r0, r1\n halt",
+                             backend, [x])
+        assert machine.regs[3] == x
+        assert machine.cycles == 2 * CYCLES["mov"] + HALT
+
+    @pytest.mark.parametrize("op", sorted(BRANCH_ORACLE))
+    def test_branch(self, backend, op):
+        program = assemble(f"main: {op} r1, r2, taken\n halt\n"
+                           "taken: halt")
+        machine = Machine(program, backend=backend)
+        for x in EDGE:
+            for y in EDGE:
+                machine.reset()
+                machine.run("main", [x, y])
+                taken = BRANCH_ORACLE[op](x, y)
+                assert machine.pc == (2 if taken else 1), (x, y)
+                cost = BRANCH_TAKEN if taken else BRANCH_NOT_TAKEN
+                assert machine.cycles == cost + HALT, (x, y)
+
+    def test_lw(self, backend):
+        machine = golden_run(
+            "main: lw r3, -4(r1)\n lw r0, -4(r1)\n halt", backend, [0x2004],
+            setup=lambda m: m.write_bytes(0x2000, b"\xef\xcd\xab\x89"))
+        assert machine.regs[3] == 0x89ABCDEF
+        assert machine.cycles == 2 * CYCLES["lw"] + HALT
+
+    def test_lb_zero_extends(self, backend):
+        machine = golden_run(
+            "main: lb r3, 2(r1)\n lb r0, 2(r1)\n halt", backend, [0x2000],
+            setup=lambda m: m.write_bytes(0x2000, b"\x80\x01\xff\x7f"))
+        assert machine.regs[3] == 0xFF
+        assert machine.cycles == 2 * CYCLES["lb"] + HALT
+
+    def test_sw(self, backend):
+        machine = golden_run(
+            "main: sw r2, -4(r1)\n sw r0, 0(r1)\n halt", backend,
+            [0x2004, 0x80000001],
+            setup=lambda m: m.write_bytes(0x2000, b"\xaa" * 12))
+        assert machine.read_bytes(0x2000, 12) == (
+            b"\x01\x00\x00\x80" + b"\x00" * 4 + b"\xaa" * 4)
+        assert machine.cycles == 2 * CYCLES["sw"] + HALT
+
+    def test_sb(self, backend):
+        machine = golden_run(
+            "main: sb r2, 1(r1)\n sb r0, 3(r1)\n halt", backend,
+            [0x2000, 0x12345678],
+            setup=lambda m: m.write_bytes(0x2000, b"\xaa" * 4))
+        assert machine.read_bytes(0x2000, 4) == b"\xaa\x78\xaa\x00"
+        assert machine.cycles == 2 * CYCLES["sb"] + HALT
+
+    def test_j(self, backend):
+        machine = golden_run("main: j t\n halt\nt: halt", backend)
+        assert machine.pc == 2
+        assert machine.cycles == CYCLES["j"] + HALT
+
+    def test_jal_links(self, backend):
+        machine = golden_run("main: jal f\n halt\nf: halt", backend)
+        assert machine.pc == 2
+        assert machine.regs[14] == 1
+        assert machine.cycles == CYCLES["jal"] + HALT
+
+    def test_jr(self, backend):
+        machine = golden_run("main: jr r1\n halt\n halt", backend, [2])
+        assert machine.pc == 2
+        assert machine.cycles == CYCLES["jr"] + HALT
+
+    def test_halt(self, backend):
+        machine = golden_run("main: halt", backend)
+        assert machine.pc == 0
+        assert machine.cycles == CYCLES["halt"]
