@@ -966,9 +966,7 @@ def _cmd_bench(args) -> int:
         reports, ok = bench.check_scenarios(
             args.dir or bench.DEFAULT_BASELINE_DIR, names)
         payload = {"ok": ok,
-                   "scenarios": [r.as_dict() for r in reports],
-                   "extras": {name: bench.scenario_extras(name)
-                              for name in names}}
+                   "scenarios": [r.as_dict() for r in reports]}
         if args.report:
             with open(args.report, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
@@ -993,13 +991,9 @@ def _cmd_bench(args) -> int:
     for name in names:
         metrics = bench.run_scenario(name)
         path = bench.write_baseline(args.dir, name, metrics)
-        extras = bench.scenario_extras(name)
-        results[name] = {"path": path, "metrics": metrics,
-                         "extras": extras}
+        results[name] = {"path": path, "metrics": metrics}
         if not args.json:
-            wall = extras.get("wall_seconds", 0.0)
-            print(f"recorded {name}: {len(metrics)} metrics -> {path} "
-                  f"({wall:.2f}s)")
+            print(f"recorded {name}: {len(metrics)} metrics -> {path}")
     if args.json:
         return _print_json(args, results)
     return 0

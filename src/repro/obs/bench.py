@@ -19,16 +19,15 @@ stays cycle-free.
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["BASELINE_SCHEMA", "DEFAULT_BASELINE_DIR", "Gate",
            "MetricDiff", "Scenario", "ScenarioReport", "baseline_filename",
            "baseline_path", "check_scenarios", "compare_metrics",
-           "get_scenario", "load_baseline", "record_extra",
-           "register_scenario", "render_report", "run_scenario",
-           "scenario_extras", "scenario_names", "write_baseline"]
+           "get_scenario", "load_baseline", "register_scenario",
+           "render_report", "run_scenario", "scenario_names",
+           "write_baseline"]
 
 BASELINE_SCHEMA = 1
 
@@ -92,46 +91,9 @@ def get_scenario(name: str) -> Scenario:
     return _SCENARIOS[name]
 
 
-# Non-gated side-channel values (wall-clock, measured speedups) keyed
-# by scenario name.  Extras are machine-dependent by nature, so they
-# are surfaced in the CLI's JSON envelope but NEVER written into
-# baselines -- baselines stay byte-stable.
-_EXTRAS: Dict[str, Dict[str, object]] = {}
-_running_scenario: List[str] = []
-
-
-def record_extra(key: str, value) -> None:
-    """Attach a non-gated extra to the currently running scenario.
-
-    A no-op outside :func:`run_scenario`, so scenario bodies can call
-    it unconditionally.
-    """
-    if _running_scenario:
-        _EXTRAS.setdefault(_running_scenario[-1], {})[key] = value
-
-
-def scenario_extras(name: str) -> Dict[str, object]:
-    """Extras recorded by ``name``'s most recent run (possibly empty)."""
-    return dict(_EXTRAS.get(name, ()))
-
-
 def run_scenario(name: str) -> Dict[str, object]:
-    """Run one scenario and return its (sorted) metrics dict.
-
-    Wall-clock for the run is recorded as the ``wall_seconds`` extra
-    (see :func:`scenario_extras`) -- visible in ``bench --json``
-    envelopes but excluded from baselines.
-    """
-    scenario = get_scenario(name)
-    _EXTRAS.pop(name, None)
-    _running_scenario.append(name)
-    start = time.perf_counter()
-    try:
-        metrics = scenario.run()
-    finally:
-        wall = time.perf_counter() - start
-        _running_scenario.pop()
-        _EXTRAS.setdefault(name, {})["wall_seconds"] = wall
+    """Run one scenario and return its (sorted) metrics dict."""
+    metrics = get_scenario(name).run()
     return {key: metrics[key] for key in sorted(metrics)}
 
 
@@ -360,57 +322,56 @@ def _ssl_transaction_metrics() -> Dict[str, object]:
     return metrics
 
 
-def _farm_mixed_metrics() -> Dict[str, object]:
-    from repro.farm import (FarmConfig, TrafficProfile, build_farm,
-                            generate_requests, run_farm)
+def _farm_sweep(profile) -> Tuple[list, Dict[str, object]]:
+    """The shared 4-core setup of the farm_mixed/tls13/kasumi
+    scenarios: half-extended cores, 200 seed-1 requests drawn from
+    ``profile``, one run per scheduler.  Returns the requests and each
+    scheduler's metrics row, keyed by scheduler name."""
+    from repro.farm import FarmConfig, build_farm, generate_requests, run_farm
     from repro.farm.scheduler import scheduler_names as farm_schedulers
     base, opt = _measured_pair()
     specs = build_farm(4, base, opt, extended_fraction=0.5)
-    requests = generate_requests(
-        TrafficProfile(arrival_rate=60.0, resumption_ratio=0.4),
-        200, seed=1)
+    requests = generate_requests(profile, 200, seed=1)
     # The unified facade: every scenario drives the same FarmConfig /
     # run_farm path the CLI and shard layer use (shards=1 is the
     # plain simulator, bit for bit -- these baselines prove it).
     config = FarmConfig(specs=tuple(specs), requests=tuple(requests))
-    metrics: Dict[str, object] = {"requests": 200.0, "cores": 4.0}
-    for name in farm_schedulers():
-        row = run_farm(config.with_scheduler(name)).metrics
-        metrics[f"{name}.sessions_per_s"] = row.sessions_per_s
-        metrics[f"{name}.secure_mbps"] = row.secure_mbps
-        metrics[f"{name}.p50_ms"] = row.p50_ms
-        metrics[f"{name}.p95_ms"] = row.p95_ms
-        metrics[f"{name}.p99_ms"] = row.p99_ms
-        metrics[f"{name}.mean_utilization"] = row.mean_utilization
-        metrics[f"{name}.cache_hit_rate"] = row.cache_hit_rate
+    return requests, {name: run_farm(config.with_scheduler(name)).metrics
+                      for name in farm_schedulers()}
+
+
+def _sweep_metrics(rows: Dict[str, object], keys: Tuple[str, ...],
+                   **fixed: float) -> Dict[str, object]:
+    """``fixed`` plus ``<scheduler>.<key>`` for every row and key."""
+    metrics: Dict[str, object] = {"requests": 200.0, "cores": 4.0,
+                                  **fixed}
+    for name, row in rows.items():
+        for key in keys:
+            metrics[f"{name}.{key}"] = getattr(row, key)
     return metrics
 
 
+def _farm_mixed_metrics() -> Dict[str, object]:
+    from repro.farm import TrafficProfile
+    _, rows = _farm_sweep(TrafficProfile(arrival_rate=60.0,
+                                         resumption_ratio=0.4))
+    return _sweep_metrics(rows, (
+        "sessions_per_s", "secure_mbps", "p50_ms", "p95_ms", "p99_ms",
+        "mean_utilization", "cache_hit_rate"))
+
+
 def _farm_tls13_metrics() -> Dict[str, object]:
-    from repro.farm import (FarmConfig, TrafficProfile, build_farm,
-                            generate_requests, run_farm)
-    from repro.farm.scheduler import scheduler_names as farm_schedulers
-    base, opt = _measured_pair()
-    specs = build_farm(4, base, opt, extended_fraction=0.5)
-    requests = generate_requests(
-        TrafficProfile(arrival_rate=60.0, resumption_ratio=0.5,
-                       mix={"tls13": 0.7, "wep": 0.3}),
-        200, seed=1)
-    config = FarmConfig(specs=tuple(specs), requests=tuple(requests))
-    metrics: Dict[str, object] = {
-        "requests": 200.0, "cores": 4.0,
-        "tls13_requests": float(sum(1 for r in requests
-                                    if r.protocol == "tls13")),
-        "tls13_resumed": float(sum(1 for r in requests
-                                   if r.protocol == "tls13"
-                                   and r.resumed)),
-    }
-    for name in farm_schedulers():
-        row = run_farm(config.with_scheduler(name)).metrics
-        metrics[f"{name}.sessions_per_s"] = row.sessions_per_s
-        metrics[f"{name}.secure_mbps"] = row.secure_mbps
-        metrics[f"{name}.p95_ms"] = row.p95_ms
-        metrics[f"{name}.p99_ms"] = row.p99_ms
+    from repro.farm import TrafficProfile
+    requests, rows = _farm_sweep(TrafficProfile(
+        arrival_rate=60.0, resumption_ratio=0.5,
+        mix={"tls13": 0.7, "wep": 0.3}))
+    metrics = _sweep_metrics(
+        rows, ("sessions_per_s", "secure_mbps", "p95_ms", "p99_ms"),
+        tls13_requests=float(sum(1 for r in requests
+                                 if r.protocol == "tls13")),
+        tls13_resumed=float(sum(1 for r in requests
+                                if r.protocol == "tls13" and r.resumed)))
+    for name, row in rows.items():
         # The generic session-cache seam: tls13 resumption rides the
         # same per-protocol caches and affinity path SSL uses.
         tls13 = row.session_cache.get("tls13", {})
@@ -421,33 +382,19 @@ def _farm_tls13_metrics() -> Dict[str, object]:
 
 
 def _farm_kasumi_metrics() -> Dict[str, object]:
-    from repro.farm import (FarmConfig, TrafficProfile, build_farm,
-                            generate_requests, run_farm)
-    from repro.farm.scheduler import scheduler_names as farm_schedulers
-    base, opt = _measured_pair()
-    specs = build_farm(4, base, opt, extended_fraction=0.5)
-    requests = generate_requests(
-        TrafficProfile(arrival_rate=80.0,
-                       mix={"kasumi": 0.6, "wep": 0.4}),
-        200, seed=1)
-    config = FarmConfig(specs=tuple(specs), requests=tuple(requests))
-    metrics: Dict[str, object] = {
-        "requests": 200.0, "cores": 4.0,
-        "kasumi_requests": float(sum(1 for r in requests
-                                     if r.protocol == "kasumi")),
+    from repro.farm import TrafficProfile
+    requests, rows = _farm_sweep(TrafficProfile(
+        arrival_rate=80.0, mix={"kasumi": 0.6, "wep": 0.4}))
+    base, _ = _measured_pair()
+    return _sweep_metrics(
+        rows, ("sessions_per_s", "secure_mbps", "p95_ms", "p99_ms",
+               "mean_utilization"),
+        kasumi_requests=float(sum(1 for r in requests
+                                  if r.protocol == "kasumi")),
         # The kernel-measured per-byte rate the registered model
         # charges (both platforms: KASUMI is not TIE-accelerated).
-        "kasumi_cycles_per_byte": base.overhead(
-            "kasumi_cycles_per_byte", 0.0),
-    }
-    for name in farm_schedulers():
-        row = run_farm(config.with_scheduler(name)).metrics
-        metrics[f"{name}.sessions_per_s"] = row.sessions_per_s
-        metrics[f"{name}.secure_mbps"] = row.secure_mbps
-        metrics[f"{name}.p95_ms"] = row.p95_ms
-        metrics[f"{name}.p99_ms"] = row.p99_ms
-        metrics[f"{name}.mean_utilization"] = row.mean_utilization
-    return metrics
+        kasumi_cycles_per_byte=base.overhead("kasumi_cycles_per_byte",
+                                             0.0))
 
 
 def _characterize_metrics() -> Dict[str, object]:
@@ -672,15 +619,11 @@ def _farm_scale_metrics() -> Dict[str, object]:
                                resumption_ratio=0.4, clients=4096))
     run = run_farm(config)
     row = run.metrics
-    events = run.result.events_processed
-    # Host speed is machine-dependent: extras, never baseline.
-    record_extra("sim_seconds", run.sharded.wall_seconds)
-    record_extra("events_per_s", events / run.sharded.wall_seconds)
     return {
         "cores": float(cores),
         "requests": float(n),
         "completed": float(row.completed),
-        "events": float(events),
+        "events": float(run.result.events_processed),
         "cache_hit_rate": row.cache_hit_rate,
         "p50_ms": row.p50_ms,
         "p99_ms": row.p99_ms,
@@ -984,15 +927,6 @@ register_scenario(Scenario(
 
 # -- compiled fast paths (generated-code ISS + flat mpn) ---------------------
 
-def _timed(fn, reps: int = 3) -> float:
-    """Mean wall seconds of ``reps`` calls after one warm-up call."""
-    fn()
-    start = time.perf_counter()
-    for _ in range(reps):
-        fn()
-    return (time.perf_counter() - start) / reps
-
-
 def _iss_compiled_metrics() -> Dict[str, object]:
     from repro.isa.kernels.modexp_kernel import ModExpKernel
     from repro.isa.kernels.mpn_kernels import MpnKernels
@@ -1054,26 +988,6 @@ def _iss_compiled_metrics() -> Dict[str, object]:
     char_diff = max(abs(char["interp"][r] - char["compiled"][r])
                     for r in char["interp"])
 
-    # Wall-clock speedups are machine-dependent: extras, not baseline.
-    powm = lambda: modexp.powm(0x1234567, 0x1B5, modulus)
-
-    def char_wall(backend):
-        with backend_scope(backend):
-            return _timed(lambda: characterize_platform(jobs=1), 1)
-
-    with backend_scope("interp"):
-        t_powm_interp = _timed(powm)
-    with backend_scope("compiled"):
-        t_powm_compiled = _timed(powm)
-    t_char_interp = char_wall("interp")
-    t_char_compiled = char_wall("compiled")
-    record_extra("modexp_speedup", t_powm_interp / t_powm_compiled)
-    record_extra("characterize_speedup", t_char_interp / t_char_compiled)
-    record_extra("modexp_interp_seconds", t_powm_interp)
-    record_extra("modexp_compiled_seconds", t_powm_compiled)
-    record_extra("characterize_interp_seconds", t_char_interp)
-    record_extra("characterize_compiled_seconds", t_char_compiled)
-
     return {
         "runs": float(len(observed["interp"])),
         "backend_mismatches": float(mismatches),
@@ -1086,8 +1000,7 @@ def _iss_compiled_metrics() -> Dict[str, object]:
 
 
 def _mpn_fast_metrics() -> Dict[str, object]:
-    from repro.crypto.modexp import ModExpEngine
-    from repro.mp import mpn, mpn_fast, mpn_backend
+    from repro.mp import mpn, mpn_fast
     from repro.mp.hooks import traced
     from repro.mp.limb import RADIX16, RADIX32
     from repro.mp.prng import DeterministicPrng
@@ -1138,26 +1051,6 @@ def _mpn_fast_metrics() -> Dict[str, object]:
                                [radix.mask, 0, half], radix)
         d6_addbacks += sum(1 for name, _ in calls if name == "mpn_add_n")
 
-    # Wall-clock speedups (extras): the composite routines where the
-    # flat forms win, plus an end-to-end Montgomery powm.
-    prng = DeterministicPrng(0x5EED)
-    big, big2 = prng.next_limbs(32), prng.next_limbs(32)
-    num, den = prng.next_limbs(64), prng.next_limbs(32)
-    record_extra("mul_basecase32_speedup",
-                 _timed(lambda: mpn.mul_basecase(big, big2), 20)
-                 / _timed(lambda: mpn_fast.mul_basecase(big, big2), 20))
-    record_extra("divrem64_speedup",
-                 _timed(lambda: mpn.divrem(num, den), 20)
-                 / _timed(lambda: mpn_fast.divrem(num, den), 20))
-    modulus = (1 << 512) - 569
-    walls = {}
-    for backend in ("reference", "fast"):
-        engine = ModExpEngine()
-        with mpn_backend(backend):
-            walls[backend] = _timed(
-                lambda: engine.powm(0x12345, 0x10001, modulus), 2)
-    record_extra("powm_speedup", walls["reference"] / walls["fast"])
-
     return {
         "cases": float(len(cases)),
         "value_mismatches": float(value_mismatches),
@@ -1170,8 +1063,8 @@ def _mpn_fast_metrics() -> Dict[str, object]:
 register_scenario(Scenario(
     name="iss_compiled",
     description="generated-code ISS backend vs interpreter: "
-                "bit-identical kernel/characterize results, cycle "
-                "totals, wall-clock speedups in extras",
+                "bit-identical kernel/characterize results and cycle "
+                "totals",
     run=_iss_compiled_metrics,
     gates={
         "runs": _EXACT_COUNT,
@@ -1189,8 +1082,7 @@ register_scenario(Scenario(
 register_scenario(Scenario(
     name="mpn_fast",
     description="flat mpn fast path vs reference loops: value and "
-                "trace identity incl. the Knuth D6 add-back, "
-                "wall-clock speedups in extras",
+                "trace identity incl. the Knuth D6 add-back",
     run=_mpn_fast_metrics,
     gates={
         "cases": _EXACT_COUNT,

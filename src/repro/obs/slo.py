@@ -4,10 +4,9 @@ An SLO is a *gate on a live run* the way a bench
 :class:`~repro.obs.bench.Gate` is a gate on a recorded baseline: a
 metric, a target, and a direction ("lower is better" for latency,
 "higher is better" for throughput).  This module owns that vocabulary
-so the autoscaling control loop (:mod:`repro.farm.autoscale`), the
-runtime :class:`SloMonitor`, and benchmark gate construction all speak
-the same objects instead of growing three private notions of "is the
-service healthy".
+so the autoscaling control loop (:mod:`repro.farm.autoscale`) and the
+runtime :class:`SloMonitor` speak the same objects instead of growing
+two private notions of "is the service healthy".
 
 :class:`SloTarget` covers p99 latency and secure Mbps plus
 session-cache hit-rate and utilization floors; import it from here or
@@ -52,11 +51,6 @@ class SloObjective:
             return value > self.target
         return value < self.target
 
-    def as_gate(self, tolerance: float = 0.0):
-        """The equivalent benchmark gate (same direction semantics)."""
-        from repro.obs.bench import Gate
-        return Gate(tolerance=tolerance, direction=self.direction)
-
     def as_dict(self) -> Dict:
         return {"metric": self.metric, "target": self.target,
                 "direction": self.direction}
@@ -98,14 +92,6 @@ class SloTarget:
             if value is not None and objective.violated_by(value):
                 breached.append(objective.metric)
         return breached
-
-    def met_by(self, p99_ms: float, secure_mbps: float) -> bool:
-        """Legacy two-metric check (the original autoscale surface)."""
-        if self.p99_ms is not None and p99_ms > self.p99_ms:
-            return False
-        if self.secure_mbps is not None and secure_mbps < self.secure_mbps:
-            return False
-        return True
 
     def as_dict(self) -> Dict:
         return {"p99_ms": self.p99_ms, "secure_mbps": self.secure_mbps,

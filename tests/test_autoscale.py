@@ -51,13 +51,16 @@ class TestArrivalCurves:
 
 class TestSloTarget:
     def test_empty_slo_always_met(self):
-        assert SloTarget().met_by(1e9, 0.0)
+        assert SloTarget().violations(
+            {"p99_ms": 1e9, "secure_mbps": 0.0}) == []
 
     def test_p99_and_throughput_bounds(self):
         slo = SloTarget(p99_ms=100.0, secure_mbps=5.0)
-        assert slo.met_by(99.0, 6.0)
-        assert not slo.met_by(101.0, 6.0)
-        assert not slo.met_by(99.0, 4.0)
+        assert slo.violations({"p99_ms": 99.0, "secure_mbps": 6.0}) == []
+        assert slo.violations({"p99_ms": 101.0, "secure_mbps": 6.0}) == \
+            ["p99_ms"]
+        assert slo.violations({"p99_ms": 99.0, "secure_mbps": 4.0}) == \
+            ["secure_mbps"]
 
 
 class TestPolicyValidation:

@@ -85,44 +85,6 @@ class TestRegistry:
         assert list(metrics) == sorted(metrics)
 
 
-class TestExtras:
-    def test_wall_seconds_recorded_per_run(self, stub_scenario):
-        run_scenario("stub")
-        extras = bench.scenario_extras("stub")
-        assert extras["wall_seconds"] >= 0.0
-
-    def test_record_extra_inside_run(self):
-        scenario = Scenario(
-            name="extra_stub", description="records an extra",
-            run=lambda: (bench.record_extra("speedup", 3.19),
-                         {"cycles": 1.0})[1])
-        bench.register_scenario(scenario)
-        try:
-            metrics = run_scenario("extra_stub")
-            extras = bench.scenario_extras("extra_stub")
-        finally:
-            del bench._SCENARIOS["extra_stub"]
-        assert metrics == {"cycles": 1.0}
-        assert extras["speedup"] == 3.19
-        assert "wall_seconds" in extras
-
-    def test_record_extra_outside_run_is_noop(self):
-        bench.record_extra("orphan", 1.0)
-        assert "orphan" not in bench.scenario_extras("stub")
-
-    def test_extras_reset_between_runs(self, stub_scenario):
-        bench._EXTRAS.setdefault("stub", {})["stale"] = True
-        run_scenario("stub")
-        assert "stale" not in bench.scenario_extras("stub")
-
-    def test_extras_never_written_to_baselines(self, stub_scenario,
-                                               tmp_path):
-        metrics = run_scenario("stub")
-        path = write_baseline(str(tmp_path), "stub", metrics)
-        with open(path) as fh:
-            assert "wall_seconds" not in fh.read()
-
-
 class TestBaselineIO:
     def test_write_then_load_round_trips(self, stub_scenario, tmp_path):
         _, metrics = stub_scenario

@@ -361,6 +361,28 @@ class TestExecution:
         finally:
             del bench._SCENARIOS["clistub"]
 
+    def test_bench_json_carries_gated_truth_only(self, tmp_path, capsys):
+        import json
+        from repro.obs import bench
+        from repro.obs.bench import Gate, Scenario
+        bench.register_scenario(Scenario(
+            name="clistub", description="cli stub",
+            run=lambda: {"cycles": 100.0},
+            gates={"cycles": Gate(tolerance=0.0, direction="lower")}))
+        try:
+            assert main(["bench", "--json", "--dir", str(tmp_path),
+                         "--scenario", "clistub"]) == 0
+            recorded = json.loads(capsys.readouterr().out)["results"]
+            assert set(recorded) == {"clistub"}
+            assert set(recorded["clistub"]) == {"path", "metrics"}
+            assert main(["bench", "--check", "--json", "--dir",
+                         str(tmp_path), "--scenario", "clistub"]) == 0
+            checked = json.loads(capsys.readouterr().out)["results"]
+            assert set(checked) == {"ok", "scenarios"}
+            assert checked["ok"] is True
+        finally:
+            del bench._SCENARIOS["clistub"]
+
     def test_bench_unknown_scenario_exits_2(self, capsys):
         assert main(["bench", "--scenario", "nope"]) == 2
         assert "unknown bench scenario" in capsys.readouterr().err

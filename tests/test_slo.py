@@ -37,12 +37,6 @@ class TestSloObjective:
             SloObjective(metric="p99_ms", target=5.0,
                          direction="sideways")
 
-    def test_as_gate_shares_direction(self):
-        gate = SloObjective(metric="secure_mbps", target=1.0,
-                            direction="higher").as_gate()
-        assert gate.direction == "higher"
-        assert gate.tolerance == 0.0
-
 
 class TestSloTarget:
     def test_objectives_in_declaration_order(self):
@@ -69,11 +63,14 @@ class TestSloTarget:
             ["cache_hit_rate"]
         assert target.violations({"p99_ms": 1.0}) == []
 
-    def test_met_by_legacy_surface(self):
+    def test_violations_latency_and_throughput(self):
         target = SloTarget(p99_ms=5.0, secure_mbps=10.0)
-        assert target.met_by(p99_ms=4.0, secure_mbps=11.0)
-        assert not target.met_by(p99_ms=6.0, secure_mbps=11.0)
-        assert not target.met_by(p99_ms=4.0, secure_mbps=9.0)
+        assert target.violations({"p99_ms": 4.0, "secure_mbps": 11.0}) \
+            == []
+        assert target.violations({"p99_ms": 6.0, "secure_mbps": 11.0}) \
+            == ["p99_ms"]
+        assert target.violations({"p99_ms": 4.0, "secure_mbps": 9.0}) \
+            == ["secure_mbps"]
 
     def test_round_trip(self):
         target = SloTarget(p99_ms=5.0, utilization=0.25)
