@@ -94,7 +94,10 @@ def _print_json(args, results) -> int:
     emits the standard ``{"command", "params", "results"}`` envelope."""
     envelope = {"command": args.command, "params": _params_of(args),
                 "results": results}
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    # Strict JSON: a NaN or infinity raises instead of printing a bare
+    # NaN no JSON parser accepts.
+    print(json.dumps(envelope, indent=2, sort_keys=True,
+                     allow_nan=False))
     return 0
 
 
@@ -435,19 +438,20 @@ def _parse_mix(spec: str) -> dict:
     return mix
 
 
-def _parse_fault_spec(spec: str):
-    """Pre-validate a ``--faults`` flag: an integer seed (seeded
-    chaos) or a JSON plan file.  Returns ``("seed", int)`` or
-    ``("plan", payload)``; the actual :class:`FaultPlan` is built once
-    the farm's size, horizon, and degraded cost table are known."""
+def _parse_fault_spec(spec: str, n_cores: int):
+    """Pre-validate a ``--faults`` flag against an ``n_cores`` farm:
+    an integer seed (seeded chaos) or a JSON plan file.  Returns
+    ``("seed", int)`` or ``("plan", FaultPlan)``; the farm's horizon
+    and degraded cost table are bound once they are known."""
     import json
+    from repro.farm import FaultPlan
     try:
         return "seed", int(spec)
     except ValueError:
         pass
     try:
         with open(spec) as handle:
-            return "plan", json.load(handle)
+            payload = json.load(handle)
     except OSError as exc:
         raise ValueError(
             f"--faults wants an integer seed or a JSON plan file: "
@@ -455,18 +459,25 @@ def _parse_fault_spec(spec: str):
     except ValueError as exc:
         raise ValueError(f"bad JSON in fault plan {spec!r}: {exc}") \
             from None
+    try:
+        plan = FaultPlan.from_dict(payload)
+        plan.check_cores(n_cores)
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc}") from None
+    return "plan", plan
 
 
 def _build_fault_plan(parsed, n_cores: int, horizon_cycles: float,
                       episodes: int, degraded_costs):
     """Turn a pre-validated ``--faults`` spec into a FaultPlan."""
-    from repro.farm import FaultPlan, generate_fault_plan
+    from dataclasses import replace
+    from repro.farm import generate_fault_plan
     kind, value = parsed
     if kind == "seed":
         return generate_fault_plan(value, n_cores, horizon_cycles,
                                    episodes=episodes,
                                    degraded_costs=degraded_costs)
-    return FaultPlan.from_dict(value, degraded_costs=degraded_costs)
+    return replace(value, degraded_costs=degraded_costs)
 
 
 def _cmd_farm(args) -> int:
@@ -509,7 +520,7 @@ def _cmd_farm(args) -> int:
             raise ValueError("--shards cannot exceed --cores")
         if args.fault_episodes < 0:
             raise ValueError("--fault-episodes must be non-negative")
-        fault_spec = (_parse_fault_spec(args.faults)
+        fault_spec = (_parse_fault_spec(args.faults, args.cores)
                       if args.faults else None)
         slo = parse_slo(args.slo) if args.slo else None
         if args.slo_window <= 0:
@@ -817,7 +828,7 @@ def _cmd_capacity(args) -> int:
             raise ValueError("--epoch-seconds must be positive")
         if args.fault_episodes < 0:
             raise ValueError("--fault-episodes must be non-negative")
-        fault_spec = (_parse_fault_spec(args.faults)
+        fault_spec = (_parse_fault_spec(args.faults, args.max_cores)
                       if args.faults else None)
         if args.series_out and not args.autoscale:
             raise ValueError("--series-out needs --autoscale (the "

@@ -246,7 +246,8 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
 
     With a fault plan on the config, each epoch injects the plan's
     ``[epoch * epoch_cycles, (epoch+1) * epoch_cycles)`` window
-    (rebased to the epoch clock); cores the window leaves dead at the
+    (rebased to the epoch clock; events striking pool cores outside
+    the active set are dropped); cores the window leaves dead at the
     epoch boundary are *removed* from the active set -- failures
     consume capacity, and replacing it costs the policy a scale-out
     plus the warm-up lag, exactly like absorbing a burst.
@@ -290,7 +291,8 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
                                     root.fork(f"epoch[{epoch}]"), rate,
                                     clock_hz)
         epoch_faults = (config.faults.window(epoch * epoch_cycles,
-                                             (epoch + 1) * epoch_cycles)
+                                             (epoch + 1) * epoch_cycles
+                                             ).on_cores(active)
                         if config.faults is not None else None)
         run = run_farm(replace(
             config, specs=tuple(specs[:active]),

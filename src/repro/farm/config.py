@@ -111,6 +111,8 @@ class FarmConfig:
             raise ValueError("series_interval_seconds must be positive")
         if self.series_capacity < 1:
             raise ValueError("series_capacity must be >= 1")
+        if self.faults is not None:
+            self.faults.check_cores(len(self.specs))
 
     @classmethod
     def build(cls, cores: int, base_costs: PlatformCosts,

@@ -28,6 +28,7 @@ gateway operator actually plans for:
   next ``core_up``.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,8 +60,9 @@ class FaultEvent:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"known: {list(FAULT_KINDS)}")
-        if self.cycle < 0:
-            raise ValueError("fault cycle must be non-negative")
+        if not 0 <= self.cycle < math.inf:
+            raise ValueError(f"fault cycle must be finite and "
+                             f"non-negative, got {self.cycle!r}")
         if self.core < 0:
             raise ValueError("fault core must be non-negative")
 
@@ -70,9 +72,38 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "FaultEvent":
-        return cls(cycle=float(payload["cycle"]),
-                   kind=str(payload["kind"]),
-                   core=int(payload["core"]))
+        """Rebuild an event from :meth:`as_dict` output; a missing or
+        ill-typed field raises a :class:`ValueError` naming it."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"fault event is not a JSON object: "
+                             f"{payload!r}")
+        return cls(cycle=_field(payload, "cycle", (int, float)),
+                   kind=_field(payload, "kind", (str,)),
+                   core=_field(payload, "core", (int,)))
+
+
+_REQUIRED = object()
+
+
+def _field(payload: Dict, name: str, types: Tuple[type, ...],
+           default=_REQUIRED):
+    """``payload[name]`` (or ``default`` when absent and given), which
+    must be one of ``types`` and never a ``bool`` (JSON's booleans are
+    Python ints).  Numbers are returned as floats."""
+    if name not in payload:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    value = payload[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"field {name!r} must be {kinds}, got {value!r}")
+    if float in types:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"field {name!r} is too large") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,9 +128,10 @@ class FaultPlan:
                          key=lambda i: (events[i].cycle, i))
         object.__setattr__(self, "events",
                            tuple(events[i] for i in ordered))
-        if self.redispatch_penalty_cycles < 0:
+        if not 0 <= self.redispatch_penalty_cycles < math.inf:
             raise ValueError(
-                "redispatch_penalty_cycles must be non-negative")
+                f"redispatch_penalty_cycles must be finite and "
+                f"non-negative, got {self.redispatch_penalty_cycles!r}")
 
     def __bool__(self) -> bool:
         return bool(self.events)
@@ -135,6 +167,21 @@ class FaultPlan:
             for event in self.events
             if start_cycle <= event.cycle < end_cycle))
 
+    def on_cores(self, n_cores: int) -> "FaultPlan":
+        """The sub-plan striking only cores below ``n_cores`` (the
+        active prefix of an autoscaled pool)."""
+        return replace(self, events=tuple(
+            event for event in self.events if event.core < n_cores))
+
+    def check_cores(self, n_cores: int) -> None:
+        """Reject an event striking a core a farm of ``n_cores`` does
+        not have, instead of dropping it silently."""
+        for event in self.events:
+            if event.core >= n_cores:
+                raise ValueError(
+                    f"fault plan: event {event.as_dict()} strikes core "
+                    f"{event.core}, but the farm has {n_cores} cores")
+
     def as_dict(self) -> Dict:
         return {
             "events": [event.as_dict() for event in self.events],
@@ -149,14 +196,26 @@ class FaultPlan:
                   ) -> "FaultPlan":
         """Rebuild a plan from :meth:`as_dict` output (a JSON plan
         file).  ``degraded_costs`` must be supplied by the caller --
-        cost tables are measured objects, not plan data."""
-        return cls(
-            events=tuple(FaultEvent.from_dict(entry)
-                         for entry in payload.get("events", ())),
-            redispatch_penalty_cycles=float(payload.get(
-                "redispatch_penalty_cycles",
-                DEFAULT_REDISPATCH_PENALTY_CYCLES)),
-            degraded_costs=degraded_costs)
+        cost tables are measured objects, not plan data.  A missing
+        or ill-typed field, or a non-finite cycle or penalty, raises a
+        :class:`ValueError` naming it."""
+        try:
+            if not isinstance(payload, dict):
+                raise ValueError(f"not a JSON object: {payload!r}")
+            events = []
+            for index, entry in enumerate(
+                    _field(payload, "events", (list,), [])):
+                try:
+                    events.append(FaultEvent.from_dict(entry))
+                except ValueError as exc:
+                    raise ValueError(f"events[{index}]: {exc}") from None
+            return cls(events=tuple(events),
+                       redispatch_penalty_cycles=_field(
+                           payload, "redispatch_penalty_cycles",
+                           (int, float), DEFAULT_REDISPATCH_PENALTY_CYCLES),
+                       degraded_costs=degraded_costs)
+        except ValueError as exc:
+            raise ValueError(f"fault plan: {exc}") from None
 
 
 def generate_fault_plan(seed: int, n_cores: int, horizon_cycles: float,

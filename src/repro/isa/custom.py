@@ -22,6 +22,16 @@ and are bit-exact with the reference software implementations (the
 test suite cross-checks them), mirroring how TIE semantics must match
 the C reference.
 
+The multi-limb instructions state their carry chain once, in
+:func:`_limbs`: each is one linear expression over n-limb operands,
+stored mod 2^(32n), whose signed carry-out ``x >> 32n`` feeds the
+``carry`` user register.  Borrow instructions pass ``-borrow`` in and
+store the negated carry-out.  The expression is normally evaluated
+packed (one bounds check and one bignum operation per instruction);
+the per-word chain runs only where that could differ -- a region out
+of range, which must fault after the same partial writes, fewer than
+one limb, or a source overlapping the destination from below.
+
 Latency models assume a dual-word memory port (2 words transferred per
 cycle) and fully pipelined functional units; fewer units time-multiplex
 and cost proportionally more cycles.  This produces the diminishing-
@@ -29,6 +39,7 @@ returns knee the paper's A-D curves show.
 """
 
 import math
+from operator import add, sub
 from typing import List
 
 from repro.isa.extensions import CustomInstruction, ExtensionSet
@@ -54,21 +65,42 @@ def _mem_beats(words: int) -> int:
 # Multi-precision vector instructions
 # ---------------------------------------------------------------------------
 
+def _limbs(machine, dst, n, srcs, expr, carry=0):
+    """Store ``x = expr(*operands) + carry`` mod 2^(32n) at ``dst`` and
+    return the signed carry-out ``x >> 32n``.
+
+    ``srcs`` are the addresses of the n-limb operands, read in that
+    order.  ``expr`` is linear, so the per-word chain (see the module
+    docstring for when it runs) applies it limb by limb to the same
+    effect; an overlap from below would let a later limb read an
+    earlier write.
+    """
+    nbytes = 4 * n
+    mem = machine.mem
+    top = len(mem) - nbytes
+    if n >= 1 and 0 <= dst <= top and all(
+            0 <= src <= top and not src < dst < src + nbytes
+            for src in srcs):
+        x = expr(*[int.from_bytes(mem[src:src + nbytes], "little")
+                   for src in srcs]) + carry
+        bits = 8 * nbytes
+        mem[dst:dst + nbytes] = (x & ((1 << bits) - 1)).to_bytes(
+            nbytes, "little")
+        return x >> bits
+    for i in range(0, nbytes, 4):
+        x = expr(*[machine.read_word(src + i) for src in srcs]) + carry
+        machine.write_word(dst + i, x)
+        carry = x >> 32
+    return carry
+
+
 def make_vaddc(m: int) -> CustomInstruction:
     """mem[rd..+m] = mem[ra..+m] + mem[rb..+m] + carry; updates carry UR."""
 
     def semantics(machine, args):
-        rd, ra, rb = args
-        dst = machine.regs[rd]
-        src_a = machine.regs[ra]
-        src_b = machine.regs[rb]
-        carry = machine.user_regs.get("carry", 0)
-        for i in range(m):
-            s = (machine.read_word(src_a + 4 * i)
-                 + machine.read_word(src_b + 4 * i) + carry)
-            machine.write_word(dst + 4 * i, s & WORD_MASK)
-            carry = s >> 32
-        machine.user_regs["carry"] = carry
+        dst, a, b = [machine.regs[r] for r in args]
+        machine.user_regs["carry"] = _limbs(
+            machine, dst, m, (a, b), add, machine.user_regs.get("carry", 0))
 
     # 2 loads + 1 store of m words each, plus 1 cycle in the adder array
     # and 1 cycle of issue overhead.
@@ -84,17 +116,17 @@ def make_vsubb(m: int) -> CustomInstruction:
     """mem[rd..+m] = mem[ra..+m] - mem[rb..+m] - borrow; updates borrow UR."""
 
     def semantics(machine, args):
-        rd, ra, rb = args
-        dst = machine.regs[rd]
-        src_a = machine.regs[ra]
-        src_b = machine.regs[rb]
+        dst, a, b = [machine.regs[r] for r in args]
         borrow = machine.user_regs.get("borrow", 0)
-        for i in range(m):
-            d = (machine.read_word(src_a + 4 * i)
-                 - machine.read_word(src_b + 4 * i) - borrow)
-            borrow = 1 if d < 0 else 0
-            machine.write_word(dst + 4 * i, d & WORD_MASK)
-        machine.user_regs["borrow"] = borrow
+        n = m
+        if borrow not in (0, 1):
+            # A wide borrow-in (``vmsub`` leaves one) saturates to 0/1
+            # after limb 0, where a floor carry would not: run limb 0
+            # alone.
+            borrow = int(_limbs(machine, dst, 1, (a, b), sub, -borrow) < 0)
+            dst, a, b, n = dst + 4, a + 4, b + 4, m - 1
+        machine.user_regs["borrow"] = -_limbs(
+            machine, dst, n, (a, b), sub, -borrow)
 
     latency = 2 + 3 * _mem_beats(m)
     return CustomInstruction(
@@ -112,17 +144,10 @@ def make_vmac(m: int) -> CustomInstruction:
     """
 
     def semantics(machine, args):
-        rd, ra, rb = args
-        dst = machine.regs[rd]
-        src = machine.regs[ra]
-        v = machine.regs[rb]
-        carry = machine.user_regs.get("carry", 0)
-        for i in range(m):
-            t = (machine.read_word(dst + 4 * i)
-                 + machine.read_word(src + 4 * i) * v + carry)
-            machine.write_word(dst + 4 * i, t & WORD_MASK)
-            carry = t >> 32
-        machine.user_regs["carry"] = carry
+        dst, src, v = [machine.regs[r] for r in args]
+        machine.user_regs["carry"] = _limbs(
+            machine, dst, m, (dst, src), lambda d, a: d + a * v,
+            machine.user_regs.get("carry", 0))
 
     # read-modify-write of m words (3 transfers) + pipelined multiply array.
     latency = 3 + 3 * _mem_beats(m)
@@ -135,23 +160,13 @@ def make_vmac(m: int) -> CustomInstruction:
 
 
 def make_vmsub(m: int) -> CustomInstruction:
-    """mem[rd..+m] -= mem[ra..+m] * rb - borrow; updates borrow UR."""
+    """mem[rd..+m] -= mem[ra..+m] * rb + borrow; updates borrow UR."""
 
     def semantics(machine, args):
-        rd, ra, rb = args
-        dst = machine.regs[rd]
-        src = machine.regs[ra]
-        v = machine.regs[rb]
-        borrow = machine.user_regs.get("borrow", 0)
-        for i in range(m):
-            prod = machine.read_word(src + 4 * i) * v + borrow
-            t = machine.read_word(dst + 4 * i) - (prod & WORD_MASK)
-            borrow = prod >> 32
-            if t < 0:
-                t += 1 << 32
-                borrow += 1
-            machine.write_word(dst + 4 * i, t)
-        machine.user_regs["borrow"] = borrow
+        dst, src, v = [machine.regs[r] for r in args]
+        machine.user_regs["borrow"] = -_limbs(
+            machine, dst, m, (src, dst), lambda a, d: d - a * v,
+            -machine.user_regs.get("borrow", 0))
 
     latency = 3 + 3 * _mem_beats(m)
     return CustomInstruction(
@@ -166,16 +181,10 @@ def make_vmul1(m: int) -> CustomInstruction:
     """mem[rd..+m] = mem[ra..+m] * rb + carry; updates carry UR."""
 
     def semantics(machine, args):
-        rd, ra, rb = args
-        dst = machine.regs[rd]
-        src = machine.regs[ra]
-        v = machine.regs[rb]
-        carry = machine.user_regs.get("carry", 0)
-        for i in range(m):
-            t = machine.read_word(src + 4 * i) * v + carry
-            machine.write_word(dst + 4 * i, t & WORD_MASK)
-            carry = t >> 32
-        machine.user_regs["carry"] = carry
+        dst, src, v = [machine.regs[r] for r in args]
+        machine.user_regs["carry"] = _limbs(
+            machine, dst, m, (src,), lambda a: a * v,
+            machine.user_regs.get("carry", 0))
 
     latency = 3 + 2 * _mem_beats(m)
     return CustomInstruction(
@@ -210,6 +219,19 @@ def _row_latency(width: int):
     return latency
 
 
+def _row(machine, dst, src, v):
+    """mem[dst..+k] += mem[src..+k] * v (k from the ``klen`` user
+    register); the carry-out ripples word by word from word k up."""
+    k = machine.user_regs.get("klen", 1)
+    carry = _limbs(machine, dst, k, (dst, src), lambda d, a: d + a * v)
+    addr = dst + 4 * k
+    while carry:
+        x = machine.read_word(addr) + carry
+        machine.write_word(addr, x)
+        carry = x >> 32
+        addr += 4
+
+
 def make_macrow(width: int) -> CustomInstruction:
     """One schoolbook row: mem[rd..+k] += mem[ra..+k] * rb, carry into
     mem[rd+k..] (k from the montcfg user register).
@@ -220,23 +242,8 @@ def make_macrow(width: int) -> CustomInstruction:
     """
 
     def semantics(machine, args):
-        rd, ra, rb = args
-        k = machine.user_regs.get("klen", 1)
-        dst = machine.regs[rd]
-        src = machine.regs[ra]
-        v = machine.regs[rb]
-        carry = 0
-        for i in range(k):
-            t = (machine.read_word(dst + 4 * i)
-                 + machine.read_word(src + 4 * i) * v + carry)
-            machine.write_word(dst + 4 * i, t & WORD_MASK)
-            carry = t >> 32
-        j = k
-        while carry:
-            t = machine.read_word(dst + 4 * j) + carry
-            machine.write_word(dst + 4 * j, t & WORD_MASK)
-            carry = t >> 32
-            j += 1
+        dst, src, v = [machine.regs[r] for r in args]
+        _row(machine, dst, src, v)
 
     return CustomInstruction(
         name=f"macrow_{width}", signature="rrr", semantics=semantics,
@@ -251,24 +258,9 @@ def make_montrow(width: int) -> CustomInstruction:
     mem[rd..+k] += mem[ra..+k] * u with carry propagation above."""
 
     def semantics(machine, args):
-        rd, ra = args
-        k = machine.user_regs.get("klen", 1)
+        dst, src = [machine.regs[r] for r in args]
         mprime = machine.user_regs.get("mprime", 0)
-        dst = machine.regs[rd]
-        src = machine.regs[ra]
-        u = (machine.read_word(dst) * mprime) & WORD_MASK
-        carry = 0
-        for i in range(k):
-            t = (machine.read_word(dst + 4 * i)
-                 + machine.read_word(src + 4 * i) * u + carry)
-            machine.write_word(dst + 4 * i, t & WORD_MASK)
-            carry = t >> 32
-        j = k
-        while carry:
-            t = machine.read_word(dst + 4 * j) + carry
-            machine.write_word(dst + 4 * j, t & WORD_MASK)
-            carry = t >> 32
-            j += 1
+        _row(machine, dst, src, (machine.read_word(dst) * mprime) & WORD_MASK)
 
     return CustomInstruction(
         name=f"montrow_{width}", signature="rr", semantics=semantics,
@@ -282,11 +274,8 @@ def make_vzero() -> CustomInstruction:
     """Zero 2k+2 words at [rd] (the REDC scratch buffer)."""
 
     def semantics(machine, args):
-        (rd,) = args
         k = machine.user_regs.get("klen", 1)
-        dst = machine.regs[rd]
-        for i in range(2 * k + 2):
-            machine.write_word(dst + 4 * i, 0)
+        _limbs(machine, machine.regs[args[0]], 2 * k + 2, (), lambda: 0)
 
     def latency(machine, args):
         k = machine.user_regs.get("klen", 1)

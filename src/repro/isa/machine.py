@@ -368,12 +368,22 @@ class Machine:
         self._enter(self.pc)
         return self.pc, sentinel
 
-    def _merge_counts(self, counts: List[int], op_names: Sequence[str]) -> None:
+    def _end_run(self, pc: int, executed: int, retired_all: bool,
+                 counts: List[int], op_names: Sequence[str]) -> None:
+        """Shared run epilogue on every path, fault included: attribute
+        the cycles, merge the per-pc counts, and add this run's retired
+        instructions to ``instret``, which accumulates like ``cycles``.
+        A return or a pc fault retires all ``executed`` instructions; a
+        halt, a faulting instruction or the one over the budget does
+        not retire itself."""
+        self._flush_frame_cycles()
         oc = self.opcode_counts
         for i, c in enumerate(counts):
             if c:
                 op = op_names[i]
                 oc[op] = oc.get(op, 0) + c
+        self.pc = pc
+        self.instret += executed if retired_all else max(executed - 1, 0)
 
     def _finish_run(self, executed: int) -> int:
         """Shared run epilogue on the success path (halt or return)."""
@@ -457,20 +467,14 @@ class Machine:
                     counts[start + i] += 1
                 pc = start + sub     # the faulting instruction
                 self._block_fault = None
-            self._flush_frame_cycles()
-            self._merge_counts(counts, compiled.op_names)
+            self._end_run(self._halt_pc if self._halted else pc, executed,
+                          completed or top_fault, counts, compiled.op_names)
             oc = self.opcode_counts
             hists = compiled.block_hists
             for bid, c in enumerate(bcounts):
                 if c:
                     for op, mult in hists[bid]:
                         oc[op] = oc.get(op, 0) + c * mult
-            self.pc = self._halt_pc if self._halted else pc
-            if completed or top_fault:
-                self.instret = executed
-            elif executed > 1:
-                self.instret = executed - 1
-            # else: no instruction completed this run; instret unchanged
         return self._finish_run(executed)
 
     def _run_interp(self, entry: str, args: Sequence[int],
@@ -571,14 +575,8 @@ class Machine:
             completed = not halted
         finally:
             self.cycles = cycles
-            self._flush_frame_cycles()
-            self._merge_counts(counts, [instr.op for instr in code])
-            self.pc = pc
-            if completed or top_fault:
-                self.instret = executed
-            elif executed > 1:
-                self.instret = executed - 1
-            # else: no instruction completed this run; instret unchanged
+            self._end_run(pc, executed, completed or top_fault, counts,
+                          [instr.op for instr in code])
         return self._finish_run(executed)
 
     # -- batched execution -------------------------------------------------

@@ -578,6 +578,45 @@ class TestChaosCli:
                      "--faults", "1"]) == 2
         assert "--fault-episodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("event, named", [
+        ({"cycle": 1.0, "core": 0}, "missing field 'kind'"),
+        ({"cycle": "nan", "kind": "core_down", "core": 0},
+         "field 'cycle' must be"),
+        ({"cycle": 1.0, "kind": "core_down", "core": "x"},
+         "field 'core' must be"),
+        ({"cycle": 1.0, "kind": "core_down", "core": 99},
+         "strikes core 99"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["farm", "--cores", "4"],
+        ["capacity", "--autoscale", "--max-cores", "4"],
+    ])
+    def test_bad_fault_plan_file_fails_before_characterization(
+            self, tmp_path, capsys, monkeypatch, argv, event, named):
+        import json
+
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("characterized before validating")
+
+        monkeypatch.setattr(cli, "_measured_cost_pair", forbidden)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"events": [event]}))
+        assert main(argv + ["--faults", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: fault plan")
+        assert named in err
+
+    def test_json_output_is_strict(self):
+        import argparse
+
+        from repro.cli import _print_json
+        args = argparse.Namespace(command="farm")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                _print_json(args, {"p99_ms": bad})
+
     def test_capacity_autoscale_reports_chaos_columns(self, capsys):
         import json
         argv = ["capacity", "--autoscale", "--curve", "constant",

@@ -68,6 +68,34 @@ class TestFaultEvents:
         event = FaultEvent(cycle=12.5, kind="cache_flush", core=3)
         assert FaultEvent.from_dict(event.as_dict()) == event
 
+    @pytest.mark.parametrize("missing", ["cycle", "kind", "core"])
+    def test_from_dict_names_a_missing_field(self, missing):
+        payload = {"cycle": 1.0, "kind": "core_down", "core": 0}
+        del payload[missing]
+        with pytest.raises(ValueError, match=f"missing field '{missing}'"):
+            FaultEvent.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cycle", "nan"), ("cycle", "12"), ("cycle", None),
+        ("cycle", True), ("kind", 3), ("core", "x"), ("core", 1.0),
+        ("core", False),
+    ])
+    def test_from_dict_names_an_ill_typed_field(self, field, value):
+        payload = {"cycle": 1.0, "kind": "core_down", "core": 0}
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            FaultEvent.from_dict(payload)
+
+    @pytest.mark.parametrize("cycle", [float("nan"), float("inf"),
+                                       10 ** 400])
+    def test_non_finite_cycle_rejected(self, cycle):
+        payload = {"cycle": cycle, "kind": "core_down", "core": 0}
+        with pytest.raises(ValueError, match="cycle"):
+            FaultEvent.from_dict(payload)
+        if isinstance(cycle, float):
+            with pytest.raises(ValueError, match="cycle"):
+                FaultEvent(cycle=cycle, kind="core_down", core=0)
+
 
 class TestFaultPlan:
     def test_events_sorted_with_declaration_tiebreak(self):
@@ -125,6 +153,34 @@ class TestFaultPlan:
             [(5.0, "core_up")]
         with pytest.raises(ValueError):
             plan.window(10.0, 5.0)
+
+    @pytest.mark.parametrize("payload, match", [
+        ({"events": [{"cycle": 1.0, "core": 0}]},
+         r"events\[0\]: missing field 'kind'"),
+        ({"events": [{"cycle": 1.0, "kind": "core_down", "core": 0},
+                     {"cycle": "nan", "kind": "core_up", "core": 0}]},
+         r"events\[1\]: field 'cycle' must be"),
+        ({"events": [7]}, r"events\[0\]: fault event is not"),
+        ({"events": {"cycle": 1.0}}, "field 'events' must be list"),
+        ({"redispatch_penalty_cycles": float("nan")},
+         "redispatch_penalty_cycles"),
+        ({"redispatch_penalty_cycles": float("inf")},
+         "redispatch_penalty_cycles"),
+        ({"redispatch_penalty_cycles": "2000"},
+         "field 'redispatch_penalty_cycles' must be"),
+        ([], "not a JSON object"),
+    ])
+    def test_from_dict_names_the_bad_field(self, payload, match):
+        with pytest.raises(ValueError, match=match) as caught:
+            FaultPlan.from_dict(payload)
+        assert str(caught.value).startswith("fault plan: ")
+
+    def test_on_cores_drops_events_above(self):
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=1.0, kind="core_down", core=0),
+            FaultEvent(cycle=2.0, kind="core_down", core=5),))
+        assert [e.core for e in plan.on_cores(5).events] == [0]
+        assert plan.on_cores(6) == plan
 
     def test_round_trip(self):
         plan = generate_fault_plan(9, 4, 1e8, episodes=2,
@@ -478,6 +534,21 @@ class TestFarmConfig:
             FarmConfig(specs=specs, profile=profile,
                        slo_window_seconds=0.0)
 
+    def test_fault_core_out_of_range_rejected(self):
+        # A plan striking a core the farm lacks used to be dropped
+        # silently (0 events injected); it is a config error now.
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=1.0, kind="core_down", core=99),))
+        for shards in (1, 2):
+            with pytest.raises(ValueError, match="core 99.*4 cores"):
+                FarmConfig(specs=tuple(_farm(4, 0.5)),
+                           profile=TrafficProfile(), shards=shards,
+                           faults=plan)
+        edge = FaultPlan(events=(
+            FaultEvent(cycle=1.0, kind="core_down", core=3),))
+        assert FarmConfig(specs=tuple(_farm(4, 0.5)),
+                          profile=TrafficProfile(), faults=edge)
+
     def test_duplicate_seq_rejected(self):
         # The simulator keys requests by seq: a repeated seq would
         # serve one request twice and never serve the other.
@@ -565,6 +636,26 @@ class TestAutoscaleUnderFaults:
                              epoch_seconds=1.0,
                              curve="constant").as_dict() == \
             report.as_dict()
+
+    def test_faults_on_inactive_pool_cores_validate(self):
+        # Each epoch runs a config over the active prefix of the pool;
+        # a plan striking a pool core not yet active still validates
+        # and that event is dropped, as it always was.
+        second = DEFAULT_CLOCK_HZ
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=0.5 * second, kind="core_down", core=7),))
+        config = FarmConfig(
+            specs=tuple(_farm(8, 0.5)),
+            profile=TrafficProfile(arrival_rate=50.0), seed=1,
+            faults=plan)
+        policy = AutoscalePolicy(min_cores=2, max_cores=8)
+        report = run_autoscale(config, policy=policy, n_epochs=3,
+                               epoch_seconds=1.0, curve="constant")
+        healthy = run_autoscale(replace(config, faults=None),
+                                policy=policy, n_epochs=3,
+                                epoch_seconds=1.0, curve="constant")
+        assert report.core_failures == 0
+        assert report.as_dict() == healthy.as_dict()
 
     def test_epoch_reports_carry_violation_counts(self):
         config = FarmConfig(

@@ -633,6 +633,49 @@ class TestBatching:
             assert snapshot(reused, results[0]) == snapshot(fresh,
                                                             results[1])
 
+    # Entries that return, halt, run only a halt, and fault mid-block.
+    RUNS = ("main:\n"
+            "    addi r1, r1, 1\n"
+            "    addi r1, r1, 2\n"
+            "    halt\n"
+            "stop:\n"
+            "    halt\n"
+            "ret:\n"
+            "    addi r1, r1, 5\n"
+            "    jr r14\n"
+            "bad:\n"
+            "    addi r3, r3, 1\n"
+            "    lw r2, 0(r1)\n"
+            "    halt\n")
+
+    @pytest.mark.parametrize("first, second", [
+        ("main", "stop"), ("stop", "main"), ("main", "ret"),
+        ("ret", "main"), ("stop", "stop"), ("bad", "ret"),
+        ("ret", "bad")])
+    def test_instret_accumulates_like_cycles(self, first, second):
+        # A second run on one machine adds what that run retires on a
+        # fresh machine, on both backends; a halt-only run retires 0.
+        program = assemble(self.RUNS)
+
+        def run(machine, entry):
+            try:
+                machine.run(entry, [1 << 30])
+            except MachineError:
+                pass
+
+        for backend in BACKENDS:
+            fresh = []
+            for entry in (first, second):
+                machine = Machine(program, backend=backend,
+                                  mem_size=1 << 12)
+                run(machine, entry)
+                fresh.append((machine.instret, machine.cycles))
+            reused = Machine(program, backend=backend, mem_size=1 << 12)
+            run(reused, first)
+            run(reused, second)
+            assert (reused.instret, reused.cycles) == (
+                fresh[0][0] + fresh[1][0], fresh[0][1] + fresh[1][1])
+
     def test_kernel_batch_matches_singles(self):
         from repro.isa.kernels.mpn_kernels import MpnKernels
         from repro.mp.prng import DeterministicPrng
