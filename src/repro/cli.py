@@ -21,8 +21,8 @@
                          [--json]
     python -m repro capacity [--users 100000] [--per-user-kbps 384]
                              [--autoscale] [--curve diurnal]
-                             [--epochs 24] [--faults SEED|plan.json]
-                             [--series-out series.jsonl] [--json]
+                             [--epochs 24] [--rate 400] [--json]
+                             [--max-cores 16] [<farm flags>]
     python -m repro profile --trace trace.jsonl [--top 20]
                             [--group-by scheduler] [--folded out.folded]
     python -m repro timeseries --series series.jsonl [--key NAME]...
@@ -66,6 +66,11 @@ on stdout.  ``profile`` analyses a saved trace log offline; ``bench
 --dir DIR`` records ``BENCH_<scenario>.json`` baselines into ``DIR``
 and ``bench --check`` gates the current tree against the committed
 ones.
+
+``farm`` and ``capacity`` share the farm flags ``--seed``,
+``--scheduler``, ``--extended-fraction``, ``--epoch-seconds``,
+``--faults``, ``--fault-episodes`` and ``--series-out``: one parser
+parent, one check before characterization, one ``FarmConfig`` build.
 
 Time series: ``farm --series-out FILE`` exports the run as a
 virtual-time metrics series (JSONL; fault and SLO-alert events
@@ -438,15 +443,26 @@ def _parse_mix(spec: str) -> dict:
     return mix
 
 
-def _parse_fault_spec(spec: str, n_cores: int):
-    """Pre-validate a ``--faults`` flag against an ``n_cores`` farm:
-    an integer seed (seeded chaos) or a JSON plan file.  Returns
-    ``("seed", int)`` or ``("plan", FaultPlan)``; the farm's horizon
-    and degraded cost table are bound once they are known."""
-    import json
+def _check_farm_flags(args, n_cores: int):
+    """Check the shared farm flags against an ``n_cores`` farm.
+    Returns the ``--faults`` spec: ``None``, an integer seed, or a JSON
+    plan file's FaultPlan, checked against the farm."""
     from repro.farm import FaultPlan
+    from repro.farm.scheduler import scheduler_names
+    if args.scheduler not in scheduler_names():
+        raise ValueError(f"--scheduler must be one of "
+                         f"{scheduler_names()}")
+    if not 0 <= args.extended_fraction <= 1:
+        raise ValueError("--extended-fraction must be in [0, 1]")
+    if args.epoch_seconds <= 0:
+        raise ValueError("--epoch-seconds must be positive")
+    if args.fault_episodes < 0:
+        raise ValueError("--fault-episodes must be non-negative")
+    spec = args.faults
+    if not spec:
+        return None
     try:
-        return "seed", int(spec)
+        return int(spec)
     except ValueError:
         pass
     try:
@@ -464,27 +480,46 @@ def _parse_fault_spec(spec: str, n_cores: int):
         plan.check_cores(n_cores)
     except ValueError as exc:
         raise ValueError(f"{spec}: {exc}") from None
-    return "plan", plan
+    return plan
 
 
-def _build_fault_plan(parsed, n_cores: int, horizon_cycles: float,
-                      episodes: int, degraded_costs):
-    """Turn a pre-validated ``--faults`` spec into a FaultPlan."""
+def _farm_config(args, fault_spec, n_cores: int, costs,
+                 horizon_cycles: float, **fields):
+    """The FarmConfig the shared flags describe: ``n_cores`` cores
+    from the ``(base, optimized)`` cost pair, plus the caller's
+    ``fields``.  A seeded ``--faults`` plan is drawn over
+    ``horizon_cycles``; a degraded extended core falls back to the
+    base cost table."""
     from dataclasses import replace
-    from repro.farm import generate_fault_plan
-    kind, value = parsed
-    if kind == "seed":
-        return generate_fault_plan(value, n_cores, horizon_cycles,
-                                   episodes=episodes,
-                                   degraded_costs=degraded_costs)
-    return replace(value, degraded_costs=degraded_costs)
+    from repro.farm import FarmConfig, build_farm, generate_fault_plan
+    base_costs, opt_costs = costs
+    faults = None
+    if isinstance(fault_spec, int):
+        faults = generate_fault_plan(fault_spec, n_cores, horizon_cycles,
+                                     episodes=args.fault_episodes,
+                                     degraded_costs=base_costs)
+    elif fault_spec is not None:
+        faults = replace(fault_spec, degraded_costs=base_costs)
+    specs = build_farm(n_cores, base_costs, opt_costs,
+                       extended_fraction=args.extended_fraction)
+    return FarmConfig(specs=tuple(specs), scheduler=args.scheduler,
+                      seed=args.seed, faults=faults, **fields)
+
+
+def _print_capacity_table(plans) -> None:
+    """The capacity-plan table ``farm`` and ``capacity`` both print."""
+    print(f"{'target':38s} {'config':>10s} {'cores':>7s} "
+          f"{'farm Mgates':>12s}")
+    for p in plans:
+        print(f"{p.target_name:38s} {p.config_name:>10s} "
+              f"{p.cores:7d} {p.farm_gates / 1e6:12.2f}")
 
 
 def _cmd_farm(args) -> int:
-    from repro.farm import (FarmConfig, TrafficProfile, build_farm,
-                            capacity_table, farm_rate_targets,
-                            import_workload, export_workload,
-                            run_farm, shard_workload, specs_as_configs)
+    from repro.farm import (TrafficProfile, capacity_table,
+                            farm_rate_targets, import_workload,
+                            export_workload, run_farm, shard_workload,
+                            specs_as_configs)
     from repro.farm.scheduler import scheduler_names
     from repro.obs import get_registry, get_tracer, parse_slo
     from repro.ssl.throughput import DEFAULT_CLOCK_HZ
@@ -510,24 +545,14 @@ def _cmd_farm(args) -> int:
     try:
         if args.cores < 1:
             raise ValueError("--cores must be at least 1")
-        if not 0 <= args.extended_fraction <= 1:
-            raise ValueError("--extended-fraction must be in [0, 1]")
-        if args.requests < 0:
-            raise ValueError("--requests must be non-negative")
         if args.shards < 1:
             raise ValueError("--shards must be at least 1")
         if args.shards > args.cores:
             raise ValueError("--shards cannot exceed --cores")
-        if args.fault_episodes < 0:
-            raise ValueError("--fault-episodes must be non-negative")
-        fault_spec = (_parse_fault_spec(args.faults, args.cores)
-                      if args.faults else None)
+        fault_spec = _check_farm_flags(args, args.cores)
         slo = parse_slo(args.slo) if args.slo else None
         if args.slo_window <= 0:
             raise ValueError("--slo-window must be positive")
-        if args.scheduler not in scheduler_names():
-            raise ValueError(f"--scheduler must be one of "
-                             f"{scheduler_names()}")
         if args.series_interval <= 0:
             raise ValueError("--series-interval must be positive")
         if args.serve:
@@ -537,8 +562,6 @@ def _cmd_farm(args) -> int:
             if args.export_workload:
                 raise ValueError("--serve does not take "
                                  "--export-workload")
-            if args.epoch_seconds <= 0:
-                raise ValueError("--epoch-seconds must be positive")
             if args.max_epochs is not None and args.max_epochs < 1:
                 raise ValueError("--max-epochs must be at least 1")
             if args.serve_grace < 0:
@@ -556,12 +579,11 @@ def _cmd_farm(args) -> int:
             requests = trace.requests
             clock_hz = trace.clock_hz
         else:
-            if args.shards > profile.clients:
-                raise ValueError("--shards cannot exceed the client "
-                                 "population")
             # One canonical stream (interleaved shard seqs, ordered by
             # seq) -- what --export-workload writes, and what the
             # replay path re-partitions into the identical shards.
+            # shard_workload rejects a negative --requests and more
+            # shards than clients.
             workloads = shard_workload(profile, args.requests,
                                        args.shards, seed=args.seed)
             requests = sorted((r for shard in workloads for r in shard),
@@ -580,37 +602,32 @@ def _cmd_farm(args) -> int:
             print(f"wrote {len(requests)} requests to "
                   f"{args.export_workload}")
 
-    _, _, base_costs, opt_costs = _measured_cost_pair(
-        announce=not args.json)
-    specs = build_farm(args.cores, base_costs, opt_costs,
-                       extended_fraction=args.extended_fraction)
+    costs = _measured_cost_pair(announce=not args.json)[2:]
 
     if args.serve:
-        plan = None
-        if fault_spec is not None:
-            # The soak horizon is the (bounded) epoch timeline; an
-            # unbounded soak gets a generous default so seeded chaos
-            # still lands somewhere observable.
-            horizon = ((args.max_epochs if args.max_epochs else 64)
-                       * args.epoch_seconds * clock_hz)
-            plan = _build_fault_plan(fault_spec, args.cores, horizon,
-                                     args.fault_episodes, base_costs)
-        config = FarmConfig(specs=tuple(specs),
-                            scheduler=args.scheduler, profile=profile,
-                            seed=args.seed, clock_hz=clock_hz,
-                            faults=plan, slo=slo,
-                            slo_window_seconds=args.slo_window)
+        # The soak horizon is the (bounded) epoch timeline; an
+        # unbounded soak gets a generous default so seeded chaos
+        # still lands somewhere observable.
+        horizon = ((args.max_epochs if args.max_epochs else 64)
+                   * args.epoch_seconds * clock_hz)
+        config = _farm_config(args, fault_spec, args.cores, costs,
+                              horizon, profile=profile,
+                              clock_hz=clock_hz, slo=slo,
+                              slo_window_seconds=args.slo_window)
         return _run_soak(args, config)
 
-    plan = None
-    if fault_spec is not None:
-        # The chaos horizon is the offered-traffic window: strikes
-        # land while there is load to disturb.  A degraded extended
-        # core falls back to the measured base-ISA cost table.
-        horizon = max((r.arrival_cycle for r in requests),
-                      default=0.0) or clock_hz
-        plan = _build_fault_plan(fault_spec, args.cores, horizon,
-                                 args.fault_episodes, base_costs)
+    # The chaos horizon is the offered-traffic window: strikes land
+    # while there is load to disturb.
+    horizon = max((r.arrival_cycle for r in requests),
+                  default=0.0) or clock_hz
+    config = _farm_config(args, fault_spec, args.cores, costs, horizon,
+                          requests=tuple(requests), shards=args.shards,
+                          clock_hz=clock_hz, jobs=args.jobs, slo=slo,
+                          slo_window_seconds=args.slo_window,
+                          series_interval_seconds=(
+                              args.series_interval if args.series_out
+                              else None))
+    specs, plan = config.specs, config.faults
 
     tracer = get_tracer()
     metrics = (get_registry() if args.metrics or args.metrics_out
@@ -618,14 +635,6 @@ def _cmd_farm(args) -> int:
     rows = []
     runs = []
     farm_runs = []
-    config = FarmConfig(specs=tuple(specs), requests=tuple(requests),
-                        shards=args.shards, seed=args.seed,
-                        clock_hz=clock_hz, jobs=args.jobs,
-                        faults=plan, slo=slo,
-                        slo_window_seconds=args.slo_window,
-                        series_interval_seconds=(
-                            args.series_interval if args.series_out
-                            else None))
     for name in scheduler_names():
         farm_run = run_farm(config.with_scheduler(name), tracer=tracer,
                             metrics=metrics)
@@ -721,11 +730,7 @@ def _cmd_farm(args) -> int:
                   f"{sr.attainment:7.2f}")
     print("\ncapacity plan (aggregate targets, "
           "2% busy-instant activity):")
-    print(f"{'target':38s} {'config':>10s} {'cores':>7s} "
-          f"{'farm Mgates':>12s}")
-    for p in plans:
-        print(f"{p.target_name:38s} {p.config_name:>10s} "
-              f"{p.cores:7d} {p.farm_gates / 1e6:12.2f}")
+    _print_capacity_table(plans)
     _finish_obs(args)
     return 0
 
@@ -800,10 +805,9 @@ def _cmd_timeseries(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    from repro.farm import (AutoscalePolicy, FarmConfig, SloTarget,
-                            TrafficProfile, build_farm, capacity_table,
-                            curve_names, plan_farm, run_autoscale,
-                            specs_as_configs)
+    from repro.farm import (AutoscalePolicy, SloTarget, TrafficProfile,
+                            build_farm, capacity_table, curve_names,
+                            plan_farm, run_autoscale, specs_as_configs)
     from repro.ssl.throughput import DEFAULT_CLOCK_HZ, RATE_TARGETS
 
     _configure_cache(args)
@@ -824,12 +828,7 @@ def _cmd_capacity(args) -> int:
         profile = TrafficProfile(arrival_rate=args.rate)
         if args.epochs < 1:
             raise ValueError("--epochs must be at least 1")
-        if args.epoch_seconds <= 0:
-            raise ValueError("--epoch-seconds must be positive")
-        if args.fault_episodes < 0:
-            raise ValueError("--fault-episodes must be non-negative")
-        fault_spec = (_parse_fault_spec(args.faults, args.max_cores)
-                      if args.faults else None)
+        fault_spec = _check_farm_flags(args, args.max_cores)
         if args.series_out and not args.autoscale:
             raise ValueError("--series-out needs --autoscale (the "
                              "static plan has no timeline)")
@@ -849,19 +848,12 @@ def _cmd_capacity(args) -> int:
 
     report = None
     if args.autoscale:
-        pool = build_farm(args.max_cores, base_costs, opt_costs,
-                          extended_fraction=args.extended_fraction)
-        fault_plan = None
-        if fault_spec is not None:
-            # The chaos horizon spans the whole autoscale run; each
-            # epoch injects its own window of the plan.
-            horizon = args.epochs * args.epoch_seconds * DEFAULT_CLOCK_HZ
-            fault_plan = _build_fault_plan(
-                fault_spec, args.max_cores, horizon,
-                args.fault_episodes, base_costs)
-        config = FarmConfig(specs=tuple(pool), scheduler=args.scheduler,
-                            profile=profile, seed=args.seed,
-                            faults=fault_plan, slo=slo)
+        # The chaos horizon spans the whole autoscale run; each epoch
+        # injects its own window of the plan.
+        horizon = args.epochs * args.epoch_seconds * DEFAULT_CLOCK_HZ
+        config = _farm_config(args, fault_spec, args.max_cores,
+                              (base_costs, opt_costs), horizon,
+                              profile=profile, slo=slo)
         report = run_autoscale(config, policy=policy,
                                n_epochs=args.epochs,
                                epoch_seconds=args.epoch_seconds,
@@ -890,11 +882,8 @@ def _cmd_capacity(args) -> int:
     print(f"  {plan.cores} x {plan.config_name} cores "
           f"({plan.farm_gates / 1e6:.2f} Mgates, "
           f"{plan.per_core_bps / 1e6:.2f} Mbps/core)")
-    print(f"\n{'target':38s} {'config':>10s} {'cores':>7s} "
-          f"{'farm Mgates':>12s}")
-    for p in table:
-        print(f"{p.target_name:38s} {p.config_name:>10s} "
-              f"{p.cores:7d} {p.farm_gates / 1e6:12.2f}")
+    print()
+    _print_capacity_table(table)
     if report is not None:
         print(f"\nautoscale ({args.curve} curve, {args.epochs} epochs "
               f"x {args.epoch_seconds:.1f}s, scheduler "
@@ -1058,6 +1047,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable tracing and write the run's cycle-attribution "
              "profile here as JSON (prints a top-10 table too)")
 
+    # The farm description `farm` and `capacity` share.  --rate stays
+    # per subcommand: its default differs, and parents share their
+    # Action objects, so a set_defaults on one would move both.
+    farm_flags = argparse.ArgumentParser(add_help=False)
+    farm_flags.add_argument("--seed", type=int, default=1)
+    farm_flags.add_argument(
+        "--scheduler", default="preferential",
+        help="scheduler the --serve soak, the --series-out export and "
+             "the autoscale loop run (farm's offline table still "
+             "sweeps every policy)")
+    farm_flags.add_argument("--extended-fraction", type=float,
+                            default=0.5,
+                            help="fraction of cores with TIE extensions")
+    farm_flags.add_argument("--epoch-seconds", type=float, default=2.0,
+                            help="farm --serve / capacity --autoscale "
+                                 "epoch length in virtual seconds")
+    farm_flags.add_argument(
+        "--faults", metavar="SEED|FILE",
+        help="deterministic chaos: an integer seed draws a fault "
+             "schedule from the 'faults' PRNG fork, a path replays an "
+             "explicit JSON FaultPlan; under capacity --autoscale "
+             "failed cores leave the fleet and the policy must scale "
+             "the capacity back")
+    farm_flags.add_argument("--fault-episodes", type=int, default=3,
+                            help="fault episodes a seeded --faults plan "
+                                 "draws")
+    farm_flags.add_argument(
+        "--series-out", metavar="FILE",
+        help="export the run as a virtual-time metrics series (JSONL; "
+             "fault, SLO, scale and failure events annotated; capacity "
+             "needs --autoscale)")
+
     p = sub.add_parser("characterize",
                        parents=[cache_flags, obs_flags, jobs_flags],
                        help="fit leaf-routine macro-models")
@@ -1110,11 +1131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ssl)
 
     p = sub.add_parser("farm",
-                       parents=[cache_flags, obs_flags, jobs_flags],
+                       parents=[cache_flags, obs_flags, jobs_flags,
+                                farm_flags],
                        help="multi-core farm: schedulers + capacity plan")
     p.add_argument("--cores", type=int, default=4)
     p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--rate", type=float, default=60.0,
                    help="offered load in sessions/second")
     p.add_argument("--resumption", type=float, default=0.4,
@@ -1126,8 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default weight)")
     p.add_argument("--list-protocols", action="store_true",
                    help="list the registered protocol models and exit")
-    p.add_argument("--extended-fraction", type=float, default=0.5,
-                   help="fraction of cores with TIE extensions")
     p.add_argument("--shards", type=int, default=1,
                    help="partition the population across N independent "
                         "shard simulations (1 = the plain simulator, "
@@ -1138,25 +1157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-workload", metavar="FILE",
                    help="write the offered request stream as a JSONL "
                         "trace for later --replay")
-    p.add_argument("--faults", metavar="SEED|FILE",
-                   help="deterministic chaos: an integer seed draws a "
-                        "fault schedule from the 'faults' PRNG fork, a "
-                        "path replays an explicit JSON FaultPlan")
-    p.add_argument("--fault-episodes", type=int, default=3,
-                   help="fault episodes a seeded --faults plan draws")
     p.add_argument("--slo", metavar="NAME=V[,NAME=V...]",
                    help="runtime SLO gate evaluated per window, e.g. "
                         "p99_ms=5,secure_mbps=10,cache_hit_rate=0.3,"
                         "utilization=0.2")
     p.add_argument("--slo-window", type=float, default=1.0,
                    help="SLO evaluation window in (virtual) seconds")
-    p.add_argument("--scheduler", default="preferential",
-                   help="scheduler the --serve soak loop runs and the "
-                        "--series-out export follows (the offline "
-                        "table still sweeps every policy)")
-    p.add_argument("--series-out", metavar="FILE",
-                   help="export the run as a virtual-time metrics "
-                        "series (JSONL; fault/SLO events annotated)")
     p.add_argument("--series-interval", type=float, default=0.05,
                    help="series sampling interval in virtual seconds")
     p.add_argument("--serve", action="store_true",
@@ -1170,8 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=None,
                    help="--serve: stop after N epochs (default: run "
                         "until POST /quit or Ctrl-C)")
-    p.add_argument("--epoch-seconds", type=float, default=2.0,
-                   help="--serve epoch length in virtual seconds")
     p.add_argument("--serve-grace", type=float, default=0.0,
                    help="--serve: linger this many wall seconds after "
                         "the last epoch for late scrapers")
@@ -1179,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable JSON instead of tables")
     p.set_defaults(func=_cmd_farm)
 
-    p = sub.add_parser("capacity", parents=[cache_flags],
+    p = sub.add_parser("capacity", parents=[cache_flags, farm_flags],
                        help="capacity planner: static sizing + "
                             "autoscaling simulation")
     p.add_argument("--users", type=int, default=100_000,
@@ -1192,33 +1196,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default="diurnal",
                    help="arrival curve: constant, diurnal, or bursty")
     p.add_argument("--epochs", type=int, default=24)
-    p.add_argument("--epoch-seconds", type=float, default=2.0)
     p.add_argument("--rate", type=float, default=400.0,
                    help="base offered load in sessions/second")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scheduler", default="preferential")
     p.add_argument("--min-cores", type=int, default=2)
     p.add_argument("--max-cores", type=int, default=16)
     p.add_argument("--target-utilization", type=float, default=0.7)
     p.add_argument("--warmup-epochs", type=int, default=1,
                    help="epochs a scaled-out core takes to come online")
     p.add_argument("--cooldown-epochs", type=int, default=2)
-    p.add_argument("--extended-fraction", type=float, default=0.5)
     p.add_argument("--slo-p99-ms", type=float, default=None,
                    help="per-epoch p99 latency SLO (ms)")
     p.add_argument("--slo-mbps", type=float, default=None,
                    help="per-epoch secure-throughput SLO (Mbps)")
-    p.add_argument("--faults", metavar="SEED|FILE",
-                   help="deterministic chaos over the autoscale run: "
-                        "an integer seed or a JSON FaultPlan file; "
-                        "failed cores leave the fleet and the policy "
-                        "must scale the capacity back")
-    p.add_argument("--fault-episodes", type=int, default=3,
-                   help="fault episodes a seeded --faults plan draws")
-    p.add_argument("--series-out", metavar="FILE",
-                   help="with --autoscale: export the per-epoch "
-                        "series (JSONL; scale/failure events "
-                        "annotated)")
     p.add_argument("--json", action="store_true",
                    help="emit the plan/table/autoscale report as JSON")
     p.set_defaults(func=_cmd_capacity)

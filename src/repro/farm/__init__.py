@@ -51,7 +51,7 @@ from repro.farm.autoscale import (ARRIVAL_CURVES, AutoscalePolicy,
 from repro.farm.capacity import (CapacityPlan, capacity_table,
                                  cores_for_rate, farm_rate_targets,
                                  plan_farm, specs_as_configs)
-from repro.farm.config import FarmConfig, FarmRun, run_farm
+from repro.farm.config import FarmConfig, FarmRun, run_epoch, run_farm
 from repro.farm.faults import (DEFAULT_REDISPATCH_PENALTY_CYCLES,
                                FAULT_KINDS, FaultEvent, FaultPlan,
                                FaultReport, generate_fault_plan,
@@ -96,7 +96,8 @@ __all__ = [
     "farm_rate_targets", "generate_fault_plan", "generate_requests",
     "import_workload", "is_public_key_heavy",
     "make_scheduler", "merge_results", "percentile", "plan_farm",
-    "publish_metrics", "run_autoscale", "run_farm", "series_of",
+    "publish_metrics", "run_autoscale", "run_epoch", "run_farm",
+    "series_of",
     "session_id_for_client",
     "shard_workload",
     "specs_as_configs", "summarize", "summarize_faults",

@@ -19,16 +19,14 @@ functions of ``(profile, policy, slo, curve, epochs, seed)``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.mp import DeterministicPrng
 # Private alias: SloTarget is imported from repro.obs.slo (or
 # repro.farm), never from this module.
 from repro.obs.slo import SloTarget as _SloTarget
 from repro.obs.timeseries import MetricsTimeSeries
 from repro.farm.metrics import percentile
-from repro.farm.workload import _generate_stream
 
 __all__ = ["ARRIVAL_CURVES", "AutoscalePolicy", "AutoscaleReport",
            "EpochReport", "arrival_multiplier", "curve_names",
@@ -235,9 +233,8 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
     ``config`` is a :class:`repro.farm.config.FarmConfig` whose
     ``specs`` are the *pool* the policy may draw from (``max_cores``
     is clamped to its size) and whose ``profile``/``seed`` shape the
-    traffic; each epoch routes the first ``active_cores``
-    specs and that epoch's stream through
-    :func:`repro.farm.config.run_farm`.  Measured utilization and SLO
+    traffic; each epoch runs the first ``active_cores`` specs through
+    :func:`repro.farm.config.run_epoch`.  Measured utilization and SLO
     attainment (``config.slo``) drive the policy, and scale-outs land
     after the warm-up lag.  Epoch workloads come from
     ``DeterministicPrng(seed).fork(f"epoch[{e}]")``, so any epoch's
@@ -252,7 +249,7 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
     consume capacity, and replacing it costs the policy a scale-out
     plus the warm-up lag, exactly like absorbing a burst.
     """
-    from repro.farm.config import run_farm
+    from repro.farm.config import run_epoch
     if policy is None:
         policy = AutoscalePolicy()
     slo = config.slo if config.slo is not None else _SloTarget()
@@ -269,7 +266,6 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
     active = min(policy.min_cores, max_cores)
     warming: List[List[int]] = []    # [ready_epoch, count] pairs
     cooldown = 0
-    root = DeterministicPrng(config.seed)
     epoch_cycles = epoch_seconds * clock_hz
     report = AutoscaleReport(curve=curve, scheduler=config.scheduler,
                              policy=policy, slo=slo,
@@ -286,19 +282,9 @@ def run_autoscale(config, policy: AutoscalePolicy = None,
         active = min(max_cores, active + ready)
         multiplier = arrival_multiplier(curve, epoch, n_epochs)
         rate = profile.arrival_rate * multiplier
-        offered = max(1, round(rate * epoch_seconds))
-        requests = _generate_stream(profile, offered,
-                                    root.fork(f"epoch[{epoch}]"), rate,
-                                    clock_hz)
-        epoch_faults = (config.faults.window(epoch * epoch_cycles,
-                                             (epoch + 1) * epoch_cycles
-                                             ).on_cores(active)
-                        if config.faults is not None else None)
-        run = run_farm(replace(
-            config, specs=tuple(specs[:active]),
-            requests=tuple(requests), shards=1, jobs=None,
-            faults=epoch_faults, slo=None))
-        result = run.result
+        result = run_epoch(config, epoch, epoch_seconds, rate,
+                           active).result
+        offered = result.offered
         busy = sum(core.busy_cycles for core in result.cores)
         utilization = busy / (active * epoch_cycles)
         latencies_ms = [c.latency_cycles / clock_hz * 1e3

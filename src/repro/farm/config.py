@@ -5,14 +5,17 @@ scheduler, workload, sharding, faults, SLOs, series sampling) into one
 validated dataclass, and :func:`run_farm` is the single execution path
 the CLI, the shard layer, the autoscale epochs
 (:func:`~repro.farm.autoscale.run_autoscale`), the soak service, and
-the benchmark scenarios all route through.  Runtime resources that are
-not part of the run's identity (tracers, metric registries, executors)
-stay out of the config and ride as keyword arguments.
+the benchmark scenarios all route through; :func:`run_epoch` is the
+one epoch of the two epoch-driven loops (the soak service and the
+autoscale loop).  Runtime resources that are not part of the run's
+identity (tracers, metric registries, executors) stay out of the
+config and ride as keyword arguments.
 """
 
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from repro.mp import DeterministicPrng
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.slo import SloMonitor, SloReport, SloTarget
 from repro.obs.timeseries import (DEFAULT_SERIES_CAPACITY,
@@ -26,9 +29,10 @@ from repro.farm.scheduler import SCHEDULERS
 from repro.farm.shard import ShardedRun, _run_shards
 from repro.farm.simulator import (CoreSpec, FarmResult, build_farm,
                                   check_unique_seqs)
-from repro.farm.workload import SessionRequest, TrafficProfile
+from repro.farm.workload import (SessionRequest, TrafficProfile,
+                                 _generate_stream)
 
-__all__ = ["FarmConfig", "FarmRun", "run_farm"]
+__all__ = ["FarmConfig", "FarmRun", "run_epoch", "run_farm"]
 
 
 def _is_int(value) -> bool:
@@ -57,7 +61,6 @@ class FarmConfig:
     seed: int = 1
     jobs: Optional[int] = None
     clock_hz: float = DEFAULT_CLOCK_HZ
-    cache_capacity: int = 128
     faults: Optional[FaultPlan] = None
     slo: Optional[SloTarget] = None
     slo_window_seconds: float = 1.0
@@ -100,8 +103,6 @@ class FarmConfig:
             raise ValueError(
                 f"cannot split {len(self.specs)} cores into "
                 f"{self.shards} shards")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be positive")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
         if self.slo_window_seconds <= 0:
@@ -189,3 +190,36 @@ def run_farm(config: FarmConfig, *, tracer: Optional[Tracer] = None,
     return FarmRun(config=config, sharded=sharded,
                    metrics=summarize(result), faults=fault_report,
                    slo=slo_report, series=series)
+
+
+def run_epoch(config: FarmConfig, epoch: int, epoch_seconds: float,
+              rate: float, n_cores: int, *,
+              series_interval_seconds: Optional[float] = None,
+              metrics: Optional[MetricsRegistry] = None) -> FarmRun:
+    """Run epoch ``epoch`` of an epoch-driven farm on the first
+    ``n_cores`` of ``config.specs``.
+
+    The epoch offers ``max(1, round(rate * epoch_seconds))`` requests
+    drawn from ``DeterministicPrng(config.seed).fork(f"epoch[{epoch}]")``,
+    so its traffic is independent of every other epoch's, and injects
+    the ``[epoch, epoch + 1) * epoch_cycles`` window of
+    ``config.faults``, rebased to the epoch clock and limited to the
+    ``n_cores`` active cores.  It is one unsharded run without an SLO
+    gate: the soak service and the autoscale loop judge epochs
+    themselves.
+    """
+    offered = max(1, round(rate * epoch_seconds))
+    requests = _generate_stream(
+        config.profile, offered,
+        DeterministicPrng(config.seed).fork(f"epoch[{epoch}]"), rate,
+        config.clock_hz)
+    epoch_cycles = epoch_seconds * config.clock_hz
+    faults = (config.faults.window(epoch * epoch_cycles,
+                                   (epoch + 1) * epoch_cycles
+                                   ).on_cores(n_cores)
+              if config.faults is not None else None)
+    return run_farm(replace(
+        config, specs=config.specs[:n_cores], requests=tuple(requests),
+        shards=1, jobs=None, faults=faults, slo=None,
+        series_interval_seconds=series_interval_seconds),
+        metrics=metrics)

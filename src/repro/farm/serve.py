@@ -3,9 +3,10 @@
 Everything else in the repo runs a workload and exits; a soak run is
 the opposite posture -- keep the farm under load indefinitely and let
 an external scraper watch it.  :class:`FarmSoakService` replays
-traffic epoch after epoch (each epoch's stream drawn from
-``DeterministicPrng(seed).fork(f"epoch[{e}]")``, exactly the autoscale
-loop's convention, so epoch ``e`` serves identical traffic on every
+traffic epoch after epoch through :func:`repro.farm.config.run_epoch`
+(each epoch's stream drawn from
+``DeterministicPrng(seed).fork(f"epoch[{e}]")``, exactly as the
+autoscale loop's, so epoch ``e`` serves identical traffic on every
 soak of the same config) and exposes the accumulated state over HTTP:
 
 - ``GET /metrics``  -- the shared registry in Prometheus text
@@ -32,11 +33,9 @@ epoch, never from a simulation in flight.
 
 import json
 import threading
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.mp import DeterministicPrng
 from repro.obs.export import render_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloMonitor
@@ -44,7 +43,6 @@ from repro.obs.timeseries import (DEFAULT_SERIES_CAPACITY,
                                   MetricsTimeSeries)
 from repro.farm.metrics import window_metrics
 from repro.farm.timeseries import DEFAULT_SERIES_INTERVAL_SECONDS
-from repro.farm.workload import _generate_stream
 
 __all__ = ["FarmSoakService"]
 
@@ -87,7 +85,6 @@ class FarmSoakService:
                        scheduler=config.scheduler)
             if config.slo is not None else None)
         self.epochs = 0
-        self._root = DeterministicPrng(config.seed)
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._server: Optional[ThreadingHTTPServer] = None
@@ -109,23 +106,14 @@ class FarmSoakService:
     def run_epoch(self) -> None:
         """Simulate one epoch and commit its metrics, windows, and
         series onto the soak timeline."""
-        from repro.farm.config import run_farm
+        from repro.farm.config import run_epoch
         epoch = self.epochs
-        profile = self.config.profile
-        rate = profile.arrival_rate
-        offered = max(1, round(rate * self.epoch_seconds))
-        requests = _generate_stream(profile, offered,
-                                    self._root.fork(f"epoch[{epoch}]"),
-                                    rate, self.config.clock_hz)
         start = epoch * self.epoch_cycles
-        epoch_faults = (self.config.faults.window(
-            start, start + self.epoch_cycles)
-            if self.config.faults is not None else None)
-        run = run_farm(
-            replace(self.config, requests=tuple(requests), shards=1,
-                    jobs=None, faults=epoch_faults, slo=None,
-                    series_interval_seconds=self.series_interval_seconds),
-            metrics=self.registry)
+        run = run_epoch(self.config, epoch, self.epoch_seconds,
+                        self.config.profile.arrival_rate,
+                        len(self.config.specs),
+                        series_interval_seconds=self.series_interval_seconds,
+                        metrics=self.registry)
         windows = (window_metrics(run.result,
                                   self.config.slo_window_seconds)
                    if self.monitor is not None else [])

@@ -153,10 +153,9 @@ def merge_results(shard_results: Sequence[FarmResult]) -> FarmResult:
 
 def _simulate_shard(task):
     """Run one shard (module-level so process pools can pickle it)."""
-    specs, scheduler_name, requests, clock_hz, cache_capacity, faults = task
+    specs, scheduler_name, requests, clock_hz, faults = task
     simulator = FarmSimulator(specs, make_scheduler(scheduler_name),
-                              clock_hz=clock_hz,
-                              cache_capacity=cache_capacity, faults=faults)
+                              clock_hz=clock_hz, faults=faults)
     start = time.perf_counter()
     result = simulator.run(requests)
     return result, time.perf_counter() - start
@@ -222,7 +221,6 @@ def _run_shards(config, *, executor: Optional[Executor] = None,
     if shards == 1:
         simulator = FarmSimulator(specs, make_scheduler(config.scheduler),
                                   clock_hz=config.clock_hz,
-                                  cache_capacity=config.cache_capacity,
                                   tracer=tracer, metrics=metrics,
                                   faults=config.faults)
         result = simulator.run(workloads[0])
@@ -236,7 +234,7 @@ def _run_shards(config, *, executor: Optional[Executor] = None,
     # The fault plan shards under the same ownership map.
     faults = config.faults
     tasks = [(list(specs[i::shards]), config.scheduler, workloads[i],
-              config.clock_hz, config.cache_capacity,
+              config.clock_hz,
               faults.subplan_strided(shards, i) if faults else None)
              for i in range(shards)]
     root = (tracer.open_virtual("farm.sharded", 0.0,

@@ -113,11 +113,9 @@ class Completion:
 class Core:
     """Runtime state of one farm core."""
 
-    def __init__(self, index: int, spec: CoreSpec,
-                 cache_capacity: int = 128):
+    def __init__(self, index: int, spec: CoreSpec):
         self.index = index
         self.spec = spec
-        self.cache_capacity = cache_capacity
         #: One session cache per resumable protocol, created on first
         #: touch, so protocols never compete for cache slots and their
         #: hit/miss counters stay separable.
@@ -147,8 +145,7 @@ class Core:
         """The per-protocol session cache (created on first touch)."""
         cache = self.caches.get(protocol)
         if cache is None:
-            cache = self.caches[protocol] = SessionCache(
-                self.cache_capacity)
+            cache = self.caches[protocol] = SessionCache()
         return cache
 
     def backlog_cycles(self, now: float) -> float:
@@ -230,23 +227,22 @@ class FarmSimulator:
 
     def __init__(self, specs: Sequence[CoreSpec], scheduler,
                  clock_hz: float = DEFAULT_CLOCK_HZ,
-                 cache_capacity: int = 128,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  faults: Optional[FaultPlan] = None):
         if not specs:
             raise ValueError("farm needs at least one core")
+        if faults is not None:
+            faults.check_cores(len(specs))
         self.specs = list(specs)
         self.scheduler = scheduler
         self.clock_hz = clock_hz
-        self.cache_capacity = cache_capacity
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.faults = faults
 
     def run(self, requests: Sequence[SessionRequest]) -> FarmResult:
-        cores = [Core(i, spec, self.cache_capacity)
-                 for i, spec in enumerate(self.specs)]
+        cores = [Core(i, spec) for i, spec in enumerate(self.specs)]
         tracer = self.tracer
         # Hoisted no-op checks: the disabled path costs one identity /
         # None comparison per run, not per event (regression-tested).
@@ -308,17 +304,16 @@ class FarmSimulator:
             events += 1
             if kind == _FAULT:
                 event = plan.events[seq]
-                if event.core < len(cores):
-                    applied, displaced, woken = self._apply_fault(
-                        cores[event.core], event, plan, now, heap,
-                        starts, cancelled, stalled)
-                    fault_count += applied
-                    redispatches += displaced
-                    alive += woken
-                    if event.kind == "core_down" and applied:
-                        alive -= 1
-                    if applied and cores_changed is not None:
-                        cores_changed()
+                applied, displaced, woken = self._apply_fault(
+                    cores[event.core], event, plan, now, heap, starts,
+                    cancelled, stalled)
+                fault_count += applied
+                redispatches += displaced
+                alive += woken
+                if event.kind == "core_down" and applied:
+                    alive -= 1
+                if applied and cores_changed is not None:
+                    cores_changed()
                 continue
             makespan = max(makespan, now)
             if kind == _ARRIVAL:

@@ -709,3 +709,32 @@ class TestSeriesCli:
         assert "--serve" in capsys.readouterr().err
         assert main(["farm", "--serve", "--max-epochs", "0"]) == 2
         assert "--max-epochs" in capsys.readouterr().err
+
+
+class TestSharedFarmFlags:
+    @pytest.mark.parametrize("flags, named", [
+        (["--scheduler", "fifo"], "--scheduler"),
+        (["--extended-fraction", "2"], "--extended-fraction"),
+        (["--epoch-seconds", "0"], "--epoch-seconds"),
+        (["--fault-episodes", "-1", "--faults", "1"], "--fault-episodes"),
+    ])
+    @pytest.mark.parametrize("argv", [["farm"], ["capacity", "--autoscale"]])
+    def test_bad_shared_flag_fails_before_characterization(
+            self, capsys, monkeypatch, argv, flags, named):
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("characterized before validating")
+
+        monkeypatch.setattr(cli, "_measured_cost_pair", forbidden)
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    def test_rate_default_stays_per_subcommand(self):
+        # The shared flags are one argparse parent whose Actions both
+        # subcommands hold; --rate is not among them, so each keeps
+        # its own default.
+        parser = build_parser()
+        assert parser.parse_args(["farm"]).rate == 60.0
+        assert parser.parse_args(["capacity"]).rate == 400.0
+        assert parser.parse_args(["farm"]).rate == 60.0

@@ -549,6 +549,15 @@ class TestFarmConfig:
         assert FarmConfig(specs=tuple(_farm(4, 0.5)),
                           profile=TrafficProfile(), faults=edge)
 
+    def test_simulator_rejects_fault_core_out_of_range(self):
+        # Direct callers bypass FarmConfig; the engine checks too,
+        # instead of dropping the event silently.
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=1.0, kind="core_down", core=99),))
+        with pytest.raises(ValueError, match="core 99.*4 cores"):
+            FarmSimulator(_farm(4), make_scheduler("round-robin"),
+                          faults=plan)
+
     def test_duplicate_seq_rejected(self):
         # The simulator keys requests by seq: a repeated seq would
         # serve one request twice and never serve the other.

@@ -8,8 +8,10 @@ import urllib.request
 import pytest
 
 from repro.costs import PlatformCosts
-from repro.farm import (FarmConfig, FarmSoakService, FaultEvent,
-                        FaultPlan, TrafficProfile, build_farm)
+from repro.farm import (AutoscalePolicy, FarmConfig, FarmSoakService,
+                        FaultEvent, FaultPlan, TrafficProfile,
+                        build_farm, percentile, run_autoscale,
+                        run_epoch)
 from repro.obs.slo import SloTarget
 
 BASE_COSTS = PlatformCosts(
@@ -103,6 +105,35 @@ class TestSoakService:
             FarmSoakService(FarmConfig(
                 specs=tuple(build_farm(2, BASE_COSTS, OPT_COSTS, 0.5)),
                 requests=()))
+
+
+class TestEpochConvention:
+    def test_soak_and_autoscale_epochs_agree(self):
+        # Both loops run their epochs through run_epoch: with every
+        # core active and a constant curve, soak epoch e and autoscale
+        # epoch e serve the same traffic under the same fault window.
+        clock = _config().clock_hz
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=1.25 * clock, kind="degrade", core=0),
+            FaultEvent(cycle=2.5 * clock, kind="cache_flush", core=1),
+        ), degraded_costs=BASE_COSTS)
+        config = _config(profile=TrafficProfile(arrival_rate=90.0),
+                         faults=plan)
+        service = FarmSoakService(config, epoch_seconds=1.0)
+        service.run(max_epochs=3)
+        soak = [e.attrs["completed"] for e in service.series.events
+                if e.name == "soak.epoch"]
+        report = run_autoscale(
+            config, policy=AutoscalePolicy(min_cores=4, max_cores=4),
+            n_epochs=3, epoch_seconds=1.0, curve="constant")
+        assert [e.active_cores for e in report.epochs] == [4, 4, 4]
+        assert [e.completed for e in report.epochs] == soak == [90] * 3
+        for epoch in report.epochs:
+            run = run_epoch(config, epoch.epoch, 1.0, 90.0, 4)
+            assert run.result.fault_events == (epoch.epoch > 0)
+            assert epoch.p99_ms == percentile(
+                [c.latency_cycles / clock * 1e3
+                 for c in run.result.completions], 99)
 
 
 class TestHttpSurface:
