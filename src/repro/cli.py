@@ -87,6 +87,14 @@ import os
 import sys
 import time
 
+#: The shared farm flags that describe a simulated farm, with their
+#: defaults.  ``capacity`` without ``--autoscale`` simulates no farm,
+#: so it rejects any of them set to anything else.
+_SIMULATED_FARM_DEFAULTS = {
+    "scheduler": "preferential", "extended_fraction": 0.5,
+    "epoch_seconds": 2.0, "faults": None, "fault_episodes": 3,
+    "series_out": None}
+
 
 def _params_of(args) -> dict:
     """The effective parameters of a run (everything but the callback)."""
@@ -828,10 +836,13 @@ def _cmd_capacity(args) -> int:
         profile = TrafficProfile(arrival_rate=args.rate)
         if args.epochs < 1:
             raise ValueError("--epochs must be at least 1")
+        if not args.autoscale:
+            for dest, default in _SIMULATED_FARM_DEFAULTS.items():
+                if getattr(args, dest) != default:
+                    raise ValueError(
+                        f"--{dest.replace('_', '-')} needs --autoscale "
+                        "(the static plan simulates no farm)")
         fault_spec = _check_farm_flags(args, args.max_cores)
-        if args.series_out and not args.autoscale:
-            raise ValueError("--series-out needs --autoscale (the "
-                             "static plan has no timeline)")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1053,16 +1064,19 @@ def build_parser() -> argparse.ArgumentParser:
     farm_flags = argparse.ArgumentParser(add_help=False)
     farm_flags.add_argument("--seed", type=int, default=1)
     farm_flags.add_argument(
-        "--scheduler", default="preferential",
+        "--scheduler", default=_SIMULATED_FARM_DEFAULTS["scheduler"],
         help="scheduler the --serve soak, the --series-out export and "
              "the autoscale loop run (farm's offline table still "
              "sweeps every policy)")
-    farm_flags.add_argument("--extended-fraction", type=float,
-                            default=0.5,
-                            help="fraction of cores with TIE extensions")
-    farm_flags.add_argument("--epoch-seconds", type=float, default=2.0,
-                            help="farm --serve / capacity --autoscale "
-                                 "epoch length in virtual seconds")
+    farm_flags.add_argument(
+        "--extended-fraction", type=float,
+        default=_SIMULATED_FARM_DEFAULTS["extended_fraction"],
+        help="fraction of cores with TIE extensions")
+    farm_flags.add_argument(
+        "--epoch-seconds", type=float,
+        default=_SIMULATED_FARM_DEFAULTS["epoch_seconds"],
+        help="farm --serve / capacity --autoscale epoch length in "
+             "virtual seconds")
     farm_flags.add_argument(
         "--faults", metavar="SEED|FILE",
         help="deterministic chaos: an integer seed draws a fault "
@@ -1070,9 +1084,10 @@ def build_parser() -> argparse.ArgumentParser:
              "explicit JSON FaultPlan; under capacity --autoscale "
              "failed cores leave the fleet and the policy must scale "
              "the capacity back")
-    farm_flags.add_argument("--fault-episodes", type=int, default=3,
-                            help="fault episodes a seeded --faults plan "
-                                 "draws")
+    farm_flags.add_argument(
+        "--fault-episodes", type=int,
+        default=_SIMULATED_FARM_DEFAULTS["fault_episodes"],
+        help="fault episodes a seeded --faults plan draws")
     farm_flags.add_argument(
         "--series-out", metavar="FILE",
         help="export the run as a virtual-time metrics series (JSONL; "

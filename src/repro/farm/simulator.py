@@ -18,6 +18,7 @@ performance lever rather than a flag.
 """
 
 import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ from repro.protocols import SessionKeys, get_protocol
 from repro.ssl.session_cache import SessionCache
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.farm.faults import FaultPlan
+from repro.farm.scheduler import SessionDirectory
 from repro.farm.workload import SessionRequest, cost_of
 
 #: Representative gate-equivalent area of one base XT32 core (an
@@ -124,6 +126,9 @@ class Core:
         #: ``sum`` of the queued estimates, or ``None`` when the queue
         #: changed since it was last summed (see :meth:`backlog_cycles`).
         self._queued_cycles: Optional[float] = None
+        #: How many queued estimates, from the front, were priced with
+        #: a cost table other than :attr:`active_costs`.
+        self._stale_estimates = 0
         self.current: Optional[SessionRequest] = None
         self.busy_until = 0.0
         self.busy_cycles = 0.0
@@ -133,7 +138,7 @@ class Core:
         self.degraded = False
         #: The cost table requests are priced with *right now*: the
         #: spec's table normally, the plan's degraded table while a
-        #: ``degrade`` fault is in force.
+        #: ``degrade`` fault is in force (see :meth:`price_with`).
         self.active_costs: PlatformCosts = spec.costs
         self.down_since: Optional[float] = None
         self.down_cycles = 0.0
@@ -167,18 +172,31 @@ class Core:
         self.queue.append((request, estimate))
         self._queued_cycles = None
 
-    def dequeue(self) -> SessionRequest:
-        """Pop the oldest queued request."""
-        request, _ = self.queue.popleft()
+    def dequeue(self) -> Tuple[SessionRequest, Optional[float]]:
+        """Pop the oldest queued request with its estimate; the
+        estimate is ``None`` when :attr:`active_costs` did not price
+        it (the table changed while the request waited)."""
+        request, estimate = self.queue.popleft()
         self._queued_cycles = None
-        return request
+        if self._stale_estimates:
+            self._stale_estimates -= 1
+            return request, None
+        return request, estimate
 
     def drain(self) -> List[SessionRequest]:
         """Empty the queue, returning its requests in order."""
         requests = [request for request, _ in self.queue]
         self.queue.clear()
         self._queued_cycles = None
+        self._stale_estimates = 0
         return requests
+
+    def price_with(self, costs: PlatformCosts) -> None:
+        """Price requests with ``costs`` from now on; every estimate
+        already queued was priced with the previous table."""
+        if costs is not self.active_costs:
+            self.active_costs = costs
+            self._stale_estimates = len(self.queue)
 
     def knows_session(self, session_id: bytes,
                       protocol: str = "ssl") -> bool:
@@ -263,11 +281,11 @@ class FarmSimulator:
                 # fire in plan order, before any same-cycle arrival.
                 heapq.heappush(heap, (event.cycle, _FAULT, order,
                                       event.core))
-        for request in requests:
-            # (time, kind, seq, core): arrivals sort before completions
-            # at equal times so a freed core sees new work immediately.
-            heapq.heappush(heap, (request.arrival_cycle, _ARRIVAL,
-                                  request.seq, -1))
+        # (time, kind, seq, core): arrivals sort before completions
+        # at equal times so a freed core sees new work immediately.
+        heap.extend((request.arrival_cycle, _ARRIVAL, request.seq, -1)
+                    for request in requests)
+        heapq.heapify(heap)
         by_seq = {r.seq: r for r in requests}
         if len(by_seq) != len(requests):
             check_unique_seqs(requests)
@@ -276,9 +294,14 @@ class FarmSimulator:
         # affinity probe.  Never process-global, so every run pays its
         # own keying, as a single farm invocation does.
         keys = SessionKeys()
-        bind = getattr(self.scheduler, "bind_session_keys", None)
+        # Run-scoped session directory: (protocol, key) -> ascending
+        # indices of the cores that stored the key, added to at every
+        # cache store.  Evictions and flushes leave stale indices,
+        # which the scheduler's affinity probe drops as it meets them.
+        directory: SessionDirectory = {}
+        bind = getattr(self.scheduler, "bind_sessions", None)
         if bind is not None:
-            bind(keys)
+            bind(keys, directory)
         # Told after every applied fault, so a scheduler can cache
         # what it derives from the cores' up/degraded state.
         cores_changed = getattr(self.scheduler, "cores_changed", None)
@@ -299,8 +322,11 @@ class FarmSimulator:
         fault_count = 0
         events = 0
         makespan = 0.0
+        heappop = heapq.heappop
+        select = self.scheduler.select
+        start_next = self._start_next
         while heap:
-            now, kind, seq, core_index = heapq.heappop(heap)
+            now, kind, seq, core_index = heappop(heap)
             events += 1
             if kind == _FAULT:
                 event = plan.events[seq]
@@ -315,7 +341,8 @@ class FarmSimulator:
                 if applied and cores_changed is not None:
                     cores_changed()
                 continue
-            makespan = max(makespan, now)
+            if now > makespan:
+                makespan = now
             if kind == _ARRIVAL:
                 request = by_seq[seq]
                 if alive == 0:
@@ -324,7 +351,7 @@ class FarmSimulator:
                     # so the outage shows up as latency).
                     stalled.append(request)
                     continue
-                target = self.scheduler.select(request, cores, now)
+                target = select(request, cores, now)
                 core = cores[target]
                 estimate = cost_of(request, core.active_costs).cycles
                 core.enqueue(request, estimate)
@@ -332,10 +359,10 @@ class FarmSimulator:
                     tracer.event("farm.core.queue_depth", time=now,
                                  core=core.index, depth=len(core.queue))
                 if core.current is None:
-                    self._start_next(core, now, heap, starts, keys,
-                                     tracer, trace)
+                    start_next(core, now, heap, starts, keys, tracer,
+                               trace)
             else:
-                if (core_index, seq, now) in cancelled:
+                if cancelled and (core_index, seq, now) in cancelled:
                     cancelled.discard((core_index, seq, now))
                     continue
                 core = cores[core_index]
@@ -350,9 +377,13 @@ class FarmSimulator:
                 core.served += 1
                 model = get_protocol(request.protocol)
                 if model.resumable and not (request.resumed and hit):
+                    key = keys[request.protocol, request.client_id]
                     core.cache_for(request.protocol).store_entry(
-                        keys[request.protocol, request.client_id],
-                        model.session_record(request.client_id))
+                        key, model.session_record(request.client_id))
+                    holders = directory.setdefault(
+                        (request.protocol, key), [])
+                    if core_index not in holders:
+                        insort(holders, core_index)
                 core.current = None
                 if trace:
                     span = tracer.record(
@@ -381,8 +412,8 @@ class FarmSimulator:
                                   protocol=request.protocol,
                                   cache_hit=hit)
                 if core.queue:
-                    self._start_next(core, now, heap, starts, keys,
-                                     tracer, trace)
+                    start_next(core, now, heap, starts, keys, tracer,
+                               trace)
         if trace:
             tracer.close_virtual(root, makespan)
         for core in cores:
@@ -454,7 +485,7 @@ class FarmSimulator:
                 applied = 1
             if core.degraded:
                 core.degraded = False
-                core.active_costs = core.spec.costs
+                core.price_with(core.spec.costs)
                 applied = 1
             if applied:
                 core.fault_kinds.append(kind)
@@ -478,19 +509,23 @@ class FarmSimulator:
         core.degraded = True
         core.fault_kinds.append(kind)
         if plan.degraded_costs is not None and core.spec.extended:
-            core.active_costs = plan.degraded_costs
+            core.price_with(plan.degraded_costs)
         return 1, 0, 0
 
     @staticmethod
     def _start_next(core: Core, now: float, heap, starts,
                     keys: SessionKeys, tracer=NULL_TRACER,
                     trace: bool = False) -> None:
-        request = core.dequeue()
+        request, service = core.dequeue()
         hit = False
         if request.resumed and get_protocol(request.protocol).resumable:
             hit = core.cache_for(request.protocol).lookup(
                 keys[request.protocol, request.client_id]) is not None
-        service = cost_of(request, core.active_costs, cache_hit=hit).cycles
+        if hit or service is None:
+            # The dispatch estimate is the cache-miss price on the
+            # active table; anything else is priced afresh.
+            service = cost_of(request, core.active_costs,
+                              cache_hit=hit).cycles
         core.current = request
         core.busy_until = now + service
         starts[(core.index, request.seq)] = (now, service, hit)

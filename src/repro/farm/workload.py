@@ -118,23 +118,19 @@ class TrafficProfile:
             raise ValueError("mix must have positive total weight")
         if len(self.sizes_kb) != len(self.size_weights):
             raise ValueError("sizes_kb and size_weights length mismatch")
+        if not self.sizes_kb:
+            raise ValueError("need at least one session size")
 
 
-def _uniform(prng: DeterministicPrng) -> float:
-    """Uniform draw in (0, 1] -- safe as a log() argument."""
-    return (prng.next_u64() + 1) / 2.0 ** 64
-
-
-def _weighted_choice(prng: DeterministicPrng,
-                     items: Sequence, weights: Sequence[float]):
-    total = float(sum(weights))
-    u = _uniform(prng) * total
+def _running_sums(weights: Sequence[float]) -> Tuple[float, ...]:
+    """The cumulative bounds of a weighted draw, summed in order from
+    ``0.0`` exactly as the draw has always accumulated them."""
     acc = 0.0
-    for item, w in zip(items, weights):
+    sums = []
+    for w in weights:
         acc += w
-        if u <= acc:
-            return item
-    return items[-1]
+        sums.append(acc)
+    return tuple(sums)
 
 
 def _generate_stream(profile: TrafficProfile, n_requests: int,
@@ -163,6 +159,15 @@ def _generate_stream(profile: TrafficProfile, n_requests: int,
         raise ValueError("client_space must be positive")
     protocols: Tuple[str, ...] = tuple(profile.mix)
     weights = tuple(profile.mix[p] for p in protocols)
+    # A weighted draw takes ``u`` uniform in (0, 1], scales it by the
+    # total weight and picks the first item whose running sum reaches
+    # it (the last item if rounding leaves ``u`` above every sum).
+    protocol_total = float(sum(weights))
+    protocol_sums = _running_sums(weights)
+    size_total = float(sum(profile.size_weights))
+    size_sums = _running_sums(profile.size_weights)
+    resumption_ratio = profile.resumption_ratio
+    next_u64 = prng.next_u64
     requests: List[SessionRequest] = []
     # Per-protocol completed-full-handshake histories: only resumable
     # protocols keep one, so non-resumable traffic consumes no
@@ -171,17 +176,23 @@ def _generate_stream(profile: TrafficProfile, n_requests: int,
         name: set() for name in protocols if get_protocol(name).resumable}
     arrival_s = 0.0
     for k in range(n_requests):
-        arrival_s += -math.log(_uniform(prng)) / arrival_rate
-        protocol = _weighted_choice(prng, protocols, weights)
-        size_kb = _weighted_choice(prng, profile.sizes_kb,
-                                   profile.size_weights)
-        client = client_base + client_stride * (prng.next_u64()
-                                                % client_space)
+        # Uniform draws in (0, 1] -- safe as a log() argument.
+        arrival_s += -math.log((next_u64() + 1) / 2.0 ** 64) / arrival_rate
+        u = (next_u64() + 1) / 2.0 ** 64 * protocol_total
+        # Without a break the loop variable is left on the last item.
+        for protocol, bound in zip(protocols, protocol_sums):
+            if u <= bound:
+                break
+        u = (next_u64() + 1) / 2.0 ** 64 * size_total
+        for size_kb, bound in zip(profile.sizes_kb, size_sums):
+            if u <= bound:
+                break
+        client = client_base + client_stride * (next_u64() % client_space)
         resumed = False
         history = handshaken.get(protocol)
         if history is not None:
             if (client in history
-                    and _uniform(prng) <= profile.resumption_ratio):
+                    and (next_u64() + 1) / 2.0 ** 64 <= resumption_ratio):
                 resumed = True
             else:
                 history.add(client)

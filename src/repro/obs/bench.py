@@ -898,8 +898,8 @@ register_scenario(Scenario(
 register_scenario(Scenario(
     name="farm_scale",
     description="256-core heterogeneous farm, 50,000 preferential "
-                "requests at 8000/s over 4096 clients (seed 1): the "
-                "host hot path at scale, results gated exactly",
+                "requests at 8000/s over 4096 clients (seed 1): "
+                "dispatch at scale, every result gated exactly",
     run=_farm_scale_metrics,
     gates={
         "cores": _EXACT_COUNT,

@@ -92,6 +92,10 @@ class ProtocolModel:
         ``cache_hit`` applies to resumed requests only: a hit serves
         the abbreviated handshake, a miss falls back to the full one.
         Returns a :class:`RequestCost`.
+
+        Must be a pure function of its arguments: the farm prices each
+        request once when it is dispatched, and serves a cache miss on
+        the same cost table at that dispatch-time price.
         """
         raise NotImplementedError
 

@@ -730,6 +730,29 @@ class TestSharedFarmFlags:
         assert main(argv + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {named}")
 
+    @pytest.mark.parametrize("flags", [
+        ["--faults", "3"],
+        ["--faults", "no-such-plan.json"],
+        ["--fault-episodes", "5"],
+        ["--scheduler", "round-robin"],
+        ["--epoch-seconds", "7"],
+        ["--extended-fraction", "0.25"],
+    ])
+    def test_static_capacity_rejects_simulation_flags(
+            self, capsys, monkeypatch, flags):
+        """Without --autoscale, capacity simulates no farm: each flag
+        that only describes one is refused before characterization,
+        and a --faults file is never opened."""
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("characterized before validating")
+
+        monkeypatch.setattr(cli, "_measured_cost_pair", forbidden)
+        assert main(["capacity"] + flags) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {flags[0]} needs --autoscale")
+
     def test_rate_default_stays_per_subcommand(self):
         # The shared flags are one argparse parent whose Actions both
         # subcommands hold; --rate is not among them, so each keeps

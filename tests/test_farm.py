@@ -5,6 +5,8 @@ costs, frozen) so no ISS characterization runs -- the farm layer is a
 pure function of these numbers.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,9 @@ from repro.farm import (FarmSimulator, FaultEvent, FaultPlan,
 from repro.farm.faults import FAULT_KINDS
 from repro.farm.scheduler import Scheduler
 from repro.farm.simulator import BASE_CORE_GATES, Core, extension_gates
-from repro.protocols import (ProtocolModel, RequestCost,
+from repro.farm.workload import _generate_stream
+from repro.mp import DeterministicPrng
+from repro.protocols import (ProtocolModel, RequestCost, get_protocol,
                              register_protocol, unregister_protocol)
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.costs import PlatformCosts
@@ -102,6 +106,7 @@ class TestWorkload:
         {"mix": {"quic": 1.0}},
         {"mix": {}},
         {"sizes_kb": (1, 2), "size_weights": (1,)},
+        {"sizes_kb": (), "size_weights": ()},
     ])
     def test_profile_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -143,6 +148,107 @@ class TestWorkload:
         assert not is_public_key_heavy(req("ssl", resumed=True))
         assert not is_public_key_heavy(req("esp"))
         assert not is_public_key_heavy(req("wep"))
+
+
+def _legacy_stream(profile, n_requests, prng, arrival_rate, clock_hz,
+                   seq_base=0, seq_stride=1, client_base=0,
+                   client_stride=1, client_space=None):
+    """The request draw loop as first written, one helper call per
+    uniform and weighted draw: the oracle ``_generate_stream`` must
+    reproduce request for request."""
+
+    def uniform():
+        return (prng.next_u64() + 1) / 2.0 ** 64
+
+    def weighted_choice(items, weights):
+        total = float(sum(weights))
+        u = uniform() * total
+        acc = 0.0
+        for item, w in zip(items, weights):
+            acc += w
+            if u <= acc:
+                return item
+        return items[-1]
+
+    if client_space is None:
+        client_space = profile.clients
+    protocols = tuple(profile.mix)
+    weights = tuple(profile.mix[p] for p in protocols)
+    handshaken = {name: set() for name in protocols
+                  if get_protocol(name).resumable}
+    requests = []
+    arrival_s = 0.0
+    for k in range(n_requests):
+        arrival_s += -math.log(uniform()) / arrival_rate
+        protocol = weighted_choice(protocols, weights)
+        size_kb = weighted_choice(profile.sizes_kb, profile.size_weights)
+        client = client_base + client_stride * (prng.next_u64()
+                                                % client_space)
+        resumed = False
+        history = handshaken.get(protocol)
+        if history is not None:
+            if client in history and uniform() <= profile.resumption_ratio:
+                resumed = True
+            else:
+                history.add(client)
+        requests.append(SessionRequest(
+            seq=seq_base + seq_stride * k,
+            arrival_cycle=arrival_s * clock_hz, protocol=protocol,
+            size_bytes=size_kb * 1024, resumed=resumed,
+            client_id=client))
+    return requests
+
+
+#: Profiles whose draws the generator must keep: the stock mix, zero
+#: weights first, inside and last, fractional weights whose running
+#: sums round, a resumable protocol added after the legacy four, and
+#: certain or impossible resumption.
+COMPAT_PROFILES = [
+    TrafficProfile(),
+    TrafficProfile(mix={"wep": 0.0, "ssl": 3.0, "esp": 0.0, "wtls": 1.0},
+                   resumption_ratio=0.7, clients=8),
+    TrafficProfile(mix={"ssl": 0.1, "wtls": 0.2, "esp": 0.3, "wep": 0.7,
+                        "tls13": 0.1},
+                   sizes_kb=(1, 4, 16, 64), size_weights=(0.0, 0.1, 0.2, 0.3),
+                   resumption_ratio=1.0, clients=3),
+    TrafficProfile(mix={"esp": 1.0, "ssl": 0.0}, resumption_ratio=0.0,
+                   sizes_kb=(2, 8), size_weights=(1, 0)),
+]
+
+
+class TestGeneratorCompatibility:
+    """``_generate_stream`` draws exactly what the helper-call loop it
+    replaced drew: same PRNG calls, same float comparisons."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2 ** 63 + 5])
+    @pytest.mark.parametrize("profile", COMPAT_PROFILES,
+                             ids=["stock", "zeros", "fractions",
+                                  "bulk-only"])
+    def test_matches_legacy_loop(self, profile, seed):
+        got = _generate_stream(profile, 400, DeterministicPrng(seed),
+                               profile.arrival_rate, DEFAULT_CLOCK_HZ)
+        want = _legacy_stream(profile, 400, DeterministicPrng(seed),
+                              profile.arrival_rate, DEFAULT_CLOCK_HZ)
+        assert got == want
+        assert got == generate_requests(profile, 400, seed=seed)
+
+    @pytest.mark.parametrize("shard, shards", [(0, 2), (1, 3), (4, 5)])
+    def test_matches_legacy_loop_sharded(self, shard, shards):
+        profile = TrafficProfile(resumption_ratio=0.6, clients=40)
+        # Clients in residue class ``shard``, as shard_workload maps them.
+        space = (profile.clients - shard + shards - 1) // shards
+        stream = DeterministicPrng(3).fork(f"shard[{shard}]")
+        legacy = DeterministicPrng(3).fork(f"shard[{shard}]")
+        mapping = dict(seq_base=shard, seq_stride=shards,
+                       client_base=shard, client_stride=shards,
+                       client_space=space)
+        got = _generate_stream(profile, 300, stream, 90.0,
+                               DEFAULT_CLOCK_HZ, **mapping)
+        want = _legacy_stream(profile, 300, legacy, 90.0,
+                              DEFAULT_CLOCK_HZ, **mapping)
+        assert got == want
+        assert {r.client_id % shards for r in got} == {shard}
+        assert any(r.resumed for r in got)
 
 
 class TestSimulator:
@@ -312,11 +418,23 @@ class FreeProtocolModel(ProtocolModel):
         return not request.resumed
 
 
+class GridProtocolModel(FreeProtocolModel):
+    """Prices every request at exactly one :data:`GRID` step."""
+
+    name = "grid"
+
+    def request_cost(self, request, costs, cache_hit=False):
+        return RequestCost(cycles=GRID, public_key_cycles=0.0,
+                           payload_bytes=request.size_bytes)
+
+
 @pytest.fixture(scope="module")
 def free_protocol():
     register_protocol(FreeProtocolModel())
+    register_protocol(GridProtocolModel())
     yield
     unregister_protocol("free")
+    unregister_protocol("grid")
 
 
 def _free_req(seq, arrival):
@@ -336,11 +454,24 @@ class ScanLeastLoaded(Scheduler):
         return _scan(cores, now, range(len(cores)))
 
 
+def _scan_affine(request, cores):
+    """The lowest-index live core whose cache holds the request's
+    session, found by probing every core."""
+    model = get_protocol(request.protocol)
+    if not (request.resumed and model.resumable):
+        return None
+    key = model.cache_key(request.client_id)
+    for core in cores:
+        if core.up and core.knows_session(key, request.protocol):
+            return core.index
+    return None
+
+
 class ScanPreferential(Scheduler):
     """Pools rebuilt and every candidate probed on each dispatch."""
 
     def select(self, request, cores, now):
-        affine = self._affine_core(request, cores)
+        affine = _scan_affine(request, cores)
         if affine is not None:
             return affine
         extended = [c.index for c in cores
@@ -351,9 +482,29 @@ class ScanPreferential(Scheduler):
         return _scan(cores, now, preferred or base or extended)
 
 
+#: Each production least-loaded policy with its full-scan reference.
+REFERENCES = {"least-loaded": ScanLeastLoaded,
+              "preferential": ScanPreferential}
+
+
 def _timeline(result):
     return [(c.request.seq, c.core_index, c.start_cycle, c.finish_cycle)
             for c in result.completions]
+
+
+def _ssl(seq, arrival, client, resumed=False, size=1024):
+    return SessionRequest(seq=seq, arrival_cycle=arrival, protocol="ssl",
+                          size_bytes=size, resumed=resumed,
+                          client_id=client)
+
+
+def _checked_run(specs, name, requests):
+    """Run ``name`` over ``requests`` and check it against the full-scan
+    reference; returns ``seq -> completion``."""
+    got = FarmSimulator(specs, make_scheduler(name)).run(requests)
+    want = FarmSimulator(specs, REFERENCES[name]()).run(requests)
+    assert _timeline(got) == _timeline(want)
+    return {c.request.seq: c for c in got.completions}
 
 
 class TestDispatchExactness:
@@ -402,6 +553,108 @@ class TestDispatchExactness:
                 want = FarmSimulator(specs, reference(),
                                      faults=run_plan).run(requests)
                 assert _timeline(got) == _timeline(want)
+
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_core_waking_at_now_counts_as_idle(self, free_protocol,
+                                               name):
+        """A core seen busy at an earlier pick, whose work ends exactly
+        at the arrival cycle, is idle again at that cycle."""
+        requests = [SessionRequest(seq=k, arrival_cycle=arrival,
+                                   protocol="grid", size_bytes=64,
+                                   resumed=False, client_id=k)
+                    for k, arrival in enumerate((0.0, GRID / 2, GRID))]
+        by_seq = _checked_run(_farm(3, 0.0), name, requests)
+        assert [by_seq[k].core_index for k in range(3)] == [0, 1, 0]
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_busy_pool_falls_back_to_scan(self, name):
+        """With every core of the pool busy, the pick is the smallest
+        backlog, not the lowest index."""
+        # Three ESP bursts of falling size occupy the three base cores
+        # at cycle 0; the fourth request waits least on core 2.
+        requests = [SessionRequest(seq=k, arrival_cycle=0.0,
+                                   protocol="esp", size_bytes=size,
+                                   resumed=False, client_id=k)
+                    for k, size in enumerate((8192, 4096, 1024, 64))]
+        by_seq = _checked_run(_farm(3, 0.0), name, requests)
+        assert [by_seq[k].core_index for k in range(4)] == [0, 1, 2, 2]
+
+    def test_each_request_served_at_its_price(self):
+        """A miss is served at the dispatch-time estimate, a cache hit
+        at the abbreviated-handshake price."""
+        requests = [_ssl(0, 0.0, 7), _ssl(1, 1e9, 7, resumed=True),
+                    _ssl(2, 2e9, 8, resumed=True)]
+        result = FarmSimulator(_farm(2, 0.0),
+                               make_scheduler("preferential")).run(requests)
+        by_seq = {c.request.seq: c for c in result.completions}
+        assert [by_seq[k].cache_hit for k in range(3)] == [False, True,
+                                                           False]
+        for k in range(3):
+            assert by_seq[k].service_cycles == cost_of(
+                requests[k], BASE_COSTS,
+                cache_hit=by_seq[k].cache_hit).cycles
+
+    def test_busy_preferred_pool_falls_back_within_pool(self):
+        """Full handshakes fill both extended cores; the next one joins
+        the shorter extended queue rather than an idle base core."""
+        requests = [_ssl(0, 0.0, 0, size=8192), _ssl(1, 0.0, 1, size=64),
+                    _ssl(2, 0.0, 2)]
+        by_seq = _checked_run(_farm(4, 0.5), "preferential", requests)
+        assert [by_seq[k].core_index for k in range(3)] == [0, 1, 1]
+
+    def test_affinity_pick_leaves_idle_index(self):
+        """A resumed request sent to its idle affine core makes that
+        core busy: the next least-loaded picks pass it over."""
+        gap = 1e9       # far longer than a full handshake on a base core
+        requests = [_ssl(0, 0.0, 0), _ssl(1, 0.0, 1),
+                    # Client 1's session lives on core 1, which is idle
+                    # but not the lowest-index idle core.
+                    _ssl(2, gap, 1, resumed=True),
+                    _ssl(3, gap, 2), _ssl(4, gap, 3)]
+        by_seq = _checked_run(_farm(3, 0.0), "preferential", requests)
+        assert [by_seq[k].core_index for k in range(5)] == [0, 1, 1, 0, 2]
+        assert by_seq[2].cache_hit
+
+    @pytest.mark.parametrize("later_sessions, evicted", [(127, False),
+                                                         (128, True)])
+    def test_evicted_session_is_not_routed_to(self, later_sessions,
+                                              evicted):
+        """Core 0 stores client 1000's session, then ``later_sessions``
+        more; the 128-entry LRU cache evicts it at the 128th.  A
+        resumed request then follows its session to a busy core 0 only
+        while the session is still cached there."""
+        gap = 1e9
+        requests = [_ssl(0, 0.0, 1000)]
+        requests += [_ssl(1 + k, (1 + k) * gap, k)
+                     for k in range(later_sessions)]
+        t = (later_sessions + 2) * gap
+        n = len(requests)
+        # An ESP burst keeps core 0 busy at t without storing a session.
+        requests += [SessionRequest(seq=n, arrival_cycle=t, protocol="esp",
+                                    size_bytes=8192, resumed=False,
+                                    client_id=999),
+                     _ssl(n + 1, t, 1000, resumed=True)]
+        by_seq = _checked_run(_farm(2, 0.0), "preferential", requests)
+        assert all(by_seq[k].core_index == 0 for k in range(n + 1))
+        resumed = by_seq[n + 1]
+        assert resumed.core_index == (1 if evicted else 0)
+        assert resumed.cache_hit is not evicted
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_scheduler_reused_across_farms(self, name):
+        """One scheduler serves farms of different sizes in turn; each
+        run matches a fresh full-scan reference."""
+        requests = generate_requests(
+            TrafficProfile(arrival_rate=400.0, resumption_ratio=0.5,
+                           clients=16), 300, seed=5)
+        scheduler = make_scheduler(name)
+        for n_cores, fraction in ((6, 0.5), (3, 0.34), (8, 0.25),
+                                  (6, 0.5)):
+            specs = _farm(n_cores, fraction)
+            got = FarmSimulator(specs, scheduler).run(requests)
+            want = FarmSimulator(specs, REFERENCES[name]()).run(requests)
+            assert _timeline(got) == _timeline(want)
 
 
 class TestMetrics:

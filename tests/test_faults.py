@@ -359,6 +359,28 @@ class TestSimulatorUnderFaults:
             healthy.completions[0].service_cycles
         assert recorded.fault_events == 1
 
+    def test_queued_requests_priced_on_the_table_they_start_under(self):
+        """Estimates queued before a cost-table change are priced
+        afresh when service starts; only an estimate made on the
+        active table is reused."""
+        specs = _farm(1, 1.0)
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=1.0, kind="degrade", core=0),
+            FaultEvent(cycle=20e6, kind="core_up", core=0),),
+            degraded_costs=BASE_COSTS)
+        # r0 runs healthy; r1 and r2 queue behind it on the healthy
+        # table; r3 queues while degraded.  r1 starts degraded, r2 and
+        # r3 after the recovery that lands during r1.
+        requests = [_req(0, 0.0), _req(1, 0.0, client=1),
+                    _req(2, 0.0, client=2), _req(3, 10e6, client=3)]
+        result = _run_with_plan(specs, "round-robin", requests, plan)
+        by_seq = {c.request.seq: c for c in result.completions}
+        assert by_seq[1].start_cycle < 20e6 < by_seq[2].start_cycle
+        tables = [OPT_COSTS, BASE_COSTS, OPT_COSTS, OPT_COSTS]
+        assert [by_seq[k].service_cycles for k in range(4)] == [
+            cost_of(requests[k], table).cycles
+            for k, table in enumerate(tables)]
+
     def test_degrade_recovers_on_core_up(self):
         specs = _farm(1, 1.0)
         plan = FaultPlan(events=(
