@@ -24,14 +24,22 @@ The package implements the paper's entire system stack from scratch:
 - :mod:`repro.farm`      -- multi-core scale-out: traffic generation,
   discrete-event farm simulation, scheduling, and capacity planning
 
+Importing :mod:`repro` loads none of these layers: the top-level names
+below resolve on first access (see :mod:`repro._lazy`), and each
+package loads only the layers its caller touches.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparison of every table and figure.
 """
 
-from repro.platform import (REFERENCE_CONFIG, TUNED_CONFIG,
-                            SecurityPlatform)
-from repro.crypto.api import SecurityApi
-from repro.crypto.modexp import ModExpConfig
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.platform": ("REFERENCE_CONFIG", "TUNED_CONFIG",
+                       "SecurityPlatform"),
+    "repro.crypto.api": ("SecurityApi",),
+    "repro.crypto.modexp": ("ModExpConfig",),
+})
 
 __version__ = "1.0.0"
 

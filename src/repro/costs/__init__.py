@@ -20,25 +20,29 @@ architectural layer:
   zero times.
 
 Import :class:`PlatformCosts` and the per-protocol cost constants from
-here; the SSL model consumes them but does not re-export them.
+here; the SSL model consumes them but does not re-export them.  Names
+resolve on first access, so the cost vocabulary alone never loads the
+backends or the characterization harness.
 """
 
-from repro.costs.model import (CRC32_CYCLES_PER_BYTE,
-                               ECDH_RSA_PUBLIC_EQUIV,
-                               ESP_PACKET_FIXED_CYCLES,
-                               KASUMI_CYCLES_PER_BYTE,
-                               KASUMI_FRAME_FIXED_CYCLES,
-                               PROTOCOL_CYCLES_PER_BYTE,
-                               PROTOCOL_FIXED_CYCLES, PlatformCosts,
-                               RC4_CYCLES_PER_BYTE,
-                               WEP_FRAME_FIXED_CYCLES)
-from repro.costs.backends import (CostBackend, CrossValidation,
-                                  IssBackend, MacroModelBackend,
-                                  MPN_LEAF_ROUTINES, RoutineValidation,
-                                  cross_validate)
-from repro.costs.cache import (CacheStats, CharacterizationCache,
-                               CharacterizationKey, characterize_cached,
-                               configure_cache, get_cache, reset_cache)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.costs.model": (
+        "CRC32_CYCLES_PER_BYTE", "ECDH_RSA_PUBLIC_EQUIV",
+        "ESP_PACKET_FIXED_CYCLES", "KASUMI_CYCLES_PER_BYTE",
+        "KASUMI_FRAME_FIXED_CYCLES", "PROTOCOL_CYCLES_PER_BYTE",
+        "PROTOCOL_FIXED_CYCLES", "PlatformCosts", "RC4_CYCLES_PER_BYTE",
+        "WEP_FRAME_FIXED_CYCLES"),
+    "repro.costs.backends": (
+        "CostBackend", "CrossValidation", "IssBackend",
+        "MacroModelBackend", "MPN_LEAF_ROUTINES", "RoutineValidation",
+        "cross_validate"),
+    "repro.costs.cache": (
+        "CacheStats", "CharacterizationCache", "CharacterizationKey",
+        "characterize_cached", "configure_cache", "get_cache",
+        "reset_cache"),
+})
 
 __all__ = [
     "CRC32_CYCLES_PER_BYTE", "CacheStats", "CharacterizationCache",

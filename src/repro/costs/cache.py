@@ -30,16 +30,20 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.macromodel.characterize import DEFAULT_SIZES, characterize_platform
-from repro.macromodel.model import MacroModelSet
-from repro.macromodel.persist import modelset_from_dict, modelset_to_dict
+# The harness (characterize) and the JSON codec (persist) load on the
+# first characterization or disk access; the model types and the
+# stimulus defaults come from the numpy-free model module.
+from repro.macromodel.model import DEFAULT_SEED, DEFAULT_SIZES, MacroModelSet
 from repro.mp.prng import DeterministicPrng
 from repro.obs import get_registry as get_obs_registry
 from repro.obs import get_tracer
 
-#: The characterization harness's stimulus seed (must match the
-#: default PRNG in :func:`characterize_platform`).
-DEFAULT_SEED = 0xC0FFEE
+
+def characterize_platform(*args, **kwargs) -> MacroModelSet:
+    """:func:`repro.macromodel.characterize.characterize_platform`,
+    loading the ISS stimulus harness on the first characterization."""
+    from repro.macromodel import characterize
+    return characterize.characterize_platform(*args, **kwargs)
 
 #: Environment variable naming a default on-disk store (used by CI to
 #: carry the characterization cache across runs).
@@ -123,6 +127,7 @@ class CharacterizationCache:
         path = self.path_for(key)
         if not path or not os.path.exists(path):
             return None
+        from repro.macromodel.persist import modelset_from_dict
         try:
             with open(path) as fh:
                 entry = json.load(fh)
@@ -143,6 +148,7 @@ class CharacterizationCache:
 
     def _store_disk(self, key: CharacterizationKey,
                     models: MacroModelSet) -> None:
+        from repro.macromodel.persist import modelset_to_dict
         path = self.path_for(key)
         if not path:
             return

@@ -21,13 +21,18 @@ published test vectors; nothing here should be used to protect real
 data (no constant-time guarantees, deterministic stimulus PRNG).
 """
 
-from repro.crypto.aes import Aes
-from repro.crypto.des import Des, TripleDes
-from repro.crypto.kasumi import Kasumi
-from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, RsaPublicKey, generate_rsa_keypair
-from repro.crypto.elgamal import ElGamalKeyPair, generate_elgamal_keypair
-from repro.crypto.api import (SecurityApi, UnknownAlgorithmError,
-                              register_algorithm, registered_algorithms)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.crypto.aes": ("Aes",),
+    "repro.crypto.des": ("Des", "TripleDes"),
+    "repro.crypto.kasumi": ("Kasumi",),
+    "repro.crypto.rsa": ("RsaKeyPair", "RsaPrivateKey", "RsaPublicKey",
+                         "generate_rsa_keypair"),
+    "repro.crypto.elgamal": ("ElGamalKeyPair", "generate_elgamal_keypair"),
+    "repro.crypto.api": ("SecurityApi", "UnknownAlgorithmError",
+                         "register_algorithm", "registered_algorithms"),
+})
 
 __all__ = [
     "Aes", "Des", "Kasumi", "TripleDes",

@@ -6,9 +6,13 @@ which the paper shows is orders of magnitude cheaper than evaluating
 candidates on the instruction-set simulator.
 """
 
-from repro.explore.cache import ExplorationStore, exploration_digest
-from repro.explore.explorer import (AlgorithmExplorer, ExplorationResult,
-                                    ExplorationRun, RsaDecryptWorkload)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.explore.cache": ("ExplorationStore", "exploration_digest"),
+    "repro.explore.explorer": ("AlgorithmExplorer", "ExplorationResult",
+                               "ExplorationRun", "RsaDecryptWorkload"),
+})
 
 __all__ = ["AlgorithmExplorer", "ExplorationResult", "ExplorationRun",
            "ExplorationStore", "RsaDecryptWorkload", "exploration_digest"]

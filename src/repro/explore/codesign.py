@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.modexp import ModExpConfig
 from repro.explore.explorer import AlgorithmExplorer, RsaDecryptWorkload
-from repro.isa.custom import (make_vaddc, make_vmac, make_vmsub, make_vmul1,
-                              make_vsubb)
+from repro.isa.custom import mp_datapath_gates
 from repro.macromodel import MacroModelSet
 
 
@@ -38,12 +37,7 @@ class HardwareConfig:
     @property
     def area(self) -> float:
         """Gate-equivalent overhead of this configuration's instructions."""
-        if self.is_base:
-            return 0.0
-        instrs = [make_vaddc(self.add_width), make_vsubb(self.add_width),
-                  make_vmac(self.mac_width), make_vmsub(self.mac_width),
-                  make_vmul1(self.mac_width)]
-        return sum(i.area for i in instrs)
+        return mp_datapath_gates(self.add_width, self.mac_width)
 
     def label(self) -> str:
         if self.is_base:

@@ -39,18 +39,18 @@ preferential algorithm.  This package models exactly that step:
   continuously and exposes ``/metrics`` (Prometheus text exposition,
   virtual-time timestamps), ``/healthz``, and ``/slo`` over HTTP.
 
+Importing the package loads the run path every farm run uses (config,
+simulator, scheduler, workload, metrics, faults, shard); the optional
+services (autoscale, capacity, replay, timeseries, serve) load on first
+use of one of their names, and nothing here loads the explorer, the
+macro-models or numpy.
+
 Drive it from the command line with ``python -m repro farm``.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.slo import (SloMonitor, SloObjective, SloReport,
                            SloTarget)
-from repro.farm.autoscale import (ARRIVAL_CURVES, AutoscalePolicy,
-                                  AutoscaleReport, EpochReport,
-                                  arrival_multiplier, curve_names,
-                                  run_autoscale)
-from repro.farm.capacity import (CapacityPlan, capacity_table,
-                                 cores_for_rate, farm_rate_targets,
-                                 plan_farm, specs_as_configs)
 from repro.farm.config import FarmConfig, FarmRun, run_epoch, run_farm
 from repro.farm.faults import (DEFAULT_REDISPATCH_PENALTY_CYCLES,
                                FAULT_KINDS, FaultEvent, FaultPlan,
@@ -58,8 +58,6 @@ from repro.farm.faults import (DEFAULT_REDISPATCH_PENALTY_CYCLES,
                                summarize_faults)
 from repro.farm.metrics import (FarmMetrics, percentile, summarize,
                                 window_metrics)
-from repro.farm.replay import (WorkloadTrace, export_workload,
-                               import_workload)
 from repro.farm.scheduler import (SCHEDULERS, LeastLoadedScheduler,
                                   PreferentialScheduler,
                                   RoundRobinScheduler, Scheduler,
@@ -68,14 +66,26 @@ from repro.farm.shard import ShardedRun, merge_results, shard_workload
 from repro.farm.simulator import (BASE_CORE_GATES, Completion, Core,
                                   CoreSpec, FarmResult, FarmSimulator,
                                   build_farm, publish_metrics)
-from repro.farm.serve import FarmSoakService
-from repro.farm.timeseries import (DEFAULT_SERIES_INTERVAL_SECONDS,
-                                   FarmSeriesRecorder, annotate_faults,
-                                   annotate_slo, series_of)
 from repro.farm.workload import (RequestCost, SessionRequest,
                                  TrafficProfile, cost_of,
                                  generate_requests, is_public_key_heavy,
                                  session_id_for_client)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.farm.autoscale": (
+        "ARRIVAL_CURVES", "AutoscalePolicy", "AutoscaleReport",
+        "EpochReport", "arrival_multiplier", "curve_names",
+        "run_autoscale"),
+    "repro.farm.capacity": (
+        "CapacityPlan", "capacity_table", "cores_for_rate",
+        "farm_rate_targets", "plan_farm", "specs_as_configs"),
+    "repro.farm.replay": (
+        "WorkloadTrace", "export_workload", "import_workload"),
+    "repro.farm.serve": ("FarmSoakService",),
+    "repro.farm.timeseries": (
+        "DEFAULT_SERIES_INTERVAL_SECONDS", "FarmSeriesRecorder",
+        "annotate_faults", "annotate_slo", "series_of"),
+})
 
 __all__ = [
     "ARRIVAL_CURVES", "BASE_CORE_GATES", "AutoscalePolicy",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.costs import PlatformCosts
-from repro.explore.codesign import HardwareConfig
+from repro.isa.custom import mp_datapath_gates
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.protocols import SessionKeys, get_protocol
 from repro.ssl.session_cache import SessionCache
@@ -59,8 +59,8 @@ class CoreSpec:
 
 
 def extension_gates(add_width: int = 8, mac_width: int = 8) -> float:
-    """Gate overhead of the TIE datapath (from the co-design area model)."""
-    return HardwareConfig(add_width, mac_width).area
+    """Gate overhead of the TIE datapath (the co-design area model)."""
+    return mp_datapath_gates(add_width, mac_width)
 
 
 def build_farm(n_cores: int, base_costs: PlatformCosts,

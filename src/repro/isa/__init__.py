@@ -24,9 +24,13 @@ reproduction targets the *shape* of the paper's speedups, which the
 co-design methodology produces on any extensible core.
 """
 
-from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.extensions import CustomInstruction, ExtensionSet
-from repro.isa.machine import Machine, MachineError, Profile
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.isa.assembler": ("AssemblyError", "assemble"),
+    "repro.isa.extensions": ("CustomInstruction", "ExtensionSet"),
+    "repro.isa.machine": ("Machine", "MachineError", "Profile"),
+})
 
 __all__ = ["assemble", "AssemblyError", "CustomInstruction", "ExtensionSet",
            "Machine", "MachineError", "Profile"]

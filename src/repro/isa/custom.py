@@ -287,12 +287,26 @@ def make_vzero() -> CustomInstruction:
         description="zero the 2k+2-word Montgomery scratch buffer")
 
 
+def _mp_instructions(add_width: int, mac_width: int
+                     ) -> List[CustomInstruction]:
+    return [make_vaddc(add_width), make_vsubb(add_width),
+            make_vmac(mac_width), make_vmsub(mac_width),
+            make_vmul1(mac_width)]
+
+
 def mp_extension_set(add_width: int = 8, mac_width: int = 4) -> ExtensionSet:
     """A multi-precision extension configuration at the given widths."""
-    return ExtensionSet([
-        make_vaddc(add_width), make_vsubb(add_width),
-        make_vmac(mac_width), make_vmsub(mac_width), make_vmul1(mac_width),
-    ])
+    return ExtensionSet(_mp_instructions(add_width, mac_width))
+
+
+def mp_datapath_gates(add_width: int, mac_width: int) -> float:
+    """Gate-equivalent area of the five multi-precision datapath
+    instructions at the given widths; 0 for the base core (both widths
+    0).  The co-design explorer's hardware area and the farm's extended
+    core gates both read it."""
+    if add_width == 0 and mac_width == 0:
+        return 0.0
+    return sum(i.area for i in _mp_instructions(add_width, mac_width))
 
 
 # ---------------------------------------------------------------------------

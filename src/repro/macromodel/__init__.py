@@ -9,7 +9,8 @@ then executed natively with the macro-models charging estimated cycles
 per leaf call, orders of magnitude faster than ISS runs.
 
 - :mod:`repro.macromodel.regression`   -- least-squares model forms and
-  selection (the S-Plus substitute).
+  selection (the S-Plus substitute); numpy loads on the first fit or
+  prediction.
 - :mod:`repro.macromodel.model`        -- fitted :class:`MacroModel`
   objects and per-platform :class:`MacroModelSet` collections.
 - :mod:`repro.macromodel.characterize` -- the ISS stimulus harness.
@@ -17,9 +18,13 @@ per leaf call, orders of magnitude faster than ISS runs.
   estimator (a tracer charging macro-model estimates per leaf call).
 """
 
-from repro.macromodel.model import MacroModel, MacroModelSet
-from repro.macromodel.estimator import CycleEstimate, estimate_cycles
-from repro.macromodel.characterize import characterize_platform
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.macromodel.model": ("MacroModel", "MacroModelSet"),
+    "repro.macromodel.estimator": ("CycleEstimate", "estimate_cycles"),
+    "repro.macromodel.characterize": ("characterize_platform",),
+})
 
 __all__ = ["MacroModel", "MacroModelSet", "CycleEstimate", "estimate_cycles",
            "characterize_platform"]

@@ -22,16 +22,10 @@ element-for-element identical to the serial run.
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.macromodel.model import MacroModel, MacroModelSet
+from repro.macromodel.model import (DEFAULT_SEED, DEFAULT_SIZES,
+                                    MacroModel, MacroModelSet)
 from repro.macromodel.regression import select_model
 from repro.mp.prng import DeterministicPrng
-
-#: Limb counts used as the characterization domain (bounded superset of
-#: what 1024-bit public-key traffic touches, per the paper).
-DEFAULT_SIZES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
-
-#: The characterization harness's default stimulus seed.
-DEFAULT_SEED = 0xC0FFEE
 
 #: The independent stimulus jobs, in model-set insertion order.  Each
 #: entry is (routine, stimulus family, step-width source).

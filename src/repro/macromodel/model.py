@@ -11,6 +11,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.macromodel.regression import FitResult
 
+#: Limb counts used as the characterization domain (bounded superset of
+#: what 1024-bit public-key traffic touches, per the paper).
+DEFAULT_SIZES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
+
+#: The characterization harness's default stimulus seed.
+DEFAULT_SEED = 0xC0FFEE
+
 
 @dataclass
 class MacroModel:

@@ -1,6 +1,8 @@
 """Statistical regression for performance macro-models.
 
-The paper used S-Plus; we use ordinary least squares on numpy.  The
+The paper used S-Plus; we use ordinary least squares on numpy, which
+is imported inside the functions that fit and predict, so loading the
+macro-model layer (e.g. a persisted model set) does not load it.  The
 performance profiles of the mpn routines are "regular (piecewise
 linear, quadratic, etc.) over input bit-width subspaces", so a small
 family of model forms suffices:
@@ -22,29 +24,33 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
+#: Basis functions per form: name -> builder of the (n, width) design
+#: matrix, both numpy arrays.
+FORMS: Dict[str, Callable] = {}
 
-#: Basis functions per form: name -> builder of the (n, width) design matrix
-FORMS: Dict[str, Callable[[np.ndarray, int], np.ndarray]] = {}
 
-
-def _basis_constant(n: np.ndarray, width: int) -> np.ndarray:
+def _basis_constant(n, width: int):
+    import numpy as np
     return np.column_stack([np.ones_like(n)])
 
 
-def _basis_affine(n: np.ndarray, width: int) -> np.ndarray:
+def _basis_affine(n, width: int):
+    import numpy as np
     return np.column_stack([np.ones_like(n), n])
 
 
-def _basis_quadratic(n: np.ndarray, width: int) -> np.ndarray:
+def _basis_quadratic(n, width: int):
+    import numpy as np
     return np.column_stack([np.ones_like(n), n, n * n])
 
 
-def _basis_step_affine(n: np.ndarray, width: int) -> np.ndarray:
+def _basis_step_affine(n, width: int):
+    import numpy as np
     return np.column_stack([np.ones_like(n), n, np.ceil(n / width)])
 
 
-def _basis_chunk_affine(n: np.ndarray, width: int) -> np.ndarray:
+def _basis_chunk_affine(n, width: int):
+    import numpy as np
     # Exact form of a w-wide vector kernel with a scalar tail loop:
     # c0 + c1*floor(n/w) + c2*(n mod w).
     return np.column_stack([np.ones_like(n), np.floor(n / width),
@@ -89,6 +95,7 @@ class FitResult:
     def predict(self, n: float) -> float:
         value = self._memo.get(n)
         if value is None:
+            import numpy as np
             basis = FORMS[self.form](np.array([float(n)]), self.width)
             value = self._memo[n] = float((basis @ np.array(self.coeffs))[0])
         return value
@@ -97,6 +104,7 @@ class FitResult:
 def fit_form(samples: Sequence[Tuple[float, float]], form: str,
              width: int = 1) -> FitResult:
     """Least-squares fit of one model form to (n, cycles) samples."""
+    import numpy as np
     if not samples:
         raise ValueError("no samples to fit")
     n = np.array([s[0] for s in samples], dtype=float)
@@ -140,6 +148,7 @@ def select_model(samples: Sequence[Tuple[float, float]],
 
 def r_squared(samples: Sequence[Tuple[float, float]], fit: FitResult) -> float:
     """Coefficient of determination of a fit on the given samples."""
+    import numpy as np
     y = np.array([s[1] for s in samples], dtype=float)
     pred = np.array([fit.predict(s[0]) for s in samples])
     ss_res = float(np.sum((y - pred) ** 2))

@@ -47,27 +47,34 @@ gauges), :mod:`repro.isa.machine` (opt-in instruction-mix profiles),
 and the :mod:`repro.ssl` / :mod:`repro.protocols` entry points.
 
 Everything here is dependency-free within the repo (stdlib only), so
-any layer may import it without cycles.
+any layer may import it without cycles; the names above resolve on
+first access, so a layer that only counts or traces never loads the
+exporters, the series store or the dashboard.
 """
 
-from repro.obs.metrics import (Counter, DEFAULT_LATENCY_MS_EDGES, Gauge,
-                               Histogram, MetricsRegistry, get_registry,
-                               reset_metrics, set_registry)
-from repro.obs.trace import (NULL_TRACER, NullTracer, Span, Tracer,
-                             configure_tracing, get_tracer,
-                             reset_tracing, tracing_enabled)
-from repro.obs.export import (metrics_summary, read_events_jsonl,
-                              render_metrics, write_events_jsonl)
-from repro.obs.profile import CycleProfile, ProfileNode
-from repro.obs.slo import (SloMonitor, SloObjective, SloReport,
-                           SloTarget, SloWindow, parse_slo)
-from repro.obs.timeseries import (DEFAULT_SERIES_CAPACITY,
-                                  MetricsTimeSeries, SeriesEvent,
-                                  SeriesSample, TimeSeriesSampler,
-                                  read_series_jsonl, render_series,
-                                  snapshot_registry, sparkline,
-                                  write_series_jsonl)
-from repro.obs.dashboard import render_dashboard_html
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.metrics": (
+        "Counter", "DEFAULT_LATENCY_MS_EDGES", "Gauge", "Histogram",
+        "MetricsRegistry", "get_registry", "reset_metrics", "set_registry"),
+    "repro.obs.trace": (
+        "NULL_TRACER", "NullTracer", "Span", "Tracer", "configure_tracing",
+        "get_tracer", "reset_tracing", "tracing_enabled"),
+    "repro.obs.export": (
+        "metrics_summary", "read_events_jsonl", "render_metrics",
+        "write_events_jsonl"),
+    "repro.obs.profile": ("CycleProfile", "ProfileNode"),
+    "repro.obs.slo": (
+        "SloMonitor", "SloObjective", "SloReport", "SloTarget", "SloWindow",
+        "parse_slo"),
+    "repro.obs.timeseries": (
+        "DEFAULT_SERIES_CAPACITY", "MetricsTimeSeries", "SeriesEvent",
+        "SeriesSample", "TimeSeriesSampler", "read_series_jsonl",
+        "render_series", "snapshot_registry", "sparkline",
+        "write_series_jsonl"),
+    "repro.obs.dashboard": ("render_dashboard_html",),
+})
 
 __all__ = [
     "Counter", "CycleProfile", "DEFAULT_LATENCY_MS_EDGES",

@@ -15,9 +15,13 @@ do not accelerate it -- that is exactly what saturates the
 large-transaction speedup in Figure 8.
 """
 
-from repro.ssl.record import RecordLayer, RecordError
-from repro.ssl.handshake import SslClient, SslServer, run_handshake
-from repro.ssl.transaction import SslWorkloadModel, TransactionBreakdown
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.ssl.record": ("RecordLayer", "RecordError"),
+    "repro.ssl.handshake": ("SslClient", "SslServer", "run_handshake"),
+    "repro.ssl.transaction": ("SslWorkloadModel", "TransactionBreakdown"),
+})
 
 __all__ = ["RecordLayer", "RecordError", "SslClient", "SslServer",
            "run_handshake", "SslWorkloadModel", "TransactionBreakdown"]
