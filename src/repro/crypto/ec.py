@@ -171,32 +171,6 @@ class Point:
     def __rmul__(self, scalar: int) -> "Point":
         return self.scalar_mul(scalar)
 
-    def scalar_mul_affine(self, scalar: int, window: int = 4) -> "Point":
-        """Windowed scalar multiplication in affine coordinates.
-
-        One modular inversion per group operation -- kept as the
-        readable reference; :meth:`scalar_mul` (Jacobian) is what the
-        protocols use.
-        """
-        scalar = int(scalar) % self.curve.n
-        if scalar == 0 or self.is_infinity():
-            return self.curve.infinity()
-        if window < 1 or window > 8:
-            raise EcError("window must be in 1..8")
-        table = [self.curve.infinity(), self]
-        for _ in range(2, 1 << window):
-            table.append(table[-1] + self)
-        result = self.curve.infinity()
-        nbits = scalar.bit_length()
-        nwindows = (nbits + window - 1) // window
-        for widx in range(nwindows - 1, -1, -1):
-            for _ in range(window):
-                result = result + result
-            digit = (scalar >> (widx * window)) & ((1 << window) - 1)
-            if digit:
-                result = result + table[digit]
-        return result
-
     def scalar_mul(self, scalar: int, window: int = 4) -> "Point":
         """Windowed scalar multiplication in Jacobian coordinates.
 

@@ -116,9 +116,6 @@ class Rsa:
 
     # -- PKCS#1 v1.5-style byte ops -----------------------------------------
 
-    def max_message_len(self, key: RsaPublicKey) -> int:
-        return key.byte_size - 11
-
     def encrypt(self, message: bytes, key: RsaPublicKey,
                 prng: Optional[DeterministicPrng] = None) -> bytes:
         """Type-2 (random nonzero) padded encryption."""

@@ -22,7 +22,7 @@ ISS operating on a decoded trace).
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import BASE_ISA, NUM_REGS
 
@@ -167,11 +167,6 @@ def assemble(source: str, extensions: Optional[object] = None) -> Program:
         instructions.append(Instruction(opcode, tuple(args), line_no))
 
     return Program(instructions=instructions, labels=labels)
-
-
-def concat_sources(*sources: Sequence[str]) -> str:
-    """Join assembly fragments with separating newlines."""
-    return "\n".join(sources)
 
 
 def disassemble(program: Program, extensions: Optional[object] = None) -> str:

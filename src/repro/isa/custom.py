@@ -491,20 +491,8 @@ def aes_extension_set(sbox_units: int = 8, mixcol_units: int = 2) -> ExtensionSe
 
 
 # ---------------------------------------------------------------------------
-# Full platform configurations
+# Candidate catalogue
 # ---------------------------------------------------------------------------
-
-def full_extension_set(add_width: int = 8, mac_width: int = 4,
-                       des_sbox_units: int = 8, aes_sbox_units: int = 16,
-                       aes_mixcol_units: int = 4) -> ExtensionSet:
-    """The complete optimized security-platform configuration."""
-    full = mp_extension_set(add_width, mac_width)
-    for ci in des_extension_set(des_sbox_units):
-        full.add(ci)
-    for ci in aes_extension_set(aes_sbox_units, aes_mixcol_units):
-        full.add(ci)
-    return full
-
 
 def candidate_catalogue() -> List[CustomInstruction]:
     """Every candidate instruction the formulation phase produced."""

@@ -267,13 +267,6 @@ class Machine:
 
     # -- profiling helpers ---------------------------------------------------
 
-    def _charge(self, cost: int) -> None:
-        self.cycles += cost
-        if self._frames:
-            func, _ = self._frames[-1]
-            prof = self.profile
-            prof.local_cycles[func] = prof.local_cycles.get(func, 0) + cost
-
     def _flush_frame_cycles(self) -> None:
         """Attribute cycles accumulated since the last flush point to the
         current top frame.  Both backends batch per-instruction charges
@@ -322,13 +315,6 @@ class Machine:
     def instruction_mix(self) -> Dict[str, int]:
         """Executed-opcode histogram (sorted by opcode name)."""
         return dict(sorted(self.opcode_counts.items()))
-
-    def custom_instruction_usage(self) -> Dict[str, int]:
-        """Executed counts of the TIE custom instructions only --
-        the direct measure of how much the selected extensions are
-        actually exercised by a workload."""
-        return {op: count for op, count in self.instruction_mix().items()
-                if self.extensions.get(op) is not None}
 
     def publish_metrics(self, registry=None, run: str = "") -> None:
         """Opt-in: publish this machine's instruction-mix profile to a

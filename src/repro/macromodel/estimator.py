@@ -36,9 +36,6 @@ class CycleEstimate:
     def calls(self, routine: str) -> int:
         return self.breakdown.get(routine, (0, 0.0))[0]
 
-    def cycles_for(self, routine: str) -> float:
-        return self.breakdown.get(routine, (0, 0.0))[1]
-
 
 class CycleLedger:
     """The tracer: accumulates macro-model charges per traced leaf call."""

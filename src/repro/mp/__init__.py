@@ -18,67 +18,41 @@ needs, with the same structural split:
   experiment in the repository is reproducible.
 - :mod:`repro.mp.mpn_fast` -- flat (packed-bignum) implementations of
   the hottest mpn routines, value- and trace-identical to the
-  reference loops.  Select with :func:`select_backend` or the
-  ``REPRO_MPN_BACKEND`` environment variable.
+  reference loops.  ``$REPRO_MPN_BACKEND`` picks the process default;
+  :func:`mpn_backend` overrides it for the calling thread.
 """
 
-import os
 from contextlib import contextmanager
+from typing import Iterator
 
+from repro.mp import mpn
 from repro.mp.limb import Radix, RADIX16, RADIX32
+from repro.mp.mpn import MPN_BACKEND_ENV
 from repro.mp.mpz import Mpz
 from repro.mp.prng import DeterministicPrng
 
-#: Environment variable naming the default mpn backend.
-MPN_BACKEND_ENV = "REPRO_MPN_BACKEND"
-
-_MPN_BACKENDS = {"reference": "reference", "ref": "reference",
-                 "fast": "fast"}
-
-
-def select_backend(name=None) -> str:
-    """Install the named mpn backend; returns the canonical name.
-
-    ``None`` resolves through ``REPRO_MPN_BACKEND`` and falls back to
-    ``"reference"``.  Accepted names: ``reference`` (alias ``ref``)
-    and ``fast``.
-    """
-    from repro.mp import mpn_fast
-    if name is None:
-        name = os.environ.get(MPN_BACKEND_ENV, "") or "reference"
-    canonical = _MPN_BACKENDS.get(str(name).strip().lower())
-    if canonical is None:
-        raise ValueError(f"unknown mpn backend {name!r} "
-                         f"(expected 'reference' or 'fast')")
-    if canonical == "fast":
-        mpn_fast.install()
-    else:
-        mpn_fast.uninstall()
-    return canonical
-
 
 def active_backend() -> str:
-    """Name of the mpn backend currently installed."""
-    from repro.mp import mpn_fast
-    return "fast" if mpn_fast.installed() else "reference"
+    """This thread's mpn backend: its :func:`mpn_backend` scope, else
+    the ``$REPRO_MPN_BACKEND`` process default (``reference``)."""
+    return "fast" if mpn._backend.fast else "reference"
 
 
 @contextmanager
-def mpn_backend(name):
-    """Scoped backend override: restores the previous backend on exit."""
-    previous = active_backend()
-    select_backend(name)
+def mpn_backend(name: str) -> Iterator[None]:
+    """Run the calling thread on the named backend (``reference`` or
+    ``fast``) inside the block.
+
+    The scope is per thread: other threads keep their own backend, and
+    worker threads start on the process default."""
+    fast = mpn._is_fast(name)
+    previous = mpn._backend.fast
+    mpn._backend.fast = fast
     try:
         yield
     finally:
-        select_backend(previous)
+        mpn._backend.fast = previous
 
-
-# Honour the environment default at import, so e.g. a CI job exporting
-# REPRO_MPN_BACKEND=fast runs the whole suite on the fast backend.
-if os.environ.get(MPN_BACKEND_ENV):
-    select_backend()
 
 __all__ = ["Radix", "RADIX16", "RADIX32", "Mpz", "DeterministicPrng",
-           "MPN_BACKEND_ENV", "select_backend", "active_backend",
-           "mpn_backend"]
+           "MPN_BACKEND_ENV", "active_backend", "mpn_backend"]

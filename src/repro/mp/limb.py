@@ -30,12 +30,6 @@ class Radix:
     def mask(self) -> int:
         return (1 << self.bits) - 1
 
-    def limbs_for_bits(self, nbits: int) -> int:
-        """Number of limbs needed to hold an ``nbits``-bit value."""
-        if nbits <= 0:
-            return 1
-        return (nbits + self.bits - 1) // self.bits
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Radix({self.bits})"
 

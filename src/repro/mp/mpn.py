@@ -13,8 +13,17 @@ cycle count is modeled as a function of input bit-widths.
 
 Unlike GMP, results are returned (functional style) rather than written
 through pointers; carries/borrows are returned alongside.
+
+The six routines with flat twins in :mod:`repro.mp.mpn_fast`
+(``addmul_1``, ``_addmul_1_into``, ``mul_basecase``, ``sqr``,
+``divrem_1``, ``divrem``) read one per-thread flag on entry and hand
+the call to their twin when it is set.  ``$REPRO_MPN_BACKEND`` sets the
+process default; :func:`repro.mp.mpn_backend` overrides it for the
+calling thread only.
 """
 
+import os
+import threading
 from typing import List, Tuple
 
 from repro.mp.hooks import trace
@@ -25,6 +34,28 @@ Limbs = List[int]
 #: Operand size (in limbs) above which multiplication switches from the
 #: schoolbook base case to Karatsuba.  Exposed for the ablation bench.
 KARATSUBA_THRESHOLD = 16
+
+#: Environment variable naming the process-default mpn backend.
+MPN_BACKEND_ENV = "REPRO_MPN_BACKEND"
+
+
+def _is_fast(name: str, what: str = "mpn backend") -> bool:
+    """``True`` for ``"fast"``, ``False`` for ``"reference"``."""
+    if name not in ("reference", "fast"):
+        raise ValueError(f"unknown {what} {name!r} "
+                         f"(expected 'reference' or 'fast')")
+    return name == "fast"
+
+
+class _Backend(threading.local):
+    """Whether this thread runs the flat twins: the class attribute is
+    the process default, an instance attribute a thread's override."""
+
+    fast = _is_fast(os.environ.get(MPN_BACKEND_ENV, "") or "reference",
+                    f"${MPN_BACKEND_ENV} value")
+
+
+_backend = _Backend()
 
 
 def normalize(up: Limbs) -> Limbs:
@@ -137,6 +168,8 @@ def addmul_1(rp: Limbs, up: Limbs, v: int,
     the hottest leaf routine in public-key processing and the
     ``mpn_addmul_1`` of paper Figure 5(b).
     """
+    if _backend.fast:
+        return _fast.addmul_1(rp, up, v, radix)
     if len(rp) != len(up):
         raise ValueError("addmul_1 requires equal-length operands")
     trace("mpn_addmul_1", n=len(up))
@@ -216,6 +249,8 @@ def rshift(up: Limbs, count: int, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, 
 def _addmul_1_into(rp: Limbs, offset: int, up: Limbs, v: int,
                    radix: Radix = DEFAULT_RADIX) -> int:
     """rp[offset:offset+len(up)] += up * v in place; return carry limb."""
+    if _backend.fast:
+        return _fast._addmul_1_into(rp, offset, up, v, radix)
     trace("mpn_addmul_1", n=len(up))
     bits, mask = radix.bits, radix.mask
     carry = 0
@@ -296,6 +331,8 @@ def sub(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
 
 def mul_basecase(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
     """Schoolbook product of two vectors (length = len(up)+len(vp))."""
+    if _backend.fast:
+        return _fast.mul_basecase(up, vp, radix)
     un = len(up)
     rp = [0] * (un + len(vp))
     lo, carry = mul_1(up, vp[0], radix)
@@ -350,11 +387,15 @@ def mul(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
 
 def sqr(up: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
     """Square of a vector (currently via mul; a true sqr saves ~half)."""
+    if _backend.fast:
+        return _fast.sqr(up, radix)
     return mul(up, up, radix)
 
 
 def divrem_1(up: Limbs, v: int, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, int]:
     """Divide a vector by a single limb; return (quotient, remainder limb)."""
+    if _backend.fast:
+        return _fast.divrem_1(up, v, radix)
     if v == 0:
         raise ZeroDivisionError("division by zero limb")
     trace("mpn_divrem_1", n=len(up))
@@ -370,6 +411,8 @@ def divrem_1(up: Limbs, v: int, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, in
 
 def divrem(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, Limbs]:
     """Knuth Algorithm D division; return (quotient, remainder) vectors."""
+    if _backend.fast:
+        return _fast.divrem(up, vp, radix)
     up, vp = normalize(up), normalize(vp)
     if vp == [0]:
         raise ZeroDivisionError("mpn division by zero")
@@ -428,3 +471,7 @@ def mod(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
     """Remainder of up / vp."""
     _, r = divrem(up, vp, radix)
     return r
+
+
+# The flat twins build on the routines above, so they load last.
+from repro.mp import mpn_fast as _fast  # noqa: E402

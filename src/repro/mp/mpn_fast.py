@@ -20,18 +20,18 @@ the test suite and the ``mpn_fast`` bench scenario:
   estimate and correction, so the ``mpn_add_n`` add-back trace fires
   on exactly the same iterations as the reference.
 
-:func:`install` rebinds the fast routines into the :mod:`repro.mp.mpn`
-module namespace (callers go through ``mpn.<name>`` attribute or
-module-global lookups, so rebinding reaches them all);
-:func:`uninstall` restores the references.  Select via
-:func:`repro.mp.select_backend` or the ``REPRO_MPN_BACKEND``
-environment variable.
+This module holds only the flat implementations.  Each reference
+routine in :mod:`repro.mp.mpn` that has a twin here dispatches to it
+when the calling thread's backend is ``fast``: the process default
+comes from ``$REPRO_MPN_BACKEND``, and :func:`repro.mp.mpn_backend`
+overrides it for one thread.  Calling a twin directly runs the flat
+code for that call.
 
 :func:`sqr` flattens only below ``mpn.KARATSUBA_THRESHOLD`` (looked up
 dynamically, so threshold ablations still work) and delegates larger
 operands to :func:`repro.mp.mpn.mul` -- the Karatsuba trace sequence
-is size-dependent, and the recursion's base cases land back on the
-fast :func:`mul_basecase` anyway.
+is size-dependent, and on a thread running the fast backend the
+recursion's base cases land back on the fast :func:`mul_basecase`.
 """
 
 from typing import List, Tuple
@@ -117,7 +117,7 @@ def sqr(up: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
     n = len(up)
     if n >= mpn.KARATSUBA_THRESHOLD:
         # Karatsuba traces are size-dependent; take the reference
-        # driver (its base cases resolve to the fast mul_basecase).
+        # driver (its base cases follow this thread's backend).
         return mpn.mul(up, up, radix)
     trace("mpn_mul_1", n=n)
     for _ in range(1, n):
@@ -206,38 +206,3 @@ def divrem(up: Limbs, vp: Limbs,
         trace("mpn_rshift", n=len(rem))
         rem = _unpack(rem_int >> shift, len(rem), bits, mask)
     return mpn.normalize(qp), mpn.normalize(rem)
-
-
-# ---------------------------------------------------------------------------
-# Backend switching
-# ---------------------------------------------------------------------------
-
-#: The mpn-module names this backend replaces.
-PATCHED_ROUTINES = ("addmul_1", "_addmul_1_into", "mul_basecase", "sqr",
-                    "divrem", "divrem_1")
-
-_saved = None
-
-
-def install() -> None:
-    """Rebind the fast routines into :mod:`repro.mp.mpn` (idempotent)."""
-    global _saved
-    if _saved is not None:
-        return
-    _saved = {name: getattr(mpn, name) for name in PATCHED_ROUTINES}
-    for name in PATCHED_ROUTINES:
-        setattr(mpn, name, globals()[name])
-
-
-def uninstall() -> None:
-    """Restore the reference routines (idempotent)."""
-    global _saved
-    if _saved is None:
-        return
-    for name, fn in _saved.items():
-        setattr(mpn, name, fn)
-    _saved = None
-
-
-def installed() -> bool:
-    return _saved is not None

@@ -1000,7 +1000,7 @@ def _iss_compiled_metrics() -> Dict[str, object]:
 
 
 def _mpn_fast_metrics() -> Dict[str, object]:
-    from repro.mp import mpn, mpn_fast
+    from repro.mp import mpn, mpn_backend, mpn_fast
     from repro.mp.hooks import traced
     from repro.mp.limb import RADIX16, RADIX32
     from repro.mp.prng import DeterministicPrng
@@ -1037,7 +1037,10 @@ def _mpn_fast_metrics() -> Dict[str, object]:
 
     value_mismatches = trace_mismatches = traced_calls = 0
     for reference, fast, args in cases:
-        ref_result, ref_calls = traced_call(reference, *args)
+        # Pinned, so the oracle stays the reference loops when
+        # $REPRO_MPN_BACKEND=fast makes the flat path the default.
+        with mpn_backend("reference"):
+            ref_result, ref_calls = traced_call(reference, *args)
         fast_result, fast_calls = traced_call(fast, *args)
         value_mismatches += ref_result != fast_result
         trace_mismatches += ref_calls != fast_calls

@@ -23,8 +23,11 @@ Three executors implement one ``map`` surface: :class:`SerialExecutor`
 (the default -- zero new failure modes), :class:`ThreadExecutor`
 (in-process; useful for tests and GIL-released workloads), and
 :class:`ProcessExecutor` (the real fan-out across cores).
-:func:`get_executor` selects one from an explicit ``jobs`` count, the
-``$REPRO_JOBS`` environment variable, or defaults to serial.
+:func:`get_executor` builds the serial one for one job and the process
+one for more, the job count coming from an explicit ``jobs`` or the
+``$REPRO_JOBS`` environment variable.  Pool classes resolve when the
+first pool is built, so importing this module loads neither
+``concurrent.futures.process`` nor :mod:`multiprocessing`.
 
 Observability: every ``map`` runs under a ``parallel.map`` span and
 publishes ``parallel.chunks_scheduled`` / ``parallel.items`` counters
@@ -40,16 +43,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import get_registry, get_tracer
 
-__all__ = ["CHUNKS_PER_JOB", "EXECUTOR_ENV", "Executor", "JOBS_ENV",
+__all__ = ["CHUNKS_PER_JOB", "Executor", "JOBS_ENV",
            "ProcessExecutor", "SerialExecutor", "ThreadExecutor",
            "chunked", "chunk_bounds", "executor_scope", "get_executor",
            "resolve_jobs"]
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable forcing an executor kind (serial|thread|process).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: Chunks submitted per worker: >1 so per-item cost variance load-
 #: balances, small enough that per-chunk overhead stays negligible.
@@ -183,7 +183,8 @@ class SerialExecutor(Executor):
 class _PoolExecutor(Executor):
     """Shared submit/merge logic over a ``concurrent.futures`` pool."""
 
-    _pool_cls = None
+    #: ``concurrent.futures`` pool class name, resolved on first use
+    _pool_name = ""
 
     def __init__(self, jobs: int):
         self.jobs = resolve_jobs(jobs)
@@ -191,7 +192,8 @@ class _PoolExecutor(Executor):
 
     def _ensure_pool(self):
         if self._pool is None:
-            self._pool = self._pool_cls(max_workers=self.jobs)
+            pool_cls = getattr(_futures, self._pool_name)
+            self._pool = pool_cls(max_workers=self.jobs)
         return self._pool
 
     def _run(self, fn, tasks, on_result):
@@ -220,7 +222,7 @@ class ThreadExecutor(_PoolExecutor):
     thread-local, so concurrent estimations never cross-charge)."""
 
     kind = "thread"
-    _pool_cls = _futures.ThreadPoolExecutor
+    _pool_name = "ThreadPoolExecutor"
 
 
 class ProcessExecutor(_PoolExecutor):
@@ -228,30 +230,14 @@ class ProcessExecutor(_PoolExecutor):
     module-level (picklable) and payloads plain data."""
 
     kind = "process"
-    _pool_cls = _futures.ProcessPoolExecutor
+    _pool_name = "ProcessPoolExecutor"
 
 
-def get_executor(jobs: Optional[int] = None,
-                 kind: Optional[str] = None) -> Executor:
-    """Build the executor for ``jobs`` workers.
-
-    ``jobs`` resolves through :func:`resolve_jobs` (``$REPRO_JOBS``
-    when unset); ``kind`` defaults to ``$REPRO_EXECUTOR`` and then to
-    ``process`` for ``jobs > 1`` (serial otherwise).
-    """
+def get_executor(jobs: Optional[int] = None) -> Executor:
+    """Build the executor for ``jobs`` workers (resolved through
+    :func:`resolve_jobs`): serial for one, a process pool for more."""
     jobs = resolve_jobs(jobs)
-    if kind is None:
-        kind = os.environ.get(EXECUTOR_ENV, "").strip().lower() or None
-    if kind is None:
-        kind = "process" if jobs > 1 else "serial"
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(jobs)
-    if kind == "process":
-        return ProcessExecutor(jobs)
-    raise ValueError(f"unknown executor kind {kind!r}; "
-                     f"expected serial, thread, or process")
+    return ProcessExecutor(jobs) if jobs > 1 else SerialExecutor()
 
 
 @contextmanager

@@ -42,10 +42,6 @@ class RequestCost:
     public_key_cycles: float
     payload_bytes: int
 
-    @property
-    def public_key_fraction(self) -> float:
-        return self.public_key_cycles / self.cycles if self.cycles else 0.0
-
 
 class UnknownProtocolError(ValueError):
     """Raised for any protocol name missing from the registry.

@@ -16,7 +16,7 @@ semantics are closures, hence unpicklable) are built only in the
 parent.
 """
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.isa.custom import (ADD_WIDTHS, AES_VARIANTS, DES_SBOX_UNITS,
                               MAC_WIDTHS, make_aesark, make_aesld,
@@ -189,15 +189,3 @@ def adcurve_aes_block(variants: Sequence = AES_VARIANTS,
         curve.add(DesignPoint(cycles=cycles, area=area,
                               instructions=names))
     return curve
-
-
-def leaf_curves_for_modexp(n: int = 16, jobs: Optional[int] = None,
-                           executor=None) -> Dict[str, ADCurve]:
-    """The leaf A-D curves the global selection propagates through the
-    modular exponentiation call graph: mpn_add_n-style adds don't
-    appear in the Montgomery inner loop, so the hot curve is addmul."""
-    with executor_scope(jobs, executor) as pool:
-        return {
-            "mpn_addmul_1": adcurve_mpn_addmul_1(n, executor=pool),
-            "mpn_add_n": adcurve_mpn_add_n(n, executor=pool),
-        }

@@ -69,7 +69,8 @@ FARM_RUN = """
 class TestImportHygiene:
     def test_farm_run_loads_no_explorer_numpy_or_services(self):
         watched = ("numpy", "repro.explore", "repro.macromodel.characterize",
-                   "repro.farm.serve", "repro.obs.dashboard", "http.server")
+                   "repro.farm.serve", "repro.obs.dashboard", "http.server",
+                   "concurrent.futures.process", "multiprocessing")
         assert loaded_after(FARM_RUN, watched) == []
 
     def test_iss_modexp_loads_no_numpy(self):

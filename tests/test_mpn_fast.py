@@ -4,16 +4,23 @@
 and on **trace sequences** (names, order, size parameters) -- the
 latter is what keeps macro-model cycle estimates, and therefore every
 recorded baseline, byte-identical under the fast backend.
+
+The reference side of every comparison runs inside
+``mpn_backend("reference")``, so the oracle stays the reference loops
+even when ``$REPRO_MPN_BACKEND=fast`` makes the flat path the default.
 """
 
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mp import (MPN_BACKEND_ENV, active_backend, mpn_backend,
-                      select_backend, Mpz)
+import repro
+from repro.mp import MPN_BACKEND_ENV, Mpz, active_backend, mpn_backend
 from repro.mp import mpn, mpn_fast
 from repro.mp.hooks import traced
 from repro.mp.limb import RADIX16, RADIX32
@@ -34,8 +41,14 @@ def traced_call(fn, *args, **kwargs):
     return result, calls
 
 
+def reference_call(fn, *args, **kwargs):
+    """:func:`traced_call` pinned to the reference loops."""
+    with mpn_backend("reference"):
+        return traced_call(fn, *args, **kwargs)
+
+
 def assert_equivalent(reference, fast, *args, radix=RADIX32):
-    ref = traced_call(reference, *args, radix)
+    ref = reference_call(reference, *args, radix)
     got = traced_call(fast, *args, radix)
     assert ref == got
 
@@ -75,7 +88,8 @@ class TestLeafParity:
         up = data.draw(vec_strategy(radix, n, n))
         v = data.draw(st.integers(0, radix.mask))
         ref_rp, fast_rp = list(rp), list(rp)
-        ref = traced_call(mpn._addmul_1_into, ref_rp, offset, up, v, radix)
+        ref = reference_call(mpn._addmul_1_into, ref_rp, offset, up, v,
+                             radix)
         got = traced_call(mpn_fast._addmul_1_into, fast_rp, offset, up, v,
                           radix)
         assert ref == got and ref_rp == fast_rp
@@ -152,7 +166,7 @@ class TestAddbackPath:
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
     def test_addback_fires_identically(self, radix):
         u, v = self.trigger(radix)
-        ref = traced_call(mpn.divrem, u, v, radix)
+        ref = reference_call(mpn.divrem, u, v, radix)
         got = traced_call(mpn_fast.divrem, u, v, radix)
         assert ref == got
         addbacks = [c for c in got[1] if c[0] == "mpn_add_n"]
@@ -168,53 +182,135 @@ class TestAddbackPath:
 # Backend selection and integration
 # ---------------------------------------------------------------------------
 
+def env_default() -> str:
+    """The backend ``$REPRO_MPN_BACKEND`` makes the process default."""
+    return os.environ.get(MPN_BACKEND_ENV, "") or "reference"
+
+
 class TestBackendSelection:
     def test_default_follows_environment(self):
         # reference unless the suite itself runs under
-        # $REPRO_MPN_BACKEND=fast (CI's fast-path job), which installs
-        # the fast backend at import time.
-        expected = ("fast" if os.environ.get(MPN_BACKEND_ENV, "")
-                    .strip().lower() == "fast" else "reference")
-        assert active_backend() == expected
+        # $REPRO_MPN_BACKEND=fast (CI's fast-path job).
+        assert active_backend() == env_default()
 
-    def test_select_and_restore(self):
-        assert select_backend("fast") == "fast"
-        try:
+    def test_select_and_restore(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mpn_fast, "divrem",
+                            lambda *a: calls.append(a) or ([0], [0]))
+        with mpn_backend("fast"):
             assert active_backend() == "fast"
-            assert mpn.addmul_1 is mpn_fast.addmul_1
-            assert mpn.divrem is mpn_fast.divrem
-        finally:
-            assert select_backend("reference") == "reference"
-        assert active_backend() == "reference"
-        assert mpn.divrem is not mpn_fast.divrem
+            mpn.divrem([5, 1], [3, 1])
+            with mpn_backend("reference"):
+                assert active_backend() == "reference"
+                assert mpn.divrem([5, 1], [3, 1]) == ([1], [2])
+            assert active_backend() == "fast"
+        assert len(calls) == 1
+        assert active_backend() == env_default()
 
-    def test_alias_and_env(self, monkeypatch):
-        assert select_backend("ref") == "reference"
-        monkeypatch.setenv("REPRO_MPN_BACKEND", "fast")
-        try:
-            assert select_backend() == "fast"
-        finally:
-            select_backend("reference")
+    def test_env_sets_process_default(self):
+        def run(value):
+            src = os.path.dirname(os.path.dirname(repro.__file__))
+            env = dict(os.environ, PYTHONPATH=src)
+            env[MPN_BACKEND_ENV] = value
+            return subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.mp import active_backend; "
+                 "print(active_backend())"],
+                env=env, capture_output=True, text=True)
+
+        assert run("fast").stdout.strip() == "fast"
+        assert run("").stdout.strip() == "reference"
+        bad = run("turbo")
+        assert bad.returncode != 0
+        assert "ValueError" in bad.stderr and MPN_BACKEND_ENV in bad.stderr
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            select_backend("turbo")
+            with mpn_backend("turbo"):
+                pass
+        assert active_backend() == env_default()
 
     def test_scope_restores(self):
         with mpn_backend("fast"):
             assert active_backend() == "fast"
-        assert active_backend() == "reference"
+        assert active_backend() == env_default()
+        with pytest.raises(RuntimeError):
+            with mpn_backend("fast"):
+                raise RuntimeError
+        assert active_backend() == env_default()
 
-    def test_install_idempotent(self):
-        mpn_fast.install()
-        try:
-            saved_divrem = mpn.divrem
-            mpn_fast.install()
-            assert mpn.divrem is saved_divrem is mpn_fast.divrem
-        finally:
-            mpn_fast.uninstall()
-            mpn_fast.uninstall()
-        assert not mpn_fast.installed()
+    def test_scopes_are_per_thread(self, monkeypatch):
+        """A enters fast, B enters reference, A leaves, B leaves: each
+        thread runs its own backend throughout, concurrent estimates
+        match the serial one exactly, and nothing leaks to the main
+        thread."""
+        from repro.costs.cache import characterize_cached
+        from repro.crypto.modexp import ModExpEngine
+        from repro.macromodel import estimate_cycles
+        models = characterize_cached(0, 0)
+        modulus = (1 << 256) - 189     # odd
+
+        def estimate():
+            # Fresh engine: its Montgomery setup cache is not shared.
+            engine = ModExpEngine()
+            est = estimate_cycles(
+                models, lambda: engine.powm(0x12345, 0x10001, modulus))
+            counts = {routine: count
+                      for routine, (count, _) in est.breakdown.items()}
+            return int(est.result), est.cycles, counts, dict(est.unmodeled)
+
+        serial = estimate()
+        flat_calls = {"A": 0, "B": 0, "MainThread": 0}
+        flat_mul = mpn_fast.mul_basecase
+
+        def counting(*args):
+            flat_calls[threading.current_thread().name] += 1
+            return flat_mul(*args)
+
+        monkeypatch.setattr(mpn_fast, "mul_basecase", counting)
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen, results, errors = {}, {}, []
+
+        def thread_a():
+            with mpn_backend("fast"):
+                a_in.set()
+                assert b_in.wait(60)
+                seen["A"] = active_backend()
+                results["A"] = estimate()
+                seen["A after"] = active_backend()
+            a_out.set()
+
+        def thread_b():
+            assert a_in.wait(60)
+            with mpn_backend("reference"):
+                b_in.set()
+                results["B"] = estimate()
+                assert a_out.wait(60)
+                seen["B"] = active_backend()
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+                    for event in (a_in, b_in, a_out):
+                        event.set()
+            return run
+
+        threads = [threading.Thread(target=guarded(body), name=name)
+                   for name, body in (("A", thread_a), ("B", thread_b))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive()
+        assert not errors, errors
+        assert seen == {"A": "fast", "A after": "fast", "B": "reference"}
+        assert flat_calls["A"] > 0
+        assert flat_calls["B"] == flat_calls["MainThread"] == 0
+        assert active_backend() == env_default()
+        assert results == {"A": serial, "B": serial}
 
 
 class TestIntegration:

@@ -86,20 +86,11 @@ class TestExecutors:
         assert seen == {0: 9, 1: 16, 2: 25}
 
     def test_get_executor_kinds(self, monkeypatch):
-        monkeypatch.delenv(parallel.EXECUTOR_ENV, raising=False)
         monkeypatch.delenv(parallel.JOBS_ENV, raising=False)
         assert get_executor().kind == "serial"
+        assert get_executor(1).kind == "serial"
         pool = get_executor(3)
         assert (pool.kind, pool.jobs) == ("process", 3)
-        pool.close()
-        assert get_executor(3, "thread").kind == "thread"
-        with pytest.raises(ValueError):
-            get_executor(2, "gpu")
-
-    def test_executor_env_forces_kind(self, monkeypatch):
-        monkeypatch.setenv(parallel.EXECUTOR_ENV, "thread")
-        pool = get_executor(2)
-        assert pool.kind == "thread"
         pool.close()
 
     def test_executor_scope_reuses_given_executor(self):
