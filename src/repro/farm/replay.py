@@ -13,6 +13,7 @@ request list, and replaying it reproduces the identical
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -67,11 +68,12 @@ def export_workload(path, requests: Sequence[SessionRequest],
 def import_workload(path) -> WorkloadTrace:
     """Read a JSONL trace back into a :class:`WorkloadTrace`.
 
-    Validates the header (format marker, version, record count) and
+    Validates the header (a JSON object with the format marker, the
+    version, and well-typed ``count``, ``clock_hz`` and ``meta``) and
     every record's fields, their JSON types, and its protocol against
     the registry, so a truncated, foreign, or hand-damaged file fails
-    with a :class:`ValueError` naming the line instead of replaying a
-    partial or unpriceable population.
+    with a :class:`ValueError` naming the file and the line or field
+    instead of replaying a partial or unpriceable population.
     """
     path = str(path)
     with open(path, "r", encoding="utf-8") as handle:
@@ -80,7 +82,15 @@ def import_workload(path) -> WorkloadTrace:
                  if line]
     if not lines:
         raise ValueError(f"{path}: empty workload trace")
-    header = json.loads(lines[0][1])
+    number, line = lines[0]
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {number}: invalid JSON "
+                         f"({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: line {number}: header is not a JSON "
+                         "object")
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
     if header.get("version") != TRACE_VERSION:
@@ -88,6 +98,20 @@ def import_workload(path) -> WorkloadTrace:
                          f"{header.get('version')!r}")
     records = lines[1:]
     expected = header.get("count", len(records))
+    if (not isinstance(expected, int) or isinstance(expected, bool)
+            or expected < 0):
+        raise ValueError(f"{path}: header field 'count' must be a "
+                         f"non-negative int, got {expected!r}")
+    clock_hz = header.get("clock_hz", DEFAULT_CLOCK_HZ)
+    if (not isinstance(clock_hz, (int, float))
+            or isinstance(clock_hz, bool)
+            or not (math.isfinite(clock_hz) and clock_hz > 0)):
+        raise ValueError(f"{path}: header field 'clock_hz' must be a "
+                         f"positive finite number, got {clock_hz!r}")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: header field 'meta' must be a JSON "
+                         f"object, got {meta!r}")
     if len(records) != expected:
         raise ValueError(f"{path}: header promises {expected} records, "
                          f"found {len(records)} (truncated trace?)")
@@ -123,7 +147,5 @@ def import_workload(path) -> WorkloadTrace:
             size_bytes=data["size_bytes"],
             resumed=data["resumed"],
             client_id=data["client_id"]))
-    return WorkloadTrace(requests=requests,
-                         clock_hz=float(header.get("clock_hz",
-                                                   DEFAULT_CLOCK_HZ)),
-                         meta=dict(header.get("meta", {})))
+    return WorkloadTrace(requests=requests, clock_hz=float(clock_hz),
+                         meta=dict(meta))

@@ -2,11 +2,13 @@
 
 Virtual time is counted in *cycles* of the farm's common clock (the
 paper's 188 MHz Xtensa, :data:`repro.ssl.throughput.DEFAULT_CLOCK_HZ`).
-The engine is a classic event-heap design: request arrivals and core
-completions are totally ordered by ``(time, sequence)``, so two runs
+Events -- request arrivals, core completions and injected faults --
+are totally ordered by ``(time, kind, sequence, core)``, so two runs
 over the same request stream and scheduler produce byte-identical
 results -- the property every benchmark and test in this package leans
-on.
+on.  First arrivals are sorted once into a column; completions,
+faults and re-dispatched arrivals ride a heap, and the loop pops
+whichever of the two holds the smaller event.
 
 Each core carries its own run queue, busy-cycle accounting, and one
 :class:`~repro.ssl.session_cache.SessionCache` per *resumable*
@@ -46,6 +48,29 @@ BASE_CORE_GATES = 100_000.0
 # the fault-free event order -- and with it every recorded baseline --
 # is untouched.
 _FAULT, _ARRIVAL, _COMPLETE = -1, 0, 1
+
+#: A run's price table: ``(id(cost table), protocol, size_bytes,
+#: resumed-and-hit) -> cycles``.  Keyed by the table's identity, which
+#: is stable because every table a run prices with is held by its
+#: specs or fault plan for the whole run.
+Prices = Dict[Tuple[int, str, int, bool], float]
+
+
+def _price(prices: Prices, request: SessionRequest,
+           costs: PlatformCosts, hit: bool = False) -> float:
+    """Cycles to serve ``request`` on ``costs``, priced through the
+    registered protocol model once per key of the run's ``prices``
+    (see :meth:`repro.protocols.ProtocolModel.request_cost`).
+
+    ``hit`` is whether a resumed request found its session cached; the
+    simulator only looks resumed requests up, so ``hit`` already is
+    the contract's resumed-and-hit."""
+    key = (id(costs), request.protocol, request.size_bytes, hit)
+    cycles = prices.get(key)
+    if cycles is None:
+        cycles = prices[key] = cost_of(request, costs,
+                                       cache_hit=hit).cycles
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -130,6 +155,9 @@ class Core:
         #: a cost table other than :attr:`active_costs`.
         self._stale_estimates = 0
         self.current: Optional[SessionRequest] = None
+        #: ``(start_cycle, service_cycles, cache_hit)`` of
+        #: :attr:`current` (meaningless while the core is idle).
+        self.in_flight: Tuple[float, float, bool] = (0.0, 0.0, False)
         self.busy_until = 0.0
         self.busy_cycles = 0.0
         self.served = 0
@@ -283,9 +311,12 @@ class FarmSimulator:
                                       event.core))
         # (time, kind, seq, core): arrivals sort before completions
         # at equal times so a freed core sees new work immediately.
-        heap.extend((request.arrival_cycle, _ARRIVAL, request.seq, -1)
-                    for request in requests)
-        heapq.heapify(heap)
+        # First arrivals never need the heap: they are sorted once
+        # into a column that the loop merges with it.
+        arrivals = sorted((request.arrival_cycle, _ARRIVAL, request.seq,
+                           -1) for request in requests)
+        n_arrivals = len(arrivals)
+        next_arrival = 0
         by_seq = {r.seq: r for r in requests}
         if len(by_seq) != len(requests):
             check_unique_seqs(requests)
@@ -305,8 +336,11 @@ class FarmSimulator:
         # Told after every applied fault, so a scheduler can cache
         # what it derives from the cores' up/degraded state.
         cores_changed = getattr(self.scheduler, "cores_changed", None)
+        # Run-scoped price table, shared by dispatch and service start
+        # (see _price); never process-global, as shard workers run
+        # concurrently.
+        prices: Prices = {}
         completions: List[Completion] = []
-        starts = {}
         #: (core, seq, finish_cycle) tombstones of completion events
         #: voided by a core failure -- the heap has no remove, so we
         #: skip them.  The scheduled finish time is part of the key:
@@ -325,13 +359,23 @@ class FarmSimulator:
         heappop = heapq.heappop
         select = self.scheduler.select
         start_next = self._start_next
-        while heap:
-            now, kind, seq, core_index = heappop(heap)
+        while True:
+            if next_arrival < n_arrivals:
+                entry = arrivals[next_arrival]
+                if heap and heap[0] < entry:
+                    entry = heappop(heap)
+                else:
+                    next_arrival += 1
+            elif heap:
+                entry = heappop(heap)
+            else:
+                break
+            now, kind, seq, core_index = entry
             events += 1
             if kind == _FAULT:
                 event = plan.events[seq]
                 applied, displaced, woken = self._apply_fault(
-                    cores[event.core], event, plan, now, heap, starts,
+                    cores[event.core], event, plan, now, heap,
                     cancelled, stalled)
                 fault_count += applied
                 redispatches += displaced
@@ -353,13 +397,13 @@ class FarmSimulator:
                     continue
                 target = select(request, cores, now)
                 core = cores[target]
-                estimate = cost_of(request, core.active_costs).cycles
-                core.enqueue(request, estimate)
+                core.enqueue(request,
+                             _price(prices, request, core.active_costs))
                 if trace:
                     tracer.event("farm.core.queue_depth", time=now,
                                  core=core.index, depth=len(core.queue))
                 if core.current is None:
-                    start_next(core, now, heap, starts, keys, tracer,
+                    start_next(core, now, heap, keys, prices, tracer,
                                trace)
             else:
                 if cancelled and (core_index, seq, now) in cancelled:
@@ -367,7 +411,7 @@ class FarmSimulator:
                     continue
                 core = cores[core_index]
                 request = core.current
-                start, service, hit = starts.pop((core_index, seq))
+                start, service, hit = core.in_flight
                 completion = Completion(
                     request=request, core_index=core_index,
                     start_cycle=start, finish_cycle=now,
@@ -412,7 +456,7 @@ class FarmSimulator:
                                   protocol=request.protocol,
                                   cache_hit=hit)
                 if core.queue:
-                    start_next(core, now, heap, starts, keys, tracer,
+                    start_next(core, now, heap, keys, prices, tracer,
                                trace)
         if trace:
             tracer.close_virtual(root, makespan)
@@ -438,7 +482,7 @@ class FarmSimulator:
 
     @staticmethod
     def _apply_fault(core: Core, event, plan: FaultPlan, now: float,
-                     heap, starts, cancelled, stalled):
+                     heap, cancelled, stalled):
         """Apply one fault event to ``core`` at ``now``.
 
         Returns ``(applied, displaced, woken)``: whether the event
@@ -458,7 +502,7 @@ class FarmSimulator:
             displaced: List[SessionRequest] = []
             if core.current is not None:
                 request = core.current
-                start, _, _ = starts.pop((core.index, request.seq))
+                start = core.in_flight[0]
                 # The work done before the crash is real (and wasted):
                 # it counts as busy cycles, and the already-scheduled
                 # completion is voided by a tombstone.
@@ -513,8 +557,8 @@ class FarmSimulator:
         return 1, 0, 0
 
     @staticmethod
-    def _start_next(core: Core, now: float, heap, starts,
-                    keys: SessionKeys, tracer=NULL_TRACER,
+    def _start_next(core: Core, now: float, heap, keys: SessionKeys,
+                    prices: Prices, tracer=NULL_TRACER,
                     trace: bool = False) -> None:
         request, service = core.dequeue()
         hit = False
@@ -524,11 +568,10 @@ class FarmSimulator:
         if hit or service is None:
             # The dispatch estimate is the cache-miss price on the
             # active table; anything else is priced afresh.
-            service = cost_of(request, core.active_costs,
-                              cache_hit=hit).cycles
+            service = _price(prices, request, core.active_costs, hit)
         core.current = request
+        core.in_flight = (now, service, hit)
         core.busy_until = now + service
-        starts[(core.index, request.seq)] = (now, service, hit)
         if trace:
             tracer.event("farm.core.queue_depth", time=now,
                          core=core.index, depth=len(core.queue))

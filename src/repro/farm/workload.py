@@ -21,8 +21,9 @@ protocol menu is :func:`repro.protocols.protocol_names`.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 # WEP/ESP per-byte and framing rates live in the unified cost
 # vocabulary now; re-exported here because they are part of this
@@ -37,9 +38,9 @@ from repro.protocols.builtin import farm_session, session_id_for_client
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 
 
-@dataclass(frozen=True)
-class SessionRequest:
-    """One unit of offered secure work."""
+class SessionRequest(NamedTuple):
+    """One unit of offered secure work (an immutable record: a named
+    tuple, because a farm run builds one per request)."""
 
     seq: int                 # generation order; breaks event-time ties
     arrival_cycle: float     # virtual arrival time, in core cycles
@@ -114,23 +115,42 @@ class TrafficProfile:
         unknown = set(self.mix) - set(protocol_names())
         if unknown:
             raise UnknownProtocolError(sorted(unknown), protocol_names())
+        # The weighted draws bisect the running sums of the weights,
+        # which only stay ordered for finite non-negative weights.
+        for name, weight in self.mix.items():
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(
+                    f"mix weight for {name!r} must be finite and "
+                    f"non-negative, got {weight!r}")
         if not self.mix or sum(self.mix.values()) <= 0:
             raise ValueError("mix must have positive total weight")
         if len(self.sizes_kb) != len(self.size_weights):
             raise ValueError("sizes_kb and size_weights length mismatch")
+        for size_kb, weight in zip(self.sizes_kb, self.size_weights):
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(
+                    f"size weight for {size_kb} KB must be finite and "
+                    f"non-negative, got {weight!r}")
         if not self.sizes_kb:
             raise ValueError("need at least one session size")
 
 
-def _running_sums(weights: Sequence[float]) -> Tuple[float, ...]:
-    """The cumulative bounds of a weighted draw, summed in order from
-    ``0.0`` exactly as the draw has always accumulated them."""
+def _draw_bounds(weights: Sequence[float]) -> List[float]:
+    """The bounds a weighted draw bisects: the running sums of
+    ``weights``, accumulated in order from ``0.0``, with the last one
+    raised to infinity.
+
+    A draw picks the first item whose running sum reaches ``u``, or
+    the last item if rounding leaves ``u`` above every sum; the
+    infinite last bound makes :func:`bisect.bisect_left` return
+    exactly that index, zero weights included."""
     acc = 0.0
-    sums = []
+    bounds = []
     for w in weights:
         acc += w
-        sums.append(acc)
-    return tuple(sums)
+        bounds.append(acc)
+    bounds[-1] = math.inf
+    return bounds
 
 
 def _generate_stream(profile: TrafficProfile, n_requests: int,
@@ -150,6 +170,11 @@ def _generate_stream(profile: TrafficProfile, n_requests: int,
     (``client_base + client_stride * draw``) and interleaves global
     sequence numbers (``seq_base + seq_stride * k``) so shards stay
     disjoint in both keys without consuming extra draws.
+
+    Values come from :meth:`DeterministicPrng.next_u64_block` blocks
+    that never hold more than the stream goes on to consume, so the
+    call draws exactly what its requests use and leaves ``prng``
+    where one :meth:`~DeterministicPrng.next_u64` call per draw would.
     """
     if n_requests < 0:
         raise ValueError("n_requests must be non-negative")
@@ -160,47 +185,59 @@ def _generate_stream(profile: TrafficProfile, n_requests: int,
     protocols: Tuple[str, ...] = tuple(profile.mix)
     weights = tuple(profile.mix[p] for p in protocols)
     # A weighted draw takes ``u`` uniform in (0, 1], scales it by the
-    # total weight and picks the first item whose running sum reaches
-    # it (the last item if rounding leaves ``u`` above every sum).
+    # total weight and bisects the running sums (see _draw_bounds).
     protocol_total = float(sum(weights))
-    protocol_sums = _running_sums(weights)
+    protocol_bounds = _draw_bounds(weights)
     size_total = float(sum(profile.size_weights))
-    size_sums = _running_sums(profile.size_weights)
+    size_bounds = _draw_bounds(profile.size_weights)
+    sizes_bytes = tuple(size_kb * 1024 for size_kb in profile.sizes_kb)
     resumption_ratio = profile.resumption_ratio
     next_u64 = prng.next_u64
+    next_block = prng.next_u64_block
     requests: List[SessionRequest] = []
+    append = requests.append
     # Per-protocol completed-full-handshake histories: only resumable
     # protocols keep one, so non-resumable traffic consumes no
     # resumption draws (the legacy SSL-only draw pattern, generalized).
     handshaken: Dict[str, Set[int]] = {
         name: set() for name in protocols if get_protocol(name).resumable}
+    # ``draw`` yields the ``left`` buffered values; ``prng`` stands
+    # just past them.  Every request draws four values, so the
+    # requests from ``k`` on consume at least ``4 * (n_requests - k)``:
+    # a refill tops the buffer up to exactly that, and a resumption
+    # draw that finds the buffer empty takes the stream's next value.
+    draw = iter(()).__next__
+    left = 0
     arrival_s = 0.0
     for k in range(n_requests):
+        if left < 4:
+            block = [draw() for _ in range(left)]
+            block += next_block(4 * (n_requests - k) - left)
+            draw = iter(block).__next__
+            left = len(block)
+        left -= 4
         # Uniform draws in (0, 1] -- safe as a log() argument.
-        arrival_s += -math.log((next_u64() + 1) / 2.0 ** 64) / arrival_rate
-        u = (next_u64() + 1) / 2.0 ** 64 * protocol_total
-        # Without a break the loop variable is left on the last item.
-        for protocol, bound in zip(protocols, protocol_sums):
-            if u <= bound:
-                break
-        u = (next_u64() + 1) / 2.0 ** 64 * size_total
-        for size_kb, bound in zip(profile.sizes_kb, size_sums):
-            if u <= bound:
-                break
-        client = client_base + client_stride * (next_u64() % client_space)
+        arrival_s += -math.log((draw() + 1) / 2.0 ** 64) / arrival_rate
+        protocol = protocols[bisect_left(
+            protocol_bounds, (draw() + 1) / 2.0 ** 64 * protocol_total)]
+        size_bytes = sizes_bytes[bisect_left(
+            size_bounds, (draw() + 1) / 2.0 ** 64 * size_total)]
+        client = client_base + client_stride * (draw() % client_space)
         resumed = False
         history = handshaken.get(protocol)
         if history is not None:
-            if (client in history
-                    and (next_u64() + 1) / 2.0 ** 64 <= resumption_ratio):
-                resumed = True
-            else:
+            if client in history:
+                if left:
+                    left -= 1
+                    value = draw()
+                else:
+                    value = next_u64()
+                resumed = (value + 1) / 2.0 ** 64 <= resumption_ratio
+            if not resumed:
                 history.add(client)
-        requests.append(SessionRequest(
-            seq=seq_base + seq_stride * k,
-            arrival_cycle=arrival_s * clock_hz,
-            protocol=protocol, size_bytes=size_kb * 1024,
-            resumed=resumed, client_id=client))
+        append(SessionRequest(seq_base + seq_stride * k,
+                              arrival_s * clock_hz, protocol, size_bytes,
+                              resumed, client))
     return requests
 
 

@@ -55,6 +55,23 @@ class DeterministicPrng:
         self._state = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
+    def next_u64_block(self, count: int) -> List[int]:
+        """The next ``count`` :meth:`next_u64` values, as a list.
+
+        Leaves the stream exactly where ``count`` calls would, without
+        a method call per value."""
+        mask = _MASK64
+        x = self._state
+        out: List[int] = []
+        append = out.append
+        for _ in range(count):
+            x ^= x >> 12
+            x ^= x << 25 & mask
+            x ^= x >> 27
+            append(x * 0x2545F4914F6CDD1D & mask)
+        self._state = x
+        return out
+
     def next_bits(self, nbits: int) -> int:
         """Uniform integer in [0, 2**nbits)."""
         value = 0

@@ -17,7 +17,8 @@ within the repo (stdlib + :mod:`repro.obs` only), so any layer may
 import it without cycles.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -64,13 +65,26 @@ class SloTarget:
     throughput (the two objectives the autoscale loop always had);
     ``cache_hit_rate`` floors session-cache effectiveness and
     ``utilization`` floors farm efficiency (the two the runtime
-    monitor adds).
+    monitor adds).  Each set target must be a finite, non-negative
+    number; anything else raises a :class:`ValueError` naming it.
     """
 
     p99_ms: Optional[float] = None
     secure_mbps: Optional[float] = None
     cache_hit_rate: Optional[float] = None
     utilization: Optional[float] = None
+
+    def __post_init__(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is None:
+                continue
+            if (not isinstance(value, (int, float))
+                    or isinstance(value, bool)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise ValueError(
+                    f"SLO target {spec.name} must be a finite "
+                    f"non-negative number, got {value!r}")
 
     def objectives(self) -> Tuple[SloObjective, ...]:
         """The non-None objectives, in declaration order."""
@@ -100,6 +114,9 @@ class SloTarget:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SloTarget":
+        if not isinstance(payload, dict):
+            raise ValueError(f"SLO target must be an object, got "
+                             f"{type(payload).__name__}")
         return cls(p99_ms=payload.get("p99_ms"),
                    secure_mbps=payload.get("secure_mbps"),
                    cache_hit_rate=payload.get("cache_hit_rate"),
@@ -130,6 +147,7 @@ def parse_slo(spec: str) -> SloTarget:
                 f"bad SLO value {raw!r} for {name}") from None
     if not values:
         raise ValueError("empty SLO spec")
+    # SloTarget rejects non-finite and negative targets by name.
     return SloTarget(**values)
 
 

@@ -89,9 +89,12 @@ class ProtocolModel:
         the abbreviated handshake, a miss falls back to the full one.
         Returns a :class:`RequestCost`.
 
-        Must be a pure function of its arguments: the farm prices each
-        request once when it is dispatched, and serves a cache miss on
-        the same cost table at that dispatch-time price.
+        Must be a function of the request's ``protocol`` and
+        ``size_bytes``, of ``request.resumed and cache_hit``, and of
+        ``costs`` alone -- never of its ``seq``, ``client_id`` or
+        ``arrival_cycle``: a farm run prices each such key once per
+        cost table and reuses that price for every request sharing it,
+        at dispatch and when service starts.
         """
         raise NotImplementedError
 

@@ -608,6 +608,29 @@ class TestChaosCli:
         assert err.startswith(f"error: {path}: fault plan")
         assert named in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--slo", "p99_ms=nan"], "SLO target p99_ms"),
+        (["--slo", "p99_ms=-1"], "SLO target p99_ms"),
+        (["--slo", "secure_mbps=inf"], "SLO target secure_mbps"),
+        (["--replay", "LIST"], "header is not a JSON object"),
+    ])
+    def test_bad_slo_or_trace_fails_before_characterization(
+            self, tmp_path, capsys, monkeypatch, flags, named):
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("characterized before validating")
+
+        monkeypatch.setattr(cli, "_measured_cost_pair", forbidden)
+        trace = tmp_path / "list.jsonl"
+        trace.write_text("[1, 2]\n")
+        flags = [str(trace) if flag == "LIST" else flag for flag in flags]
+        assert main(["farm", "--requests", "50", "--json"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+
     def test_json_output_is_strict(self):
         import argparse
 

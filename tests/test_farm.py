@@ -93,6 +93,18 @@ class TestWorkload:
                 seen.add(request.client_id)
         assert resumed > 0
 
+    def test_request_is_an_immutable_record(self):
+        import pickle
+        request = SessionRequest(seq=3, arrival_cycle=1.5, protocol="ssl",
+                                 size_bytes=2048, resumed=True,
+                                 client_id=9)
+        assert (request.seq, request.client_id) == (3, 9)
+        assert pickle.loads(pickle.dumps(request)) == request
+        assert hash(request) == hash(SessionRequest(3, 1.5, "ssl", 2048,
+                                                    True, 9))
+        with pytest.raises(AttributeError):
+            request.resumed = False
+
     def test_mix_respected(self):
         profile = TrafficProfile(mix={"esp": 1.0})
         requests = generate_requests(profile, 50, seed=1)
@@ -107,10 +119,21 @@ class TestWorkload:
         {"mix": {}},
         {"sizes_kb": (1, 2), "size_weights": (1,)},
         {"sizes_kb": (), "size_weights": ()},
+        {"mix": {"ssl": 2.0, "esp": -1.0}},
+        {"mix": {"ssl": 1.0, "wep": math.nan}},
+        {"mix": {"ssl": math.inf}},
+        {"sizes_kb": (1, 2), "size_weights": (3, -1)},
+        {"sizes_kb": (1, 2), "size_weights": (1, math.nan)},
     ])
     def test_profile_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrafficProfile(**kwargs)
+
+    def test_bad_weights_are_named(self):
+        with pytest.raises(ValueError, match="mix weight for 'esp'"):
+            TrafficProfile(mix={"ssl": 2.0, "esp": -1.0})
+        with pytest.raises(ValueError, match="size weight for 2 KB"):
+            TrafficProfile(sizes_kb=(1, 2), size_weights=(1, math.nan))
 
     def test_cost_resumed_hit_cheaper_than_miss(self):
         request = SessionRequest(seq=0, arrival_cycle=0.0,
@@ -218,19 +241,40 @@ COMPAT_PROFILES = [
 
 class TestGeneratorCompatibility:
     """``_generate_stream`` draws exactly what the helper-call loop it
-    replaced drew: same PRNG calls, same float comparisons."""
+    replaced drew: same PRNG calls, same float comparisons, and the
+    stream left where that loop left it."""
 
     @pytest.mark.parametrize("seed", [1, 7, 2 ** 63 + 5])
     @pytest.mark.parametrize("profile", COMPAT_PROFILES,
                              ids=["stock", "zeros", "fractions",
                                   "bulk-only"])
     def test_matches_legacy_loop(self, profile, seed):
-        got = _generate_stream(profile, 400, DeterministicPrng(seed),
+        stream = DeterministicPrng(seed)
+        legacy = DeterministicPrng(seed)
+        got = _generate_stream(profile, 400, stream,
                                profile.arrival_rate, DEFAULT_CLOCK_HZ)
-        want = _legacy_stream(profile, 400, DeterministicPrng(seed),
+        want = _legacy_stream(profile, 400, legacy,
                               profile.arrival_rate, DEFAULT_CLOCK_HZ)
         assert got == want
         assert got == generate_requests(profile, 400, seed=seed)
+        assert stream.next_u64() == legacy.next_u64()
+
+    @pytest.mark.parametrize("n_requests", [0, 1, 2, 5, 37])
+    @pytest.mark.parametrize("profile", COMPAT_PROFILES,
+                             ids=["stock", "zeros", "fractions",
+                                  "bulk-only"])
+    def test_short_streams_leave_the_prng_exact(self, profile,
+                                                n_requests):
+        """Streams whose last requests draw for resumption end on
+        the buffer's edge, where no block may overshoot."""
+        stream = DeterministicPrng(11)
+        legacy = DeterministicPrng(11)
+        got = _generate_stream(profile, n_requests, stream, 50.0,
+                               DEFAULT_CLOCK_HZ)
+        want = _legacy_stream(profile, n_requests, legacy, 50.0,
+                              DEFAULT_CLOCK_HZ)
+        assert got == want
+        assert stream.next_u64() == legacy.next_u64()
 
     @pytest.mark.parametrize("shard, shards", [(0, 2), (1, 3), (4, 5)])
     def test_matches_legacy_loop_sharded(self, shard, shards):
@@ -247,6 +291,7 @@ class TestGeneratorCompatibility:
         want = _legacy_stream(profile, 300, legacy, 90.0,
                               DEFAULT_CLOCK_HZ, **mapping)
         assert got == want
+        assert stream.next_u64() == legacy.next_u64()
         assert {r.client_id % shards for r in got} == {shard}
         assert any(r.resumed for r in got)
 

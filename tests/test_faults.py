@@ -392,6 +392,35 @@ class TestSimulatorUnderFaults:
         by_seq = {c.request.seq: c for c in result.completions}
         assert by_seq[0].service_cycles > by_seq[1].service_cycles
 
+    def test_prices_follow_the_active_table(self):
+        """The run prices each (protocol, size, resumed-and-hit) once
+        per cost table: identical requests before a degrade, under it
+        and after the core_up are each served at the price of the
+        table active when they start."""
+        specs = _farm(1, 1.0)
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=GAP, kind="degrade", core=0),
+            FaultEvent(cycle=3 * GAP, kind="core_up", core=0),),
+            degraded_costs=BASE_COSTS)
+        # Per phase: a full handshake, then its client resuming.
+        requests = []
+        for phase, arrival in enumerate((0.0, 1.5 * GAP, 4 * GAP)):
+            requests += [_req(2 * phase, arrival, client=phase),
+                         _req(2 * phase + 1, arrival + GAP / 4,
+                              client=phase, resumed=True)]
+        result = _run_with_plan(specs, "round-robin", requests, plan)
+        assert len(result.completions) == len(requests)
+        served = []
+        for c in result.completions:
+            degraded = GAP <= c.start_cycle < 3 * GAP
+            table = BASE_COSTS if degraded else OPT_COSTS
+            assert c.service_cycles == cost_of(
+                c.request, table, cache_hit=c.cache_hit).cycles
+            served.append((degraded, c.cache_hit))
+        assert served == [(False, False), (False, True),
+                          (True, False), (True, True),
+                          (False, False), (False, True)]
+
     def test_preferential_affinity_falls_back_and_rewarms(self):
         specs = _farm(4, 0.5)
         requests = [_req(0, 0.0, client=1),

@@ -24,6 +24,16 @@ class TestDeterminism:
         prng = DeterministicPrng(0)
         assert prng.next_u64() != 0
 
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.integers(min_value=0, max_value=40))
+    def test_block_is_the_call_sequence(self, seed, count):
+        """A block is ``count`` next_u64 calls, state included."""
+        block = DeterministicPrng(seed)
+        calls = DeterministicPrng(seed)
+        assert block.next_u64_block(count) == \
+            [calls.next_u64() for _ in range(count)]
+        assert block.next_u64() == calls.next_u64()
+
 
 class TestRanges:
     @given(st.integers(min_value=1, max_value=512))

@@ -7,6 +7,8 @@ merge, and trace replay exactly like the built-ins.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.costs import PlatformCosts
 from repro.farm import (FarmConfig, FarmSimulator, TrafficProfile,
@@ -95,6 +97,34 @@ def test_kasumi_cost_uses_measured_overhead():
     assert fallback.public_key_cycles == 0
     assert cheap.cycles < fallback.cycles
     assert not is_public_key_heavy(request)
+
+
+# -- the price contract the farm's price table relies on ---------------------
+
+_IDENTITY = st.tuples(st.integers(min_value=0, max_value=2 ** 40),
+                      st.floats(min_value=0.0, max_value=1e12),
+                      st.integers(min_value=0, max_value=2 ** 20))
+
+
+@given(protocol=st.sampled_from(protocol_names()),
+       size_bytes=st.integers(min_value=1, max_value=1 << 20),
+       resumed=st.booleans(), cache_hit=st.booleans(),
+       costs=st.sampled_from([BASE_COSTS, OPT_COSTS]),
+       one=_IDENTITY, two=_IDENTITY)
+def test_price_is_a_function_of_the_contract_key(
+        protocol, size_bytes, resumed, cache_hit, costs, one, two):
+    """Requests that differ only in seq, arrival and client cost the
+    same: a farm run prices each (cost table, protocol, size,
+    resumed-and-hit) once and reuses the price."""
+    def request(identity):
+        seq, arrival, client = identity
+        return SessionRequest(seq=seq, arrival_cycle=arrival,
+                              protocol=protocol, size_bytes=size_bytes,
+                              resumed=resumed, client_id=client)
+    model = get_protocol(protocol)
+    assert (model.request_cost(request(one), costs, cache_hit=cache_hit)
+            == model.request_cost(request(two), costs,
+                                  cache_hit=cache_hit))
 
 
 # -- the toy protocol: the zero-core-edit proof ------------------------------

@@ -253,6 +253,37 @@ class TestReplay:
         with pytest.raises(ValueError, match="truncated"):
             import_workload(truncated)
 
+    @pytest.mark.parametrize("header, named", [
+        ("[1, 2]", "line 1: header is not a JSON object"),
+        ('"repro.farm.workload"', "line 1: header is not a JSON object"),
+        ("{not json", "line 1: invalid JSON"),
+        ({"count": "10"}, "header field 'count' must be a non-negative "
+                          "int, got '10'"),
+        ({"count": -1}, "field 'count'"),
+        ({"count": True}, "field 'count'"),
+        ({"clock_hz": "fast"}, "header field 'clock_hz' must be a "
+                               "positive finite number"),
+        ({"clock_hz": 0}, "field 'clock_hz'"),
+        ({"clock_hz": float("nan")}, "field 'clock_hz'"),
+        ({"meta": [1]}, "header field 'meta' must be a JSON object"),
+    ])
+    def test_rejects_malformed_headers(self, tmp_path, header, named):
+        path = tmp_path / "header.jsonl"
+        export_workload(path, generate_requests(TrafficProfile(), 3,
+                                                seed=1))
+        lines = path.read_text().splitlines()
+        if isinstance(header, dict):
+            edited = json.loads(lines[0])
+            edited.update(header)
+            header = json.dumps(edited)
+        lines[0] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            import_workload(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert named in message
+
     def _edited_trace(self, tmp_path, edit):
         """Export a 10-request trace, then apply ``edit`` to the record
         on line 4 (the third request)."""

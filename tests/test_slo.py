@@ -76,6 +76,25 @@ class TestSloTarget:
         target = SloTarget(p99_ms=5.0, utilization=0.25)
         assert SloTarget.from_dict(target.as_dict()) == target
 
+    @pytest.mark.parametrize("field, value", [
+        ("p99_ms", float("nan")), ("p99_ms", -1.0),
+        ("secure_mbps", float("inf")), ("cache_hit_rate", "0.9"),
+        ("utilization", True)])
+    def test_rejects_bad_targets_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"SLO target {field} "):
+            SloTarget(**{field: value})
+        with pytest.raises(ValueError, match=f"SLO target {field} "):
+            SloTarget.from_dict({field: value})
+
+    @pytest.mark.parametrize("payload", [[], [("p99_ms", 5.0)], "p99_ms",
+                                         None])
+    def test_from_dict_rejects_non_objects(self, payload):
+        with pytest.raises(ValueError, match="must be an object"):
+            SloTarget.from_dict(payload)
+
+    def test_zero_targets_are_valid(self):
+        assert SloTarget(p99_ms=0, utilization=0.0).objectives()
+
 
 class TestParseSlo:
     def test_parses_multiple_metrics(self):
@@ -86,6 +105,12 @@ class TestParseSlo:
         "", "p99_ms", "p99_ms=fast", "latency=5"])
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):
+            parse_slo(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "p99_ms=nan", "p99_ms=-1", "p99_ms=inf", "p99_ms=5,utilization=-0.5"])
+    def test_rejects_non_finite_and_negative_targets(self, spec):
+        with pytest.raises(ValueError, match="finite non-negative"):
             parse_slo(spec)
 
 
