@@ -83,6 +83,7 @@ virtual timestamps), ``/healthz``, and ``/slo`` over HTTP.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -445,7 +446,14 @@ def _parse_mix(spec: str) -> dict:
         if not sep:
             raise ValueError(f"--mix entries are NAME=WEIGHT "
                              f"(got {part!r})")
-        mix[name.strip()] = float(weight)
+        try:
+            value = float(weight)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"--mix weight must be a finite number "
+                             f"(got {part!r})")
+        mix[name.strip()] = value
     if not mix:
         raise ValueError("--mix needs at least one NAME=WEIGHT entry")
     return mix

@@ -1,10 +1,11 @@
 """Code-generating compiler for the XT32 instruction-set simulator.
 
-The interpreter in :mod:`repro.isa.machine` re-decodes every
-instruction on every execution: an opcode lookup and a handler call,
-tuple indexing for operands, an immediate re-mask, a dcache presence
-test, and per-step counting.  This module removes all of that by
-*predecoding*: :func:`compile_program` translates an assembled
+The interpreter in :mod:`repro.isa.machine` decodes each program
+once into a per-pc table, but still pays per executed instruction: a
+table entry unpacked, a chain of kind tests, a handler call with the
+immediate re-masked, a dcache presence test, and per-step counting.
+This module removes all of that by *generating code*:
+:func:`compile_program` translates an assembled
 :class:`~repro.isa.assembler.Program` once into generated Python
 source, with operand indices, masked immediates, cycle costs, branch
 targets, extension semantics, and zero-register handling baked in as

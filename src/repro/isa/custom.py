@@ -294,11 +294,6 @@ def _mp_instructions(add_width: int, mac_width: int
             make_vmul1(mac_width)]
 
 
-def mp_extension_set(add_width: int = 8, mac_width: int = 4) -> ExtensionSet:
-    """A multi-precision extension configuration at the given widths."""
-    return ExtensionSet(_mp_instructions(add_width, mac_width))
-
-
 def mp_datapath_gates(add_width: int, mac_width: int) -> float:
     """Gate-equivalent area of the five multi-precision datapath
     instructions at the given widths; 0 for the base core (both widths

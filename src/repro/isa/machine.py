@@ -11,8 +11,13 @@ macro-models to.
 Two execution backends share one architectural contract:
 
 - ``interp`` (default): the readable reference loop -- one step per
-  instruction, dispatched by opcode to a handler rendered at import
-  from the op's ``BASE_ISA`` expression and cost.
+  instruction.  Each program is decoded once (:func:`decoded_for`, a
+  weak per-``Program`` cache) into a per-pc table of ``(kind, handler,
+  operands, cost)``; the loop dispatches on the small-int kind, calls
+  the ALU or branch handler rendered at import from the op's
+  ``BASE_ISA`` expression, does memory ops inline with one bounds test
+  each, and looks custom ops up in the machine's extensions when they
+  execute, so machines sharing a program share its table.
 - ``compiled``: generated code via :mod:`repro.isa.compile` -- the
   program is predecoded once into one Python function per fused basic
   block, rendered from the same templates, and the driver makes one
@@ -33,11 +38,12 @@ Calling convention (used by all kernels in :mod:`repro.isa.kernels`):
 
 import os
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.isa.assembler import Program
+from repro.isa.assembler import Instruction, Program
 from repro.isa.extensions import ExtensionSet
 from repro.isa.instructions import (BASE_ISA, BRANCH_TAKEN_PENALTY,
                                     LINK_REG, SP_REG, WORD_MASK, ZERO_REG,
@@ -50,25 +56,87 @@ class MachineError(RuntimeError):
 
 def _build_handlers():
     """Render the interpreter's handlers from :data:`BASE_ISA` in one
-    ``exec``: per ALU op ``(regs, args) -> cost`` (writes the result;
-    the loop re-zeroes r0), per branch ``(regs, args) -> taken``."""
-    args = ("a[0]", "a[1]", "a[2]")
+    ``exec``: per ALU op ``(r, d, x, y)`` writes ``r[d]`` (the loop
+    re-zeroes r0), per branch ``(r, x, y) -> taken``.  ``x``/``y`` are
+    the op's source operands: register numbers or immediates."""
     lines = []
     for op, spec in BASE_ISA.items():
         if spec.kind == "alu":
-            lines += [f"def _{op}(r, a):",
-                      f"    r[a[0]] = {render(op, args)}",
-                      f"    return {spec.cost}"]
+            lines += [f"def _{op}(r, d, x, y):",
+                      f"    r[d] = {render(op, ('d', 'x', 'y'))}"]
         elif spec.kind == "branch":
-            lines += [f"def _{op}(r, a):",
-                      f"    return {render(op, args)}"]
+            lines += [f"def _{op}(r, x, y):",
+                      f"    return {render(op, ('x', 'y'))}"]
     namespace: Dict[str, object] = {}
     exec(compile("\n".join(lines), "<repro.isa.machine>", "exec"), namespace)
-    return tuple({op: namespace[f"_{op}"] for op, spec in BASE_ISA.items()
-                  if spec.kind == kind} for kind in ("alu", "branch"))
+    return {op: namespace[f"_{op}"] for op, spec in BASE_ISA.items()
+            if spec.kind in ("alu", "branch")}
 
 
-_ALU, _BRANCH = _build_handlers()
+_HANDLERS = _build_handlers()
+
+# Decoded-entry kinds, in the order the interpreter tests them.
+(_ALU, _LW, _SW, _BRANCH, _LB, _SB, _CUSTOM, _J, _JAL, _JR,
+ _HALT) = range(11)
+
+#: (kind, size) of a memory op -> decoded kind
+_MEM_KINDS = {("load", 4): _LW, ("load", 1): _LB,
+              ("store", 4): _SW, ("store", 1): _SB}
+_CONTROL_KINDS = {"j": _J, "jal": _JAL, "halt": _HALT}
+
+#: One decoded instruction: ``(kind, handler, d, x, y, cost)``.
+Decoded = Tuple[int, object, object, object, object, int]
+
+
+def _decode(instr: Instruction) -> Decoded:
+    """Decode one instruction for the interpreter.
+
+    - ALU: ``handler(r, d, x, y)`` with destination ``d`` and sources
+      ``x``/``y`` (``y`` None for two-operand ops);
+    - branch: ``handler(r, x, y)``, taken target in ``d``;
+    - lw/lb/sw/sb: data register ``d``, base register ``x``, offset
+      ``y``;
+    - j/jal: target in ``d``; jr: target register in ``x``; halt;
+    - anything else is a custom op: its name in ``handler`` and its
+      operands in ``x``, resolved against the machine's extensions when
+      it executes (an op no extension defines faults there).
+    """
+    op = instr.op
+    a = instr.args
+    spec = BASE_ISA.get(op)
+    if spec is None:
+        return (_CUSTOM, op, None, a, None, 0)
+    if spec.kind == "alu":
+        return (_ALU, _HANDLERS[op], a[0], a[1],
+                a[2] if len(a) > 2 else None, spec.cost)
+    if spec.kind == "branch":
+        return (_BRANCH, _HANDLERS[op], a[2], a[0], a[1], spec.cost)
+    if spec.size:
+        off, base = a[1]
+        return (_MEM_KINDS[spec.kind, spec.size], None, a[0], base, off,
+                spec.cost)
+    if op == "jr":
+        return (_JR, None, None, a[0], None, spec.cost)
+    return (_CONTROL_KINDS[op], None, a[0] if a else None, None, None,
+            spec.cost)
+
+
+#: Program -> (decoded table, opcode name per pc).  Weak, like the
+#: compiled backend's cache, so a dropped program frees its table.
+_decoded: "weakref.WeakKeyDictionary[Program, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def decoded_for(program: Program) -> Tuple[List[Decoded], List[str]]:
+    """The (cached) interpreter table of ``program``: one decoded entry
+    and one opcode name per pc.  It depends on the program alone, so
+    machines with different extension sets share it."""
+    entry = _decoded.get(program)
+    if entry is None:
+        code = program.instructions
+        entry = _decoded[program] = ([_decode(instr) for instr in code],
+                                     [instr.op for instr in code])
+    return entry
 
 
 #: Environment variable selecting the default execution backend.
@@ -465,15 +533,16 @@ class Machine:
 
     def _run_interp(self, entry: str, args: Sequence[int],
                     max_instructions: int) -> int:
-        program = self.program
-        code = program.instructions
+        table, op_names = decoded_for(self.program)
         pc, sentinel = self._prepare_run(entry, args)
         self._cmark = self.cycles
 
         regs = self.regs
+        mem = self.mem
         ext = self.extensions
         dcache = self.dcache
         penalty = BRANCH_TAKEN_PENALTY
+        from_bytes = int.from_bytes
         executed = 0
         cycles = self.cycles
         #: per-pc execution counts, merged into opcode_counts at exit --
@@ -488,81 +557,91 @@ class Machine:
                 if pc < 0 or pc > sentinel:
                     top_fault = True
                     raise MachineError(f"pc out of range: {pc}")
-                instr = code[pc]
-                op = instr.op
-                a = instr.args
+                kind, fn, d, x, y, cost = table[pc]
                 counts[pc] += 1
                 executed += 1
                 if executed > max_instructions:
                     raise MachineError(
                         "instruction budget exceeded (runaway program?)")
-                next_pc = pc + 1
 
-                # ALU ops, the common case, skip the table lookup.
-                alu = _ALU.get(op)
-                spec = BASE_ISA.get(op) if alu is None else None
-                if alu is not None:
-                    cost = alu(regs, a)
-                elif spec is None:
-                    custom = ext.get(op)
-                    if custom is None:
+                if kind == _ALU:
+                    fn(regs, d, x, y)
+                    pc += 1
+                elif kind == _LW:
+                    addr = regs[x] + y
+                    if addr < 0 or addr + 4 > len(mem):
                         raise MachineError(
-                            f"unknown opcode {op!r} at pc={pc}")
-                    self.cycles = cycles
-                    custom.semantics(self, a)
-                    cost = custom.cycle_cost(self, a)
-                    cycles = self.cycles
-                elif spec.kind == "branch":
-                    cost = spec.cost
-                    if _BRANCH[op](regs, a):
-                        cost += penalty
-                        next_pc = a[2]
-                elif spec.size:
-                    cost = spec.cost
-                    off, base = a[1]
-                    addr = regs[base] + off
-                    word = spec.size == 4
-                    if spec.kind == "store":
-                        if word:
-                            self.write_word(addr, regs[a[0]])
-                        else:
-                            self.write_byte(addr, regs[a[0]])
-                    else:
-                        regs[a[0]] = (self.read_word(addr) if word
-                                      else self.read_byte(addr))
+                            f"memory access out of range: {addr:#x}+4")
+                    regs[d] = from_bytes(mem[addr:addr + 4], "little")
                     if dcache is not None:
                         cost += dcache.access(addr)
-                elif op == "j":
-                    next_pc = a[0]
-                    cost = spec.cost
-                elif op == "halt":
-                    cycles += spec.cost
+                    pc += 1
+                elif kind == _SW:
+                    addr = regs[x] + y
+                    if addr < 0 or addr + 4 > len(mem):
+                        raise MachineError(
+                            f"memory access out of range: {addr:#x}+4")
+                    mem[addr:addr + 4] = \
+                        (regs[d] & WORD_MASK).to_bytes(4, "little")
+                    if dcache is not None:
+                        cost += dcache.access(addr)
+                    pc += 1
+                elif kind == _BRANCH:
+                    if fn(regs, x, y):
+                        cost += penalty
+                        pc = d
+                    else:
+                        pc += 1
+                elif kind == _LB or kind == _SB:
+                    addr = regs[x] + y
+                    if addr < 0 or addr + 1 > len(mem):
+                        raise MachineError(
+                            f"memory access out of range: {addr:#x}+1")
+                    if kind == _LB:
+                        regs[d] = mem[addr]
+                    else:
+                        mem[addr] = regs[d] & 0xFF
+                    if dcache is not None:
+                        cost += dcache.access(addr)
+                    pc += 1
+                elif kind == _CUSTOM:
+                    custom = ext.get(fn)
+                    if custom is None:
+                        raise MachineError(
+                            f"unknown opcode {fn!r} at pc={pc}")
+                    self.cycles = cycles
+                    custom.semantics(self, x)
+                    cost = custom.cycle_cost(self, x)
+                    cycles = self.cycles
+                    pc += 1
+                elif kind == _J:
+                    pc = d
+                elif kind == _HALT:
+                    cycles += cost
                     halted = True
                     break
                 else:
                     # jal / jr: charge, then enter or leave a profile frame
-                    cycles += spec.cost
+                    cycles += cost
                     self.cycles = cycles
                     self._flush_frame_cycles()
-                    if op == "jal":
+                    if kind == _JAL:
                         regs[LINK_REG] = pc + 1
-                        next_pc = a[0]
-                        self._enter(next_pc)
+                        pc = d
+                        self._enter(pc)
                     else:
-                        next_pc = regs[a[0]]
+                        pc = regs[x]
                         self._leave()
                     regs[ZERO_REG] = 0
-                    pc = next_pc
                     continue
 
                 regs[ZERO_REG] = 0  # r0 stays hardwired to zero
                 cycles += cost
-                pc = next_pc
             completed = not halted
         finally:
             self.cycles = cycles
             self._end_run(pc, executed, completed or top_fault, counts,
-                          [instr.op for instr in code])
+                          op_names)
         return self._finish_run(executed)
 
     # -- batched execution -------------------------------------------------

@@ -35,7 +35,14 @@ def modelset_from_dict(data: dict) -> MacroModelSet:
     if data.get("schema") != _SCHEMA_VERSION:
         raise ValueError(f"unsupported macro-model schema {data.get('schema')!r}")
     models = MacroModelSet(data["platform"])
-    for routine, spec in data["models"].items():
+    specs = data["models"]
+    if not isinstance(specs, dict):
+        raise ValueError(f"macro-model 'models' must be an object, got "
+                         f"{type(specs).__name__}")
+    for routine, spec in specs.items():
+        if not isinstance(spec, dict):
+            raise ValueError(f"macro-model {routine!r} must be an object, "
+                             f"got {type(spec).__name__}")
         fit = _fit_from_spec(routine, spec)
         models.add(MacroModel(routine=routine, fit=fit))
     return models
@@ -85,6 +92,11 @@ def save_modelset(models: MacroModelSet, path: str) -> None:
 
 
 def load_modelset(path: str) -> MacroModelSet:
-    """Read a model set saved by :func:`save_modelset`."""
+    """Read a model set saved by :func:`save_modelset`.  A document
+    that is not a JSON object is rejected with ``path`` named."""
     with open(path) as fh:
-        return modelset_from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a macro-model file holds a JSON "
+                         f"object, got {type(data).__name__}")
+    return modelset_from_dict(data)

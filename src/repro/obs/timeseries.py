@@ -349,6 +349,9 @@ def read_series_jsonl(source: Union[str, TextIO]) -> MetricsTimeSeries:
     if not lines:
         raise ValueError(f"{name}: empty time-series file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError(f"{name}: the header line must be a JSON "
+                         f"object, got {type(header).__name__}")
     if header.get("format") != SERIES_FORMAT:
         raise ValueError(f"{name}: not a {SERIES_FORMAT} file")
     if header.get("version") != SERIES_VERSION:
@@ -363,8 +366,11 @@ def read_series_jsonl(source: Union[str, TextIO]) -> MetricsTimeSeries:
     if len(records) != expected:
         raise ValueError(f"{name}: header promises {expected} records, "
                          f"found {len(records)} (truncated series?)")
-    for line in records:
+    for index, line in enumerate(records):
         payload = json.loads(line)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{name}: record {index} must be a JSON "
+                             f"object, got {type(payload).__name__}")
         kind = payload.get("kind")
         if kind == "sample":
             series.append(payload["t_cycles"], payload["values"])

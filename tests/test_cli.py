@@ -144,6 +144,15 @@ class TestExecution:
         assert "NAME=WEIGHT" in capsys.readouterr().err
         assert main(["farm", "--mix", "ssl=lots"]) == 2
 
+    @pytest.mark.parametrize("entry", ["ssl=abc", "ssl=nan", "ssl=inf",
+                                       "ssl=-inf", "ssl="])
+    def test_farm_mix_bad_weight_names_flag_and_entry(self, capsys, entry):
+        assert main(["farm", "--mix", f"{entry},esp=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mix ")
+        assert repr(entry) in err
+        assert "Traceback" not in err
+
     def test_explore_with_saved_models(self, tmp_path, capsys):
         out = tmp_path / "models.json"
         main(["characterize", "-o", str(out)])

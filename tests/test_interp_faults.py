@@ -1,0 +1,283 @@
+"""Fault paths of the predecoded interpreter, against golden values.
+
+The interpreter decodes each program once into a per-pc table and does
+memory accesses inline.  Every case here runs on both backends, asserts
+the two snapshots are identical, and pins the interpreter's snapshot to
+hand-computed values: the error text, cycles (a faulting instruction is
+not charged), instret (nor retired), per-opcode counts (it is counted),
+the final pc and the memory contents.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.isa.assembler import assemble
+from repro.isa.cache import CacheConfig
+from repro.isa.extensions import CustomInstruction, ExtensionSet
+from repro.isa.instructions import BASE_ISA
+from repro.isa.machine import Machine, MachineError, decoded_for
+
+BACKENDS = ("interp", "compiled")
+MEM = 1 << 16
+ZERO_MEM = hashlib.sha256(bytes(MEM)).hexdigest()
+
+
+def snapshot(machine, result):
+    return {
+        "result": result,
+        "cycles": machine.cycles,
+        "instret": machine.instret,
+        "pc": machine.pc,
+        "opcode_counts": dict(machine.opcode_counts),
+        "regs": list(machine.regs),
+        "mem": hashlib.sha256(machine.mem).hexdigest(),
+        "local_cycles": dict(machine.profile.local_cycles),
+        "call_counts": dict(machine.profile.call_counts),
+        "dcache": (None if machine.dcache is None else
+                   (machine.dcache.stats.accesses,
+                    machine.dcache.stats.misses)),
+    }
+
+
+def run_on(machine, entry="main", args=(), max_instructions=10_000):
+    try:
+        result = machine.run(entry, list(args),
+                             max_instructions=max_instructions)
+    except MachineError as exc:
+        result = ("error", str(exc))
+    return snapshot(machine, result)
+
+
+def run_both(source, args=(), extensions=None, program_extensions=None,
+             dcache=None, max_instructions=10_000):
+    """The interpreter's snapshot, after checking the compiled backend
+    leaves the identical one.  ``program_extensions`` assembles the
+    source with a different extension set than the machines run."""
+    program = assemble(source, program_extensions or extensions)
+    interp, compiled = (
+        run_on(Machine(program, extensions, MEM, dcache=dcache,
+                       backend=backend), args=args,
+               max_instructions=max_instructions)
+        for backend in BACKENDS)
+    assert interp == compiled
+    return interp
+
+
+def error(snap):
+    assert snap["result"][0] == "error", snap["result"]
+    return snap["result"][1]
+
+
+def _bump(name, step, latency):
+    def semantics(machine, args):
+        machine.regs[args[0]] = (machine.regs[args[0]] + step) & 0xFFFFFFFF
+
+    return CustomInstruction(name=name, signature="r", semantics=semantics,
+                             latency=latency)
+
+
+def _setreg(name, value):
+    def semantics(machine, args):
+        machine.regs[args[0]] = value
+
+    return CustomInstruction(name=name, signature="r", semantics=semantics,
+                             latency=1)
+
+
+class TestMemoryBounds:
+    @pytest.mark.parametrize("op", ["lw", "sw"])
+    def test_word_three_bytes_from_the_end(self, op):
+        # r2 + 4 = len(mem) - 3: the word would run one byte past it.
+        snap = run_both(f"main:\n    li r2, {MEM - 7}\n"
+                        "    li r3, 0x11223344\n"
+                        f"    {op} r3, 4(r2)\n    halt\n")
+        assert error(snap) == f"memory access out of range: {MEM - 3:#x}+4"
+        assert snap["cycles"] == 2 and snap["instret"] == 2
+        assert snap["opcode_counts"] == {"li": 2, op: 1}
+        assert snap["pc"] == 2 and snap["mem"] == ZERO_MEM
+        assert snap["regs"][3] == 0x11223344
+
+    @pytest.mark.parametrize("op", ["lb", "sb"])
+    def test_byte_at_the_end(self, op):
+        snap = run_both(f"main:\n    li r2, {MEM}\n"
+                        f"    {op} r3, 0(r2)\n    halt\n")
+        assert error(snap) == f"memory access out of range: {MEM:#x}+1"
+        assert snap["cycles"] == 1 and snap["instret"] == 1
+        assert snap["opcode_counts"] == {"li": 1, op: 1}
+        assert snap["pc"] == 1 and snap["mem"] == ZERO_MEM
+
+    def test_last_word_and_byte_are_in_range(self):
+        snap = run_both(f"main:\n    li r2, {MEM - 4}\n"
+                        "    li r3, 0xA1B2C3D4\n"
+                        "    sw r3, 0(r2)\n"
+                        "    lw r1, 0(r2)\n"
+                        "    sb r3, 3(r2)\n"
+                        "    lb r4, 3(r2)\n    halt\n")
+        assert snap["result"] == 0xA1B2C3D4
+        assert snap["regs"][4] == 0xD4
+        # li, li, sw, lw, sb, lb, halt
+        assert snap["cycles"] == 1 + 1 + 1 + 2 + 1 + 2 + 1
+        assert snap["instret"] == 6
+        assert snap["mem"] == hashlib.sha256(
+            bytes(MEM - 4) + bytes.fromhex("d4c3b2d4")).hexdigest()
+
+    @pytest.mark.parametrize("op,size", [("lw", 4), ("sw", 4),
+                                         ("lb", 1), ("sb", 1)])
+    def test_negative_address(self, op, size):
+        snap = run_both("main:\n    li r3, 0x55\n"
+                        f"    {op} r3, -4(r0)\n    halt\n")
+        assert error(snap) == f"memory access out of range: -0x4+{size}"
+        assert snap["cycles"] == 1 and snap["instret"] == 1
+        assert snap["opcode_counts"] == {"li": 1, op: 1}
+        assert snap["pc"] == 1 and snap["mem"] == ZERO_MEM
+
+
+class TestDecodeAndDispatch:
+    def test_unknown_opcode(self):
+        ext = ExtensionSet([_bump("bump", 1, 1)])
+        snap = run_both("main:\n    addi r1, r1, 3\n    bump r1\n"
+                        "    halt\n", program_extensions=ext)
+        assert error(snap) == "unknown opcode 'bump' at pc=1"
+        assert snap["cycles"] == 1 and snap["instret"] == 1
+        assert snap["opcode_counts"] == {"addi": 1, "bump": 1}
+        assert snap["pc"] == 1
+
+    @pytest.mark.parametrize("budget", [1, 36, 37, 38])
+    def test_budget_expires_on_exactly_the_next_instruction(self, budget):
+        # addi, j, addi, j, ...: the instruction numbered budget + 1
+        # traps, counted but neither retired nor charged.
+        snap = run_both("main:\n    addi r1, r1, 1\n    j main\n",
+                        max_instructions=budget)
+        assert error(snap) == "instruction budget exceeded (runaway program?)"
+        executed = budget + 1
+        addis, jumps = (executed + 1) // 2, executed // 2
+        assert snap["opcode_counts"] == {"addi": addis, "j": jumps}
+        assert snap["instret"] == budget
+        trapped = ("addi", 1) if executed % 2 else ("j", 3)
+        assert snap["cycles"] == addis + 3 * jumps - trapped[1]
+        assert snap["pc"] == (executed + 1) % 2
+        assert snap["regs"][1] == addis - (trapped[0] == "addi")
+
+    @pytest.mark.parametrize("budget", [4, 5])
+    def test_run_that_ends_within_the_budget(self, budget):
+        snap = run_both("main:\n    addi r1, r1, 1\n    addi r1, r1, 2\n"
+                        "    addi r1, r1, 4\n    halt\n",
+                        max_instructions=budget)
+        assert snap["result"] == 7
+        assert snap["cycles"] == 4 and snap["instret"] == 3
+
+    def test_budget_expires_on_the_halt(self):
+        snap = run_both("main:\n    addi r1, r1, 1\n    addi r1, r1, 2\n"
+                        "    addi r1, r1, 4\n    halt\n",
+                        max_instructions=3)
+        assert error(snap).startswith("instruction budget exceeded")
+        assert snap["cycles"] == 3 and snap["instret"] == 3
+        assert snap["opcode_counts"] == {"addi": 3, "halt": 1}
+        assert snap["pc"] == 3
+
+    @pytest.mark.parametrize("target", [-1, -7])
+    def test_jr_to_a_negative_pc(self, target):
+        ext = ExtensionSet([_setreg("setreg", target)])
+        snap = run_both("main:\n    setreg r5\n    jr r5\n"
+                        "    addi r1, r1, 7\n    halt\n", extensions=ext)
+        assert error(snap) == f"pc out of range: {target}"
+        # setreg (1) and jr (3) both retire: the fault is at the target.
+        assert snap["cycles"] == 4 and snap["instret"] == 2
+        assert snap["opcode_counts"] == {"setreg": 1, "jr": 1}
+        assert snap["pc"] == target
+
+    @pytest.mark.parametrize("target,ok", [(4, True), (5, False),
+                                           (99, False)])
+    def test_jr_at_and_past_the_sentinel(self, target, ok):
+        # pc 4 is the sentinel (one past the last instruction): a
+        # return.  Anything beyond it faults.
+        snap = run_both(f"main:\n    li r5, {target}\n    jr r5\n"
+                        "    addi r1, r1, 7\n    halt\n", args=[3])
+        assert snap["cycles"] == 4 and snap["instret"] == 2
+        assert snap["opcode_counts"] == {"li": 1, "jr": 1}
+        assert snap["pc"] == target
+        if ok:
+            assert snap["result"] == 3
+        else:
+            assert error(snap) == f"pc out of range: {target}"
+
+    def test_dcache_charges_and_faults(self):
+        # 256-byte cache of 16-byte lines: 0x2000 and 0x2100 share set 0.
+        source = ("main:\n    li r2, 0x2000\n"
+                  "    sw r1, 0(r2)\n"      # miss
+                  "    lw r3, 4(r2)\n"      # hit
+                  "    lb r4, 16(r2)\n"     # miss
+                  "    sb r1, 17(r2)\n"     # hit
+                  "    lw r5, 0x100(r2)\n"  # miss, evicts 0x2000
+                  "    lw r6, 0(r2)\n"      # miss
+                  "    {tail}\n"
+                  "    halt\n")
+        cache = CacheConfig(size_bytes=256, line_bytes=16, miss_penalty=9)
+        snap = run_both(source.format(tail="addi r1, r1, 1"), args=[0xAB],
+                        dcache=cache)
+        assert snap["result"] == 0xAC and snap["regs"][6] == 0xAB
+        base = 1 + 1 + 2 + 2 + 1 + 2 + 2 + 1 + 1
+        assert snap["cycles"] == base + 4 * 9
+        assert snap["dcache"] == (6, 4)
+        # A faulting access is neither charged nor seen by the cache.
+        snap = run_both(source.format(tail="lw r7, -1(r0)"), args=[0xAB],
+                        dcache=cache)
+        assert error(snap) == "memory access out of range: -0x1+4"
+        assert snap["cycles"] == base - 2 + 4 * 9
+        assert snap["dcache"] == (6, 4)
+        assert snap["instret"] == 7 and snap["pc"] == 7
+
+    @pytest.mark.parametrize("op", sorted(
+        op for op, spec in BASE_ISA.items() if spec.kind == "alu"))
+    def test_every_alu_op_writing_r0(self, op):
+        sig = BASE_ISA[op].sig
+        operands = ", ".join(["r0"] + ["r1" if kind == "r" else "7"
+                                      for kind in sig[1:]])
+        snap = run_both(f"main:\n    li r1, 0xFFFFFFFF\n"
+                        f"    {op} {operands}\n"
+                        "    add r2, r0, r1\n    mov r1, r0\n    halt\n")
+        assert snap["result"] == 0 and snap["regs"][0] == 0
+        assert snap["regs"][2] == 0xFFFFFFFF
+        assert snap["cycles"] == 1 + BASE_ISA[op].cost + 1 + 1 + 1
+
+
+class TestSharedProgram:
+    SOURCE = ("main:\n    bump r1\n    bump r1\n    addi r1, r1, 1\n"
+              "    halt\n")
+
+    def test_one_table_two_extension_sets(self):
+        # The decoded table depends on the program alone; a custom op
+        # resolves against the running machine's extensions.
+        small = ExtensionSet([_bump("bump", 1, 1)])
+        large = ExtensionSet([_bump("bump", 100, 5)])
+        program = assemble(self.SOURCE, small)
+        table = decoded_for(program)
+        for backend in BACKENDS:
+            machines = [Machine(program, ext, MEM, backend=backend)
+                        for ext in (small, large, None, small)]
+            snaps = [run_on(machine, args=[10]) for machine in machines]
+            assert snaps[0]["result"] == 13 and snaps[0]["cycles"] == 4
+            assert snaps[1]["result"] == 211 and snaps[1]["cycles"] == 12
+            assert error(snaps[2]) == "unknown opcode 'bump' at pc=0"
+            assert snaps[2]["cycles"] == 0 and snaps[2]["instret"] == 0
+            assert snaps[3] == snaps[0]
+            if backend == "interp":
+                golden = snaps
+            else:
+                assert snaps == golden
+        assert decoded_for(program) is table
+
+    def test_run_batch_after_a_fault(self):
+        program = assemble("main:\n    lw r1, 0(r1)\n    addi r1, r1, 1\n"
+                           "    halt\n")
+        requests = [("main", [0x100]), ("main", [0x200])]
+        for backend in BACKENDS:
+            machine = Machine(program, None, MEM, backend=backend)
+            machine.write_word(0x100, 41)
+            assert run_on(machine, args=[MEM])["result"] == (
+                "error", f"memory access out of range: {MEM:#x}+4")
+            assert machine.run_batch(requests) == [(1, 4), (1, 4)]
+            assert machine.instret == 2 and machine.pc == 2
+            assert machine.opcode_counts == {"lw": 1, "addi": 1,
+                                             "halt": 1}

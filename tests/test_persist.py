@@ -109,3 +109,27 @@ class TestLoadValidation:
         assert main(["explore", "--models", str(path)]) == 2
         err = capsys.readouterr().err
         assert "'mpn_mul_1': form" in err
+
+    @pytest.mark.parametrize("document", ["[1]", "3", '"models"', "null"])
+    def test_non_object_document_rejected(self, tmp_path, capsys,
+                                          document):
+        from repro.cli import main
+        path = tmp_path / "models.json"
+        path.write_text(document)
+        with pytest.raises(ValueError, match="JSON object") as info:
+            load_modelset(str(path))
+        assert str(path) in str(info.value)
+        assert main(["explore", "--models", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("models_field", [[1], "x"])
+    def test_non_object_models_rejected(self, models, models_field):
+        data = modelset_to_dict(models)
+        data["models"] = models_field
+        with pytest.raises(ValueError, match="'models' must be an object"):
+            modelset_from_dict(data)
+        data["models"] = {"mpn_add_n": models_field}
+        with pytest.raises(ValueError, match="'mpn_add_n' must be an obj"):
+            modelset_from_dict(data)

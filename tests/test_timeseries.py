@@ -154,6 +154,28 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="empty"):
             read_series_jsonl(io.StringIO(""))
 
+    @pytest.mark.parametrize("header", ["[1]", "3", '"series"', "null"])
+    def test_non_object_header_rejected(self, tmp_path, capsys, header):
+        from repro.cli import main
+        path = tmp_path / "series.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="header line must be a JSON "
+                                             "object") as info:
+            read_series_jsonl(str(path))
+        assert str(path) in str(info.value)
+        assert main(["timeseries", "--series", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read series {path}: {path}: ")
+        assert "Traceback" not in err
+
+    def test_non_object_record_rejected(self):
+        buf = io.StringIO()
+        write_series_jsonl(_series(), buf)
+        lines = buf.getvalue().splitlines()
+        lines[2] = "[1]"
+        with pytest.raises(ValueError, match="<stream>: record 1 must be"):
+            read_series_jsonl(io.StringIO("\n".join(lines) + "\n"))
+
     def test_truncation_detected(self):
         buf = io.StringIO()
         write_series_jsonl(_series(), buf)
