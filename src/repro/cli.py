@@ -948,7 +948,7 @@ def _cmd_profile(args) -> int:
 
     try:
         tracer = read_events_jsonl(args.trace)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.trace}: {exc}",
               file=sys.stderr)
         return 2

@@ -13,10 +13,10 @@ request list, and replaying it reproduces the identical
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from repro.obs.validate import is_finite_number
 from repro.protocols import protocol_names
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.farm.workload import SessionRequest
@@ -103,9 +103,7 @@ def import_workload(path) -> WorkloadTrace:
         raise ValueError(f"{path}: header field 'count' must be a "
                          f"non-negative int, got {expected!r}")
     clock_hz = header.get("clock_hz", DEFAULT_CLOCK_HZ)
-    if (not isinstance(clock_hz, (int, float))
-            or isinstance(clock_hz, bool)
-            or not (math.isfinite(clock_hz) and clock_hz > 0)):
+    if not (is_finite_number(clock_hz) and clock_hz > 0):
         raise ValueError(f"{path}: header field 'clock_hz' must be a "
                          f"positive finite number, got {clock_hz!r}")
     meta = header.get("meta", {})
@@ -136,13 +134,17 @@ def import_workload(path) -> WorkloadTrace:
                 kinds = " or ".join(t.__name__ for t in types)
                 raise ValueError(f"{where}: field {name!r} must be "
                                  f"{kinds}, got {value!r}")
+        arrival = data["arrival_cycle"]
+        if not (is_finite_number(arrival) and arrival >= 0):
+            raise ValueError(f"{where}: field 'arrival_cycle' must be a "
+                             f"finite non-negative number, got {arrival!r}")
         if data["protocol"] not in known:
             raise ValueError(
                 f"{where}: trace names unregistered protocol "
                 f"{data['protocol']!r}; registered: {list(known)}")
         requests.append(SessionRequest(
             seq=data["seq"],
-            arrival_cycle=float(data["arrival_cycle"]),
+            arrival_cycle=float(arrival),
             protocol=data["protocol"],
             size_bytes=data["size_bytes"],
             resumed=data["resumed"],

@@ -14,8 +14,12 @@ literals and globals.
 One emitter, :class:`_BlockGen`, renders each base op from its
 :data:`~repro.isa.instructions.BASE_ISA` entry: the same expression
 template and cycle cost the interpreter's handlers are built from,
-here with literal operands.  It renders two kinds of function, each
-taking the machine and returning the next pc:
+here with literal operands.  Word loads and stores share the
+interpreter's memory path too: an aligned, in-range address goes
+through the 32-bit view :meth:`~repro.isa.machine.Machine.run` opens
+for the run (``m._words``), anything else through the bounds test and
+the byte slice.  It renders two kinds of function, each taking the
+machine and returning the next pc:
 
 1. **Fused basic blocks (superinstructions)** -- the straight-line run
    from each block leader to the next control transfer or leader,
@@ -147,6 +151,7 @@ class _BlockGen:
         self.pending = 0        # static cycles not yet charged
         self.faulting = False   # needs the try/except + progress marker
         self.uses_mem = False
+        self.uses_words = False
         self.uses_load = False
 
     def flush(self) -> None:
@@ -176,24 +181,32 @@ class _BlockGen:
         off, base = a[1]
         self.fault_point(sub)
         self.lines.append(f"a_ = r[{base}] + {off!r}")
-        self.lines.append(f"if a_ < 0 or a_ + {size} > len(mem):")
-        self.lines.append(
-            '    raise MachineError('
-            f'"memory access out of range: %#x+{size}" % a_)')
         d = a[0]
-        if spec.kind == "store":
-            if size == 4:
-                self.lines.append(
-                    f'mem[a_:a_ + 4] = (r[{d}] & {WORD_MASK}).to_bytes'
-                    f'(4, "little")')
+        store = spec.kind == "store"
+        lines = self.lines
+        out_of_range = f"a_ < 0 or a_ + {size} > len(mem)"
+        fault = ('    raise MachineError('
+                 f'"memory access out of range: %#x+{size}" % a_)')
+        if size == 4 and (store or d != ZERO_REG):
+            # An aligned word through the run's view (machine.word_view),
+            # anything else through the bounds test and byte slice.
+            self.uses_words = True
+            if store:
+                fast = f"w[a_ >> 2] = r[{d}] & {WORD_MASK}"
+                slow = (f'mem[a_:a_ + 4] = (r[{d}] & {WORD_MASK})'
+                        f'.to_bytes(4, "little")')
             else:
-                self.lines.append(f"mem[a_] = r[{d}] & 0xFF")
-        elif d != ZERO_REG:
-            if size == 4:
                 self.uses_load = True
-                self.lines.append(f'r[{d}] = fb(mem[a_:a_ + 4], "little")')
-            else:
-                self.lines.append(f"r[{d}] = mem[a_]")
+                fast = f"r[{d}] = w[a_ >> 2]"
+                slow = f'r[{d}] = fb(mem[a_:a_ + 4], "little")'
+            lines += ["if not a_ & 3 and 0 <= a_ < wl:", f"    {fast}",
+                      f"elif {out_of_range}:", fault, "else:", f"    {slow}"]
+        else:
+            lines += [f"if {out_of_range}:", fault]
+            if store:
+                lines.append(f"mem[a_] = r[{d}] & 0xFF")
+            elif d != ZERO_REG:
+                lines.append(f"r[{d}] = mem[a_]")
         self.pending += spec.cost
         # Dynamic dcache penalties go straight to m.cycles in program
         # order (the access sequence drives the cache model's state).
@@ -260,6 +273,8 @@ class _BlockGen:
         if self.uses_mem:
             head.append("    mem = m.mem")
             head.append("    dc = m.dcache")
+        if self.uses_words:
+            head.append("    w, wl = m._words")
         if self.uses_load:
             head.append("    fb = _fb")
         if self.faulting:
@@ -309,7 +324,7 @@ def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
     for pc, instr in enumerate(code):
         op = instr.op
         target = _TARGET_ARG.get(op)
-        if target is not None and instr.args[target] < sentinel:
+        if target is not None and 0 <= instr.args[target] < sentinel:
             leaders.add(instr.args[target])
         if op in _TERMINATORS and pc + 1 < sentinel:
             leaders.add(pc + 1)

@@ -15,13 +15,26 @@ Two execution backends share one architectural contract:
   weak per-``Program`` cache) into a per-pc table of ``(kind, handler,
   operands, cost)``; the loop dispatches on the small-int kind, calls
   the ALU or branch handler rendered at import from the op's
-  ``BASE_ISA`` expression, does memory ops inline with one bounds test
-  each, and looks custom ops up in the machine's extensions when they
-  execute, so machines sharing a program share its table.
+  ``BASE_ISA`` expression, does memory ops inline, and looks custom
+  ops up in the machine's extensions when they execute, so machines
+  sharing a program share its table.
 - ``compiled``: generated code via :mod:`repro.isa.compile` -- the
   program is predecoded once into one Python function per fused basic
   block, rendered from the same templates, and the driver makes one
   call per block.
+
+Both backends share one memory path.  A run opens a 32-bit view of
+``mem`` (:func:`word_view`, released when the run ends, so no view
+outlives it): an aligned, in-range ``lw``/``sw`` reads or writes
+``words[addr >> 2]``.  Any other address -- unaligned, negative or
+past the end -- takes the byte-slice fallback, which does the bounds
+test and raises the ``memory access out of range`` fault; so does
+every access on a big-endian host or a machine whose memory size is
+not a multiple of 4, where no view is opened.  The pc range is tested
+only where control can leave the straight line (a taken branch,
+``j``, ``jal``, ``jr``), after the instruction is charged; r0 is
+zeroed at run entry and re-zeroed only after an op that can write it
+(an ALU op or load with rd = r0, or a custom op).
 
 Both are bit-identical in ``cycles``, ``instret``, ``opcode_counts``,
 the :class:`Profile`, and final memory/registers; select with the
@@ -37,6 +50,8 @@ Calling convention (used by all kernels in :mod:`repro.isa.kernels`):
 """
 
 import os
+import struct
+import sys
 import threading
 import weakref
 from contextlib import contextmanager
@@ -137,6 +152,28 @@ def decoded_for(program: Program) -> Tuple[List[Decoded], List[str]]:
         entry = _decoded[program] = ([_decode(instr) for instr in code],
                                      [instr.op for instr in code])
     return entry
+
+
+#: The word view reads ``mem`` as native unsigned 32-bit ints, which
+#: are the architecture's little-endian words only on a little-endian
+#: host whose ``I`` is 4 bytes.
+_NATIVE_WORDS = sys.byteorder == "little" and struct.calcsize("I") == 4
+
+#: ``(words, limit)`` of a machine outside a run: no view, and an empty
+#: fast-path range, so every word access takes the fallback.
+NO_WORD_VIEW: Tuple[Optional[memoryview], int] = (None, 0)
+
+
+def word_view(mem: bytearray) -> Tuple[Optional[memoryview], int]:
+    """A 32-bit view of ``mem`` and the byte limit of its fast path:
+    ``(words, len(mem))``, where ``words[addr >> 2]`` is the
+    little-endian word at any aligned ``0 <= addr < len(mem)``.  On a
+    big-endian host or a ``mem`` whose size is not a multiple of 4 it
+    is :data:`NO_WORD_VIEW`.  The caller releases the view: while it is
+    open, ``mem`` cannot be resized."""
+    if not _NATIVE_WORDS or len(mem) & 3:
+        return NO_WORD_VIEW
+    return memoryview(mem).cast("I"), len(mem)
 
 
 #: Environment variable selecting the default execution backend.
@@ -248,6 +285,9 @@ class Machine:
         self._halted = False
         self._halt_pc = 0
         self._block_fault = None
+        #: the compiled backend's (words, limit) memory view, open only
+        #: during a run
+        self._words = NO_WORD_VIEW
 
     def reset(self) -> None:
         """Return the machine to its just-constructed architectural state
@@ -413,6 +453,7 @@ class Machine:
         self.pc = program.entry(entry)
         if len(args) > 6:
             raise MachineError("at most 6 register arguments supported")
+        self.regs[ZERO_REG] = 0
         for i, value in enumerate(args):
             self.regs[1 + i] = value & WORD_MASK
         if self.regs[SP_REG] == 0:
@@ -478,6 +519,7 @@ class Machine:
         executed = 0
         completed = False
         top_fault = False
+        self._words = word_view(self.mem)
         try:
             # A negative pc (a custom instruction can leave one in a jr
             # register) would index the tables from the end.
@@ -510,6 +552,10 @@ class Machine:
             top_fault = True
             raise MachineError(f"pc out of range: {pc}") from None
         finally:
+            words = self._words[0]
+            if words is not None:
+                words.release()
+            self._words = NO_WORD_VIEW
             fault = self._block_fault
             if fault is not None:
                 # A fused block trapped at sub-instruction `sub`: undo
@@ -550,13 +596,13 @@ class Machine:
         counts = [0] * sentinel
         completed = False
         halted = False
-        top_fault = False
+        words, limit = word_view(mem)
 
+        # pc stays in [0, sentinel) on the straight line; only a control
+        # transfer tests its target, after the instruction is charged.
+        # r0 (ZERO_REG) is re-zeroed only after an op that can write it.
         try:
             while pc != sentinel:
-                if pc < 0 or pc > sentinel:
-                    top_fault = True
-                    raise MachineError(f"pc out of range: {pc}")
                 kind, fn, d, x, y, cost = table[pc]
                 counts[pc] += 1
                 executed += 1
@@ -566,32 +612,44 @@ class Machine:
 
                 if kind == _ALU:
                     fn(regs, d, x, y)
+                    if not d:
+                        regs[0] = 0
                     pc += 1
                 elif kind == _LW:
                     addr = regs[x] + y
-                    if addr < 0 or addr + 4 > len(mem):
+                    if not addr & 3 and 0 <= addr < limit:
+                        regs[d] = words[addr >> 2]
+                    elif addr < 0 or addr + 4 > len(mem):
                         raise MachineError(
                             f"memory access out of range: {addr:#x}+4")
-                    regs[d] = from_bytes(mem[addr:addr + 4], "little")
+                    else:
+                        regs[d] = from_bytes(mem[addr:addr + 4], "little")
+                    if not d:
+                        regs[0] = 0
                     if dcache is not None:
                         cost += dcache.access(addr)
                     pc += 1
                 elif kind == _SW:
                     addr = regs[x] + y
-                    if addr < 0 or addr + 4 > len(mem):
+                    if not addr & 3 and 0 <= addr < limit:
+                        words[addr >> 2] = regs[d] & WORD_MASK
+                    elif addr < 0 or addr + 4 > len(mem):
                         raise MachineError(
                             f"memory access out of range: {addr:#x}+4")
-                    mem[addr:addr + 4] = \
-                        (regs[d] & WORD_MASK).to_bytes(4, "little")
+                    else:
+                        mem[addr:addr + 4] = \
+                            (regs[d] & WORD_MASK).to_bytes(4, "little")
                     if dcache is not None:
                         cost += dcache.access(addr)
                     pc += 1
                 elif kind == _BRANCH:
                     if fn(regs, x, y):
-                        cost += penalty
                         pc = d
-                    else:
-                        pc += 1
+                        cycles += cost + penalty
+                        if not 0 <= pc <= sentinel:
+                            raise MachineError(f"pc out of range: {pc}")
+                        continue
+                    pc += 1
                 elif kind == _LB or kind == _SB:
                     addr = regs[x] + y
                     if addr < 0 or addr + 1 > len(mem):
@@ -599,6 +657,8 @@ class Machine:
                             f"memory access out of range: {addr:#x}+1")
                     if kind == _LB:
                         regs[d] = mem[addr]
+                        if not d:
+                            regs[0] = 0
                     else:
                         mem[addr] = regs[d] & 0xFF
                     if dcache is not None:
@@ -613,9 +673,14 @@ class Machine:
                     custom.semantics(self, x)
                     cost = custom.cycle_cost(self, x)
                     cycles = self.cycles
+                    regs[0] = 0
                     pc += 1
                 elif kind == _J:
                     pc = d
+                    cycles += cost
+                    if not 0 <= pc <= sentinel:
+                        raise MachineError(f"pc out of range: {pc}")
+                    continue
                 elif kind == _HALT:
                     cycles += cost
                     halted = True
@@ -632,15 +697,19 @@ class Machine:
                     else:
                         pc = regs[x]
                         self._leave()
-                    regs[ZERO_REG] = 0
+                    if not 0 <= pc <= sentinel:
+                        raise MachineError(f"pc out of range: {pc}")
                     continue
 
-                regs[ZERO_REG] = 0  # r0 stays hardwired to zero
                 cycles += cost
             completed = not halted
         finally:
+            if words is not None:
+                words.release()
             self.cycles = cycles
-            self._end_run(pc, executed, completed or top_fault, counts,
+            # A pc fault retires the transfer that left the program.
+            self._end_run(pc, executed,
+                          completed or not 0 <= pc <= sentinel, counts,
                           op_names)
         return self._finish_run(executed)
 

@@ -6,8 +6,8 @@ sweeps, CI) skip re-running the ISS stimulus programs.
 """
 
 import json
-import math
 
+from repro.obs.validate import is_finite_number
 from repro.macromodel.model import MacroModel, MacroModelSet
 from repro.macromodel.regression import FitResult, form_arity
 
@@ -32,13 +32,23 @@ def modelset_to_dict(models: MacroModelSet) -> dict:
 
 
 def modelset_from_dict(data: dict) -> MacroModelSet:
-    if data.get("schema") != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported macro-model schema {data.get('schema')!r}")
-    models = MacroModelSet(data["platform"])
-    specs = data["models"]
+    """Rebuild a model set, rejecting a missing or ill-typed field with
+    a :class:`ValueError` that names it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a macro-model document is a JSON object, got "
+                         f"{type(data).__name__}")
+    schema = data.get("schema")
+    if isinstance(schema, bool) or schema != _SCHEMA_VERSION:
+        raise ValueError(f"unsupported macro-model schema {schema!r}")
+    platform = _field(data, "platform", "macro-model document:")
+    if not isinstance(platform, str):
+        raise ValueError(f"macro-model 'platform' must be a string, got "
+                         f"{platform!r}")
+    specs = _field(data, "models", "macro-model document:")
     if not isinstance(specs, dict):
         raise ValueError(f"macro-model 'models' must be an object, got "
                          f"{type(specs).__name__}")
+    models = MacroModelSet(platform)
     for routine, spec in specs.items():
         if not isinstance(spec, dict):
             raise ValueError(f"macro-model {routine!r} must be an object, "
@@ -48,41 +58,44 @@ def modelset_from_dict(data: dict) -> MacroModelSet:
     return models
 
 
+def _field(mapping: dict, name: str, where: str):
+    if name not in mapping:
+        raise ValueError(f"{where} {name} is missing")
+    return mapping[name]
+
+
 def _fit_from_spec(routine: str, spec: dict) -> FitResult:
     """One saved fit, rejected with the routine and field named if it
     could not predict a finite cycle count."""
     def bad(field: str, why: str) -> ValueError:
         return ValueError(f"macro-model {routine!r}: {field} {why}")
 
+    where = f"macro-model {routine!r}:"
+    form = _field(spec, "form", where)
+    if not isinstance(form, str):
+        raise bad("form", f"must be a string, got {form!r}")
     try:
-        arity = form_arity(spec["form"])
+        arity = form_arity(form)
     except ValueError as exc:
         raise bad("form", str(exc)) from None
-    coeffs = tuple(spec["coeffs"])
+    coeffs = _field(spec, "coeffs", where)
+    if not isinstance(coeffs, (list, tuple)):
+        raise bad("coeffs", f"must be a list of numbers, got {coeffs!r}")
     if len(coeffs) != arity:
         raise bad("coeffs", f"has {len(coeffs)} values; form "
-                            f"{spec['form']!r} takes {arity}")
-    width = spec["width"]
+                            f"{form!r} takes {arity}")
+    width = _field(spec, "width", where)
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise bad("width", f"must be an integer >= 1, got {width!r}")
-    finite = {"coeffs": coeffs,
-              "mean_abs_pct_error": (spec["mean_abs_pct_error"],),
-              "max_abs_pct_error": (spec["max_abs_pct_error"],)}
-    for field, values in finite.items():
-        if not all(_is_finite(v) for v in values):
-            raise bad(field, f"must be finite numbers, got {spec[field]!r}")
-    return FitResult(form=spec["form"], coeffs=coeffs, width=width,
-                     mean_abs_pct_error=spec["mean_abs_pct_error"],
-                     max_abs_pct_error=spec["max_abs_pct_error"])
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:        # an int beyond the float range
-        return False
+    if not all(is_finite_number(v) for v in coeffs):
+        raise bad("coeffs", f"must be finite numbers, got {coeffs!r}")
+    errors = {}
+    for name in ("mean_abs_pct_error", "max_abs_pct_error"):
+        value = errors[name] = _field(spec, name, where)
+        if not is_finite_number(value):
+            raise bad(name, f"must be a finite number, got {value!r}")
+    return FitResult(form=form, coeffs=tuple(coeffs), width=width,
+                     **errors)
 
 
 def save_modelset(models: MacroModelSet, path: str) -> None:
@@ -93,10 +106,12 @@ def save_modelset(models: MacroModelSet, path: str) -> None:
 
 def load_modelset(path: str) -> MacroModelSet:
     """Read a model set saved by :func:`save_modelset`.  A document
-    that is not a JSON object is rejected with ``path`` named."""
+    that is not a JSON object, or a missing or ill-typed field, is
+    rejected with a :class:`ValueError` naming ``path`` and the
+    field."""
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a macro-model file holds a JSON "
-                         f"object, got {type(data).__name__}")
-    return modelset_from_dict(data)
+        text = fh.read()
+    try:
+        return modelset_from_dict(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, TextIO, Union
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Span, TraceEvent, Tracer
+from repro.obs.validate import is_finite_number
 
 
 def write_events_jsonl(tracer: Tracer,
@@ -42,25 +43,67 @@ def write_events_jsonl(tracer: Tracer,
     return len(records)
 
 
+#: Field -> (accepted JSON types, may be null), per record kind.
+_NUMBER = (int, float)
+_RECORD_FIELDS = {
+    "span": {"span_id": ((int,), False), "parent_id": ((int,), True),
+             "name": ((str,), False), "start": (_NUMBER, False),
+             "end": (_NUMBER, True), "attrs": ((dict,), False)},
+    "event": {"name": ((str,), False), "time": (_NUMBER, False),
+              "span_id": ((int,), True), "attrs": ((dict,), False)},
+}
+
+
+def _check_record(payload, where: str) -> None:
+    """Reject a line that is not a span or event record, naming the
+    field: a missing or ill-typed one, or a non-finite number."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: a record is a JSON object, got "
+                         f"{type(payload).__name__}")
+    kind = payload.get("kind")
+    if not isinstance(kind, str) or kind not in _RECORD_FIELDS:
+        raise ValueError(f"{where}: field 'kind' must be 'span' or "
+                         f"'event', got {kind!r}")
+    for name, (types, nullable) in _RECORD_FIELDS[kind].items():
+        if name not in payload:
+            raise ValueError(f"{where}: {kind} field {name!r} is missing")
+        value = payload[name]
+        if value is None and nullable:
+            continue
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or (types is _NUMBER and not is_finite_number(value))):
+            raise ValueError(f"{where}: {kind} field {name!r} has an "
+                             f"invalid value {value!r}")
+
+
 def read_events_jsonl(source: Union[str, TextIO]) -> Tracer:
     """Rebuild a :class:`Tracer` from a JSON-lines event log.
 
     Span ids, parent links, timestamps, and emission order are
     preserved, so ``write_events_jsonl(read_events_jsonl(path))``
     round-trips byte-identically and the profiler can reconstruct the
-    span tree from a file exactly as from the live tracer.
+    span tree from a file exactly as from the live tracer.  A line that
+    is not valid JSON or not a well-formed span or event record raises
+    a :class:`ValueError` naming the file, the line and the field.
     """
     if hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
         lines = source.read().splitlines()
     else:
+        name = source
         with open(source) as fh:
             lines = fh.read().splitlines()
     tracer = Tracer()
     max_id = 0
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        payload = json.loads(line)
+        where = f"{name}: line {number}"
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: invalid JSON ({exc})") from None
+        _check_record(payload, where)
         if payload["kind"] == "span":
             span = Span(span_id=payload["span_id"],
                         parent_id=payload["parent_id"],
@@ -69,15 +112,13 @@ def read_events_jsonl(source: Union[str, TextIO]) -> Tracer:
             tracer.spans.append(span)
             tracer._records.append(span)
             max_id = max(max_id, span.span_id)
-        elif payload["kind"] == "event":
+        else:
             event = TraceEvent(name=payload["name"],
                                time=payload["time"],
                                span_id=payload["span_id"],
                                attrs=dict(payload["attrs"]))
             tracer.events.append(event)
             tracer._records.append(event)
-        else:
-            raise ValueError(f"unknown record kind {payload['kind']!r}")
     tracer._next_id = max_id + 1
     return tracer
 

@@ -17,11 +17,11 @@ within the repo (stdlib + :mod:`repro.obs` only), so any layer may
 import it without cycles.
 """
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.validate import is_finite_number
 
 __all__ = ["SloMonitor", "SloObjective", "SloReport", "SloTarget",
            "SloWindow", "parse_slo"]
@@ -79,9 +79,7 @@ class SloTarget:
             value = getattr(self, spec.name)
             if value is None:
                 continue
-            if (not isinstance(value, (int, float))
-                    or isinstance(value, bool)
-                    or not (math.isfinite(value) and value >= 0)):
+            if not (is_finite_number(value) and value >= 0):
                 raise ValueError(
                     f"SLO target {spec.name} must be a finite "
                     f"non-negative number, got {value!r}")

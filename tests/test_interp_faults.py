@@ -1,22 +1,27 @@
 """Fault paths of the predecoded interpreter, against golden values.
 
 The interpreter decodes each program once into a per-pc table and does
-memory accesses inline.  Every case here runs on both backends, asserts
-the two snapshots are identical, and pins the interpreter's snapshot to
-hand-computed values: the error text, cycles (a faulting instruction is
-not charged), instret (nor retired), per-opcode counts (it is counted),
-the final pc and the memory contents.
+memory accesses inline: an aligned, in-range word through the run's
+32-bit view, any other address through the byte-slice fallback.  Every
+case here runs on both backends, asserts the two snapshots are
+identical, and pins the interpreter's snapshot to hand-computed values:
+the error text, cycles (a faulting instruction is not charged), instret
+(nor retired), per-opcode counts (it is counted), the final pc and the
+memory contents.
 """
 
 import hashlib
 
 import pytest
 
-from repro.isa.assembler import assemble
+from repro.isa.assembler import Instruction, Program, assemble
+from repro.isa import machine as machine_module
 from repro.isa.cache import CacheConfig
+from repro.isa.custom import make_macrow, make_montcfg, make_vaddc
 from repro.isa.extensions import CustomInstruction, ExtensionSet
 from repro.isa.instructions import BASE_ISA
-from repro.isa.machine import Machine, MachineError, decoded_for
+from repro.isa.machine import (NO_WORD_VIEW, Machine, MachineError,
+                               decoded_for, word_view)
 
 BACKENDS = ("interp", "compiled")
 MEM = 1 << 16
@@ -50,13 +55,15 @@ def run_on(machine, entry="main", args=(), max_instructions=10_000):
 
 
 def run_both(source, args=(), extensions=None, program_extensions=None,
-             dcache=None, max_instructions=10_000):
+             dcache=None, max_instructions=10_000, mem_size=MEM):
     """The interpreter's snapshot, after checking the compiled backend
     leaves the identical one.  ``program_extensions`` assembles the
-    source with a different extension set than the machines run."""
-    program = assemble(source, program_extensions or extensions)
+    source with a different extension set than the machines run;
+    ``source`` may also be an already built :class:`Program`."""
+    program = (source if isinstance(source, Program)
+               else assemble(source, program_extensions or extensions))
     interp, compiled = (
-        run_on(Machine(program, extensions, MEM, dcache=dcache,
+        run_on(Machine(program, extensions, mem_size, dcache=dcache,
                        backend=backend), args=args,
                max_instructions=max_instructions)
         for backend in BACKENDS)
@@ -281,3 +288,198 @@ class TestSharedProgram:
             assert machine.instret == 2 and machine.pc == 2
             assert machine.opcode_counts == {"lw": 1, "addi": 1,
                                              "halt": 1}
+
+
+CACHES = (None, CacheConfig(size_bytes=256, line_bytes=16, miss_penalty=9))
+CACHE_IDS = ("no-dcache", "dcache")
+MASK = 0xFFFFFFFF
+
+
+def mem_hash(writes, mem_size=MEM):
+    """sha256 of a zeroed memory of ``mem_size`` bytes after ``writes``
+    (address -> bytes)."""
+    mem = bytearray(mem_size)
+    for addr, data in writes.items():
+        mem[addr:addr + len(data)] = data
+    return hashlib.sha256(mem).hexdigest()
+
+
+class TestWordView:
+    """An aligned, in-range lw/sw goes through the run's 32-bit view of
+    memory, any other address through the bounds test and byte slice.
+    The two paths must agree on every byte, charge and fault."""
+
+    @pytest.mark.parametrize("dcache", CACHES, ids=CACHE_IDS)
+    @pytest.mark.parametrize("skew", [0, 1, 2, 3])
+    def test_store_then_load_at_any_alignment(self, skew, dcache):
+        base = 0x2000 + skew
+        snap = run_both(f"main:\n    li r2, {base}\n"
+                        "    li r3, 0x11223344\n"
+                        "    sw r3, 0(r2)\n"
+                        "    lw r1, 0(r2)\n"
+                        f"    lw r4, {-skew}(r2)\n"      # word at 0x2000
+                        f"    lw r5, {4 - skew}(r2)\n"   # word at 0x2004
+                        "    halt\n", dcache=dcache)
+        spread = 0x11223344 << (8 * skew)
+        assert snap["result"] == 0x11223344
+        assert (snap["regs"][4], snap["regs"][5]) == (spread & MASK,
+                                                      spread >> 32)
+        assert snap["mem"] == mem_hash({base: bytes.fromhex("44332211")})
+        assert snap["instret"] == 6
+        if dcache is None:
+            assert snap["cycles"] == 1 + 1 + 1 + 2 + 2 + 2 + 1
+
+    @pytest.mark.parametrize("dcache", CACHES, ids=CACHE_IDS)
+    @pytest.mark.parametrize("skew", [1, 2, 3])
+    def test_aligned_stores_read_back_unaligned(self, skew, dcache):
+        snap = run_both("main:\n    li r2, 0x2000\n"
+                        "    li r3, 0x89ABCDEF\n    li r4, 0x01234567\n"
+                        "    sw r3, 0(r2)\n    sw r4, 4(r2)\n"
+                        f"    lw r1, {skew}(r2)\n    halt\n", dcache=dcache)
+        both = 0x0123456789ABCDEF
+        assert snap["result"] == (both >> (8 * skew)) & MASK
+        assert snap["mem"] == mem_hash(
+            {0x2000: both.to_bytes(8, "little")})
+
+    @pytest.mark.parametrize("dcache", CACHES, ids=CACHE_IDS)
+    def test_last_aligned_word(self, dcache):
+        snap = run_both(f"main:\n    li r2, {MEM - 4}\n"
+                        "    li r3, 0xA1B2C3D4\n"
+                        "    sw r3, 0(r2)\n    lw r1, 0(r2)\n    halt\n",
+                        dcache=dcache)
+        assert snap["result"] == 0xA1B2C3D4
+        assert snap["mem"] == mem_hash({MEM - 4: bytes.fromhex("d4c3b2a1")})
+        if dcache is None:
+            assert snap["cycles"] == 1 + 1 + 1 + 2 + 1
+
+    @pytest.mark.parametrize("dcache", CACHES, ids=CACHE_IDS)
+    @pytest.mark.parametrize("addr", [MEM - 3, MEM, -4])
+    @pytest.mark.parametrize("op", ["lw", "sw"])
+    def test_fault(self, op, addr, dcache):
+        snap = run_both("main:\n    li r3, 0x55\n"
+                        f"    {op} r3, {addr}(r0)\n    halt\n",
+                        dcache=dcache)
+        assert error(snap) == f"memory access out of range: {addr:#x}+4"
+        assert snap["cycles"] == 1 and snap["instret"] == 1
+        assert snap["opcode_counts"] == {"li": 1, op: 1}
+        assert snap["pc"] == 1 and snap["mem"] == ZERO_MEM
+        if dcache is not None:
+            assert snap["dcache"] == (0, 0)
+
+    def test_view_covers_whole_words_only(self):
+        assert word_view(bytearray(MEM + 2)) is NO_WORD_VIEW
+        words, limit = word_view(bytearray(MEM))
+        try:
+            assert limit == MEM and len(words) == MEM // 4
+        finally:
+            words.release()
+
+    @pytest.mark.parametrize("dcache", CACHES, ids=CACHE_IDS)
+    def test_odd_sized_memory_takes_the_fallback(self, dcache):
+        odd = MEM + 2
+        source = ("main:\n    li r3, 0xA1B2C3D4\n"
+                  f"    sw r3, {MEM - 4}(r0)\n"   # the last aligned word
+                  f"    sw r3, {odd - 4}(r0)\n"   # the last whole word
+                  f"    lw r1, {MEM - 4}(r0)\n"
+                  f"    lw r4, {odd - 4}(r0)\n"
+                  "    {tail}\n    halt\n")
+        snap = run_both(source.format(tail="addi r1, r1, 1"),
+                        dcache=dcache, mem_size=odd)
+        assert snap["result"] == 0xC3D4C3D5
+        assert snap["regs"][4] == 0xA1B2C3D4
+        assert snap["mem"] == mem_hash(
+            {MEM - 4: bytes.fromhex("d4c3d4c3b2a1")}, odd)
+        snap = run_both(source.format(tail=f"lw r5, {odd - 3}(r0)"),
+                        dcache=dcache, mem_size=odd)
+        assert error(snap) == f"memory access out of range: {odd - 3:#x}+4"
+        assert snap["instret"] == 5 and snap["pc"] == 5
+
+    def test_big_endian_host_takes_the_fallback(self, monkeypatch):
+        source = ("main:\n    li r2, 0x2001\n    li r3, 0x11223344\n"
+                  "    sw r3, 3(r2)\n    sw r3, 0(r2)\n"
+                  "    lw r4, 3(r2)\n    lw r1, -1(r2)\n    halt\n")
+        with_view = run_both(source)
+        monkeypatch.setattr(machine_module, "_NATIVE_WORDS", False)
+        assert word_view(bytearray(MEM)) is NO_WORD_VIEW
+        assert run_both(source) == with_view
+        # The unaligned store overwrote the low byte of the aligned one.
+        assert with_view["regs"][4] == 0x11223311
+        assert with_view["result"] == 0x22334400
+
+    def test_vector_write_read_back_by_lw(self):
+        ext = ExtensionSet([make_vaddc(2), make_montcfg(), make_macrow(1)])
+        a, b, v = (0xFFFFFFFF, 5), (1, 7), 3
+        snap = run_both(
+            "main:\n    li r2, 0x1000\n    li r3, 0x1010\n"
+            "    li r4, 0x1020\n    li r5, 2\n"
+            f"    li r6, {a[0]}\n    sw r6, 0(r2)\n"
+            f"    li r6, {a[1]}\n    sw r6, 4(r2)\n"
+            f"    li r6, {b[0]}\n    sw r6, 0(r3)\n"
+            f"    li r6, {b[1]}\n    sw r6, 4(r3)\n"
+            "    vaddc_2 r4, r2, r3\n"
+            "    lw r7, 0(r4)\n    lw r8, 4(r4)\n"
+            f"    li r6, {v}\n    montcfg r0, r5\n"
+            "    macrow_1 r4, r2, r6\n"
+            "    lw r9, 0(r4)\n    lw r10, 4(r4)\n    lw r11, 8(r4)\n"
+            "    lw r1, 2(r4)\n    halt\n", extensions=ext)
+        total = (a[1] << 32 | a[0]) + (b[1] << 32 | b[0])
+        assert (snap["regs"][7], snap["regs"][8]) == (total & MASK,
+                                                      total >> 32)
+        total += (a[1] << 32 | a[0]) * v
+        assert [snap["regs"][i] for i in (9, 10, 11)] == [
+            (total >> (32 * i)) & MASK for i in range(3)]
+        assert snap["result"] == (total >> 16) & MASK
+
+
+def _raw_program(*instructions):
+    """A program built without the assembler, so a branch or jump may
+    name a static target outside it."""
+    return Program([Instruction(op, args) for op, args in instructions],
+                   labels={"main": 0})
+
+
+class TestControlLeavesTheLine:
+    """Only a control transfer can take pc out of the program; it is
+    charged and retired before the fault."""
+
+    @pytest.mark.parametrize("target", [-2, 5, 99])
+    @pytest.mark.parametrize("op,cost", [("beq", 1 + 2), ("j", 3),
+                                         ("jal", 3), ("jr", 3)])
+    def test_transfer_to_an_out_of_range_pc(self, op, cost, target):
+        # Four instructions: pc 4 is the sentinel, a return.
+        args = {"beq": (1, 1, target), "j": (target,), "jal": (target,),
+                "jr": (5,)}[op]
+        snap = run_both(_raw_program(
+            ("li", (5, target)), (op, args), ("addi", (1, 1, 1)),
+            ("halt", ())))
+        if op == "jr":
+            # li masks the immediate: a register is never negative.
+            target &= MASK
+        assert error(snap) == f"pc out of range: {target}"
+        assert snap["cycles"] == 1 + cost and snap["instret"] == 2
+        assert snap["opcode_counts"] == {"li": 1, op: 1}
+        assert snap["pc"] == target
+
+    @pytest.mark.parametrize("target", [-2, 99])
+    def test_untaken_branch_never_tests_its_target(self, target):
+        snap = run_both(_raw_program(
+            ("li", (1, 6)), ("bne", (1, 1, target)), ("addi", (1, 1, 1)),
+            ("halt", ())))
+        assert snap["result"] == 7 and snap["cycles"] == 4
+        assert snap["instret"] == 3
+
+
+class TestZeroRegister:
+    def test_run_entered_with_r0_dirty(self):
+        ext = ExtensionSet([_setreg("setreg", 0x5A5A)])
+        program = assemble("main:\n    add r1, r0, r0\n"
+                           "    lw r2, 0x100(r0)\n"
+                           "    lw r0, 0x100(r0)\n    add r3, r0, r0\n"
+                           "    setreg r0\n    add r4, r0, r0\n"
+                           "    halt\n", ext)
+        for backend in BACKENDS:
+            machine = Machine(program, ext, MEM, backend=backend)
+            machine.write_word(0x100, 7)
+            machine.regs[0] = 0xDEAD
+            assert machine.run("main") == 0
+            assert machine.regs[:5] == [0, 0, 7, 0, 0]

@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.macromodel import characterize_platform
 from repro.macromodel.persist import (load_modelset, modelset_from_dict,
                                       modelset_to_dict, save_modelset)
+from tests.mutation import dropped, mutated, paths, swapped
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +135,79 @@ class TestLoadValidation:
         data["models"] = {"mpn_add_n": models_field}
         with pytest.raises(ValueError, match="'mpn_add_n' must be an obj"):
             modelset_from_dict(data)
+
+
+#: A small valid model-set document, one routine per coefficient count.
+VALID = {"schema": 1, "platform": "base", "models": {
+    "mpn_add_n": {"form": "affine", "coeffs": [12.0, 7.5], "width": 1,
+                  "mean_abs_pct_error": 0.5, "max_abs_pct_error": 1.25},
+    "mpn_mul_1": {"form": "chunk_affine", "coeffs": [3, 4.0, 9.0],
+                  "width": 4, "mean_abs_pct_error": 0,
+                  "max_abs_pct_error": 0.0}}}
+def _value_at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _field_of(path):
+    """The named field a path ends in (a coefficient's is ``coeffs``)."""
+    return next(key for key in reversed(path) if isinstance(key, str))
+
+
+#: Every value the loader requires: all but a whole routine entry.
+REQUIRED = [path for path in paths(VALID) if len(path) != 2]
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "models.json"
+
+
+class TestMutatedDocuments:
+    """Every damaged model file loads or fails with a named
+    ``ValueError``, so ``explore --models`` exits 2, never with a
+    traceback."""
+
+    def test_valid_document_round_trips(self, doc_path):
+        doc_path.write_text(json.dumps(VALID))
+        assert modelset_to_dict(load_modelset(str(doc_path))) == VALID
+
+    @settings(max_examples=300)
+    @given(document=mutated(VALID))
+    def test_mutation_loads_or_raises_value_error(self, doc_path,
+                                                  document):
+        doc_path.write_text(json.dumps(document))
+        try:
+            models = load_modelset(str(doc_path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{doc_path}: ")
+        else:
+            assert modelset_from_dict(modelset_to_dict(models)) \
+                .routines() == models.routines()
+
+    @pytest.mark.parametrize("path", REQUIRED, ids=str)
+    def test_missing_field_is_named(self, path):
+        with pytest.raises(ValueError, match=_field_of(path)):
+            modelset_from_dict(dropped(VALID, path))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       10 ** 400, "1.0", None],
+                             ids=["nan", "inf", "huge", "str", "null"])
+    @pytest.mark.parametrize("path", [
+        path for path in REQUIRED
+        if isinstance(_value_at(VALID, path), (int, float))
+        and path[-1] not in ("schema", "width")], ids=str)
+    def test_non_finite_number_is_named(self, path, value):
+        with pytest.raises(ValueError,
+                           match=f"'{path[1]}': {_field_of(path)} "):
+            modelset_from_dict(swapped(VALID, path, value))
+
+    def test_cli_reports_a_missing_platform(self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "models.json"
+        path.write_text('{"schema": 1}')
+        assert main(["explore", "--models", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: macro-model document: platform "
+                       "is missing\n")

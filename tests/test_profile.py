@@ -6,6 +6,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.costs import PlatformCosts
 from repro.farm import (FarmSimulator, PreferentialScheduler,
@@ -14,6 +15,7 @@ from repro.isa.machine import Profile as IssProfile
 from repro.obs import (CycleProfile, Tracer, read_events_jsonl,
                        write_events_jsonl)
 from repro.tie.callgraph import CallGraph
+from tests.mutation import dropped, mutated_lines
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -244,3 +246,70 @@ class TestExports:
         assert profile.find(()) is None
         assert profile.find(("main", "nope")) is None
         assert profile.find(("main", "bulk")).name == "bulk"
+
+
+def _small_trace_records():
+    tracer = Tracer()
+    with tracer.span("main", core=1):
+        tracer.event("tick", phase="a")
+        with tracer.span("leaf"):
+            pass
+    return [record.as_dict() for record in tracer.records()]
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
+
+
+class TestMutatedTraces:
+    """Every damaged trace loads or fails with a ``ValueError`` naming
+    the file and line, so ``profile --trace`` exits 2, never with a
+    traceback."""
+
+    RECORDS = _small_trace_records()
+
+    def test_valid_trace_round_trips(self, trace_path):
+        trace_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                      for r in self.RECORDS))
+        buf = io.StringIO()
+        write_events_jsonl(read_events_jsonl(str(trace_path)), buf)
+        assert buf.getvalue() == trace_path.read_text()
+
+    @settings(max_examples=300)
+    @given(text=mutated_lines(RECORDS))
+    def test_mutation_loads_or_raises_value_error(self, trace_path, text):
+        trace_path.write_text(text)
+        try:
+            read_events_jsonl(str(trace_path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{trace_path}: line ")
+
+    @pytest.mark.parametrize("index,field", [
+        (index, field) for index, record in enumerate(RECORDS)
+        for field in record])
+    def test_missing_field_is_named(self, trace_path, index, field):
+        records = list(self.RECORDS)
+        records[index] = dropped(records[index], (field,))
+        trace_path.write_text("".join(json.dumps(r) + "\n"
+                                      for r in records))
+        with pytest.raises(ValueError) as info:
+            read_events_jsonl(str(trace_path))
+        assert str(info.value).startswith(
+            f"{trace_path}: line {index + 1}: ")
+        assert f"'{field}'" in str(info.value)
+
+    @pytest.mark.parametrize("line,named", [
+        ("[1]", "a record is a JSON object, got list"),
+        ("{}", "field 'kind' must be 'span' or 'event', got None"),
+        ('{"kind": ["span"]}', "field 'kind'"),
+        ("{not json", "invalid JSON"),
+    ])
+    def test_cli_rejects_a_bad_line(self, tmp_path, capsys, line, named):
+        from repro.cli import main
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(self.RECORDS[0]) + "\n" + line + "\n")
+        assert main(["profile", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{path}: line 2: {named}" in err

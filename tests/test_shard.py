@@ -5,8 +5,10 @@ is a pure function of these numbers, so no ISS characterization runs.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
 
 from repro.costs import PlatformCosts
 from repro.farm import (FarmConfig, FarmSimulator, TrafficProfile,
@@ -16,6 +18,7 @@ from repro.farm import (FarmConfig, FarmSimulator, TrafficProfile,
 from repro.farm.shard import partition_requests
 from repro.mp import DeterministicPrng
 from repro.parallel import SerialExecutor, ThreadExecutor
+from tests.mutation import mutated_lines
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -334,9 +337,67 @@ class TestReplay:
             with pytest.raises(ValueError, match=expected):
                 import_workload(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0,
+                                       10 ** 400],
+                             ids=["nan", "inf", "negative", "huge"])
+    def test_rejects_a_non_finite_arrival(self, tmp_path, value):
+        path = self._edited_trace(
+            tmp_path, lambda record: record.update(arrival_cycle=value))
+        with pytest.raises(ValueError, match="line 4: field "
+                                             "'arrival_cycle' must be a "
+                                             "finite non-negative"):
+            import_workload(path)
+
+    def test_rejects_a_clock_beyond_the_float_range(self, tmp_path):
+        path = tmp_path / "clock.jsonl"
+        export_workload(path, [], clock_hz=10 ** 400)
+        with pytest.raises(ValueError, match="field 'clock_hz'"):
+            import_workload(path)
+
     def test_replayed_duplicate_seq_rejected(self, tmp_path):
         path = self._edited_trace(
             tmp_path, lambda record: record.update(seq=0))
         requests = import_workload(path).requests
         with pytest.raises(ValueError, match="duplicate request seq 0"):
             FarmConfig(specs=tuple(_farm()), requests=requests)
+
+
+def _trace_records():
+    """The header and records of a small exported trace, as objects."""
+    header = {"format": "repro.farm.workload", "version": 1, "count": 4,
+              "clock_hz": 200e6, "meta": {"seed": 1}}
+    requests = generate_requests(TrafficProfile(), 4, seed=1)
+    return [header] + [request._asdict() for request in requests]
+
+
+@pytest.fixture(scope="module")
+def replay_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
+
+
+class TestMutatedReplay:
+    """Every damaged workload trace replays or fails with a
+    ``ValueError`` naming the file, so ``farm --replay`` exits 2, never
+    with a traceback."""
+
+    RECORDS = _trace_records()
+
+    def test_valid_trace_replays(self, replay_path):
+        replay_path.write_text("".join(json.dumps(r) + "\n"
+                                       for r in self.RECORDS))
+        trace = import_workload(replay_path)
+        assert [r._asdict() for r in trace.requests] == self.RECORDS[1:]
+        assert trace.clock_hz == 200e6 and trace.meta == {"seed": 1}
+
+    @settings(max_examples=300)
+    @given(text=mutated_lines(RECORDS))
+    def test_mutation_loads_or_raises_value_error(self, replay_path,
+                                                  text):
+        replay_path.write_text(text)
+        try:
+            trace = import_workload(replay_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{replay_path}: ")
+        else:
+            assert all(math.isfinite(r.arrival_cycle) and r.arrival_cycle >= 0
+                       for r in trace.requests)

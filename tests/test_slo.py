@@ -1,6 +1,10 @@
 """SLO vocabulary (`repro.obs.slo`) and its per-window plumbing."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costs import PlatformCosts
 from repro.farm import (FarmConfig, TrafficProfile, build_farm,
@@ -8,6 +12,7 @@ from repro.farm import (FarmConfig, TrafficProfile, build_farm,
 from repro.obs import MetricsRegistry
 from repro.obs.slo import (SloMonitor, SloObjective, SloReport,
                            SloTarget, SloWindow, parse_slo)
+from tests.mutation import mutated, swapped
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -112,6 +117,47 @@ class TestParseSlo:
     def test_rejects_non_finite_and_negative_targets(self, spec):
         with pytest.raises(ValueError, match="finite non-negative"):
             parse_slo(spec)
+
+
+class TestMutatedTargets:
+    """Every damaged SLO target loads or fails with a ``ValueError``,
+    so ``farm --slo`` exits 2, never with a traceback."""
+
+    VALID = {"p99_ms": 5.0, "secure_mbps": 10, "cache_hit_rate": 0.5,
+             "utilization": 0.25}
+
+    @settings(max_examples=300)
+    @given(payload=mutated(VALID))
+    def test_from_dict_loads_or_raises_value_error(self, payload):
+        try:
+            target = SloTarget.from_dict(payload)
+        except ValueError:
+            return
+        assert SloTarget.from_dict(target.as_dict()) == target
+
+    @settings(max_examples=300)
+    @given(payload=mutated(VALID))
+    def test_parse_slo_loads_or_raises_value_error(self, payload):
+        if isinstance(payload, dict):
+            spec = ",".join(f"{k}={v}" for k, v in payload.items())
+        else:
+            spec = json.dumps(payload)
+        try:
+            parse_slo(spec)
+        except ValueError:
+            pass
+
+    @given(spec=st.text())
+    def test_parse_slo_of_any_text(self, spec):
+        try:
+            parse_slo(spec)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("field", sorted(VALID))
+    def test_huge_int_target_is_named(self, field):
+        with pytest.raises(ValueError, match=f"SLO target {field} "):
+            SloTarget.from_dict(swapped(self.VALID, (field,), 10 ** 400))
 
 
 class TestSloMonitor:
