@@ -789,7 +789,7 @@ def _cmd_timeseries(args) -> int:
 
     try:
         series = read_series_jsonl(args.series)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read series {args.series}: {exc}",
               file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.costs import PlatformCosts
+from repro.obs.validate import is_finite_number
 from repro.ssl.throughput import (DEFAULT_CLOCK_HZ, RATE_TARGETS,
                                   max_secure_rate)
 from repro.farm.simulator import CoreSpec
@@ -86,13 +87,47 @@ class CapacityPlan:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CapacityPlan":
-        """Inverse of :meth:`as_dict` (round-trip tested)."""
-        return cls(target_name=data["target"],
-                   target_bps=float(data["target_bps"]),
-                   config_name=data["config"],
-                   cores=int(data["cores"]),
-                   per_core_bps=float(data["per_core_bps"]),
-                   farm_gates=float(data["farm_gates"]))
+        """Inverse of :meth:`as_dict` (round-trip tested).
+
+        Numbers may be JSON numbers or numeric strings.  A non-object
+        payload, a missing field, a non-string name, or a number that
+        is not finite and non-negative (``cores``: not a non-negative
+        integer) raises a :class:`ValueError` naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"capacity plan must be a JSON object, got "
+                             f"{type(data).__name__}")
+        return cls(target_name=_plan_field(data, "target", str),
+                   target_bps=_plan_field(data, "target_bps", float),
+                   config_name=_plan_field(data, "config", str),
+                   cores=_plan_field(data, "cores", int),
+                   per_core_bps=_plan_field(data, "per_core_bps", float),
+                   farm_gates=_plan_field(data, "farm_gates", float))
+
+
+def _plan_field(data: Dict, name: str, kind: type):
+    """``data[name]`` as ``kind``: a string, or a finite non-negative
+    ``float``/``int`` given as a JSON number or a numeric string."""
+    if name not in data:
+        raise ValueError(f"capacity plan: missing field {name!r}")
+    value = data[name]
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"capacity plan: field {name!r} must be a "
+                             f"string, got {value!r}")
+        return value
+    number = value
+    if isinstance(value, str):
+        try:
+            number = kind(value)
+        except ValueError:
+            number = None
+    if not (is_finite_number(number) and number >= 0
+            and (kind is float or isinstance(number, int))):
+        wanted = ("a finite non-negative number" if kind is float
+                  else "a non-negative integer")
+        raise ValueError(f"capacity plan: field {name!r} must be "
+                         f"{wanted}, got {value!r}")
+    return kind(number)
 
 
 def capacity_table(configs: Sequence[Tuple[str, PlatformCosts, float]],

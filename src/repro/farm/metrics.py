@@ -27,6 +27,22 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return ordered[rank - 1]
 
 
+def percentiles(values: Sequence[float],
+                pcts: Sequence[float]) -> List[float]:
+    """:func:`percentile` of ``values`` at each of ``pcts``, sorting
+    ``values`` once."""
+    if not values:
+        return [0.0] * len(pcts)
+    ordered = sorted(values)
+    result = []
+    for pct in pcts:
+        if not 0 < pct <= 100:
+            raise ValueError("pct must be in (0, 100]")
+        rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
+        result.append(ordered[rank - 1])
+    return result
+
+
 @dataclass
 class FarmMetrics:
     """One scheduler/farm configuration's summary row."""
@@ -156,6 +172,7 @@ def summarize(result: FarmResult) -> FarmMetrics:
     gates = sum(core.spec.gates for core in result.cores)
     sessions_per_s = (len(result.completions) / elapsed_s
                       if elapsed_s else 0.0)
+    p50, p95, p99 = percentiles(latencies_ms, (50, 95, 99))
     return FarmMetrics(
         scheduler=result.scheduler_name,
         n_cores=len(result.cores),
@@ -163,9 +180,9 @@ def summarize(result: FarmResult) -> FarmMetrics:
         elapsed_s=elapsed_s,
         sessions_per_s=sessions_per_s,
         secure_mbps=(payload_bits / elapsed_s / 1e6 if elapsed_s else 0.0),
-        p50_ms=percentile(latencies_ms, 50),
-        p95_ms=percentile(latencies_ms, 95),
-        p99_ms=percentile(latencies_ms, 99),
+        p50_ms=p50,
+        p95_ms=p95,
+        p99_ms=p99,
         core_utilization=utilization,
         mean_utilization=(sum(utilization) / len(utilization)
                           if utilization else 0.0),

@@ -23,17 +23,24 @@ wake heap of ``(busy_until, index)`` entries for the busy cores.  Every
 live core has exactly one entry in one of them.  Between faults a
 core's ``busy_until`` only grows, so a core cannot go idle before its
 wake key; each pick first moves the due wake entries (key ``<= now``)
-into the idle heaps.  An entry is confirmed with the exact
-``backlog_cycles(now) == 0.0`` compare whenever it changes heaps or is
-about to be picked, so a core serving a zero-cycle request, or
-finishing at ``now``, counts as idle, and a stale idle entry (its core
-was picked since) moves to the wake heap.  The confirmed top of a
-pool's idle heap is therefore the lowest-index idle core, the very core
-the full ``(backlog, index)`` scan picks.  When a pool has no idle
-core, the pick falls back to that strict-``<`` scan over the pool.  The
-pools and the index are built lazily for each run's ``cores`` list and
-rebuilt when the simulator reports an applied fault through the
-optional :meth:`Scheduler.cores_changed` hook.
+into the idle heaps.  An entry is confirmed idle whenever it changes
+heaps or is about to be picked, so a core serving a zero-cycle
+request, or finishing at ``now``, counts as idle, and a stale idle
+entry (its core was picked since) moves to the wake heap.
+
+The confirmation is exact without asking the core for its backlog.
+A backlog is ``max(0, busy_until - now)`` plus the queued estimates,
+and neither term is negative; for floats ``busy_until - now > 0``
+exactly when ``busy_until > now``.  So a core is idle (backlog exactly
+``0.0``) exactly when ``busy_until <= now`` and its queue is empty or
+holds only zero-cycle estimates; only that last case asks
+``backlog_cycles(now)``.  Building the index asks every live core once.
+The confirmed top of a pool's idle heap is therefore the lowest-index
+idle core, the very core the full ``(backlog, index)`` scan picks.
+When a pool has no idle core, the pick falls back to that strict-``<``
+scan over the pool.  The pools and the index are built lazily for each
+run's ``cores`` list and rebuilt when the simulator reports an applied
+fault through the optional :meth:`Scheduler.cores_changed` hook.
 
 Cache affinity reads the run's *session directory*: the simulator maps
 ``(protocol, key)`` to the ascending indices of the cores that stored
@@ -120,10 +127,11 @@ class Scheduler:
             entry = heappop(wake)
             i = entry[1]
             core = cores[i]
-            if core.backlog_cycles(now) == 0.0:
+            until = core.busy_until
+            if until > now:
+                heappush(wake, (until, i))
+            elif not core.queue or core.backlog_cycles(now) == 0.0:
                 heappush(idle[pool_of[i]], i)
-            elif core.busy_until > now:
-                heappush(wake, (core.busy_until, i))
             else:
                 # Busy only until ``now``, with work queued behind: its
                 # completion at ``now`` is still to come.  Look again
@@ -170,7 +178,8 @@ class Scheduler:
         while heap:
             i = heap[0]
             core = cores[i]
-            if core.backlog_cycles(now) == 0.0:
+            if core.busy_until <= now and (
+                    not core.queue or core.backlog_cycles(now) == 0.0):
                 return i
             heappop(heap)
             heappush(self._wake, (core.busy_until, i))

@@ -28,7 +28,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.costs import PlatformCosts
 from repro.isa.custom import mp_datapath_gates
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-from repro.protocols import SessionKeys, get_protocol
+from repro.protocols import ProtocolModel, SessionKeys, get_protocol
 from repro.ssl.session_cache import SessionCache
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.farm.faults import FaultPlan
@@ -119,7 +119,14 @@ def build_farm(n_cores: int, base_costs: PlatformCosts,
 
 @dataclass
 class Completion:
-    """One served request, with its full timing record (cycles)."""
+    """One served request, with its full timing record (cycles).
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10), as
+    a run builds one per request; mutable, because
+    :func:`repro.farm.shard.merge_results` renumbers ``core_index``."""
+
+    __slots__ = ("request", "core_index", "start_cycle", "finish_cycle",
+                 "service_cycles", "cache_hit")
 
     request: SessionRequest
     core_index: int
@@ -155,9 +162,10 @@ class Core:
         #: a cost table other than :attr:`active_costs`.
         self._stale_estimates = 0
         self.current: Optional[SessionRequest] = None
-        #: ``(start_cycle, service_cycles, cache_hit)`` of
-        #: :attr:`current` (meaningless while the core is idle).
-        self.in_flight: Tuple[float, float, bool] = (0.0, 0.0, False)
+        #: ``(start_cycle, service_cycles, cache_hit, protocol model)``
+        #: of :attr:`current` (meaningless while the core is idle).
+        self.in_flight: Tuple[float, float, bool, Optional[ProtocolModel]] \
+            = (0.0, 0.0, False, None)
         self.busy_until = 0.0
         self.busy_cycles = 0.0
         self.served = 0
@@ -330,6 +338,10 @@ class FarmSimulator:
         # cache store.  Evictions and flushes leave stale indices,
         # which the scheduler's affinity probe drops as it meets them.
         directory: SessionDirectory = {}
+        # Run-scoped session records, one per (protocol, client): a
+        # record is never inspected, so every core caching the
+        # client's session can hold the same one.
+        records: Dict[Tuple[str, int], object] = {}
         bind = getattr(self.scheduler, "bind_sessions", None)
         if bind is not None:
             bind(keys, directory)
@@ -358,7 +370,7 @@ class FarmSimulator:
         makespan = 0.0
         heappop = heapq.heappop
         select = self.scheduler.select
-        start_next = self._start_next
+        start_service = self._start_service
         while True:
             if next_arrival < n_arrivals:
                 entry = arrivals[next_arrival]
@@ -395,35 +407,41 @@ class FarmSimulator:
                     # so the outage shows up as latency).
                     stalled.append(request)
                     continue
-                target = select(request, cores, now)
-                core = cores[target]
-                core.enqueue(request,
-                             _price(prices, request, core.active_costs))
+                core = cores[select(request, cores, now)]
+                estimate = _price(prices, request, core.active_costs)
                 if trace:
+                    # The depth with the request queued, even when an
+                    # idle core takes it at once.
                     tracer.event("farm.core.queue_depth", time=now,
-                                 core=core.index, depth=len(core.queue))
+                                 core=core.index,
+                                 depth=len(core.queue) + 1)
                 if core.current is None:
-                    start_next(core, now, heap, keys, prices, tracer,
-                               trace)
+                    # An idle core's queue is empty: the request
+                    # starts at once, without a round trip through it.
+                    start_service(core, request, estimate, now, heap,
+                                  keys, prices, tracer, trace)
+                else:
+                    core.enqueue(request, estimate)
             else:
                 if cancelled and (core_index, seq, now) in cancelled:
                     cancelled.discard((core_index, seq, now))
                     continue
                 core = cores[core_index]
                 request = core.current
-                start, service, hit = core.in_flight
-                completion = Completion(
-                    request=request, core_index=core_index,
-                    start_cycle=start, finish_cycle=now,
-                    service_cycles=service, cache_hit=hit)
-                completions.append(completion)
+                start, service, hit, model = core.in_flight
+                completions.append(Completion(request, core_index, start,
+                                              now, service, hit))
                 core.busy_cycles += service
                 core.served += 1
-                model = get_protocol(request.protocol)
                 if model.resumable and not (request.resumed and hit):
-                    key = keys[request.protocol, request.client_id]
-                    core.cache_for(request.protocol).store_entry(
-                        key, model.session_record(request.client_id))
+                    ident = request.protocol, request.client_id
+                    key = keys[ident]
+                    record = records.get(ident)
+                    if record is None:
+                        record = records[ident] = model.session_record(
+                            request.client_id)
+                    core.cache_for(request.protocol).store_entry(key,
+                                                                 record)
                     holders = directory.setdefault(
                         (request.protocol, key), [])
                     if core_index not in holders:
@@ -456,8 +474,9 @@ class FarmSimulator:
                                   protocol=request.protocol,
                                   cache_hit=hit)
                 if core.queue:
-                    start_next(core, now, heap, keys, prices, tracer,
-                               trace)
+                    queued, estimate = core.dequeue()
+                    start_service(core, queued, estimate, now, heap,
+                                  keys, prices, tracer, trace)
         if trace:
             tracer.close_virtual(root, makespan)
         for core in cores:
@@ -557,12 +576,20 @@ class FarmSimulator:
         return 1, 0, 0
 
     @staticmethod
-    def _start_next(core: Core, now: float, heap, keys: SessionKeys,
-                    prices: Prices, tracer=NULL_TRACER,
-                    trace: bool = False) -> None:
-        request, service = core.dequeue()
+    def _start_service(core: Core, request: SessionRequest,
+                       service: Optional[float], now: float, heap,
+                       keys: SessionKeys, prices: Prices,
+                       tracer=NULL_TRACER, trace: bool = False) -> None:
+        """Start serving ``request`` on the idle ``core`` at ``now``.
+
+        ``service`` is the dispatch estimate, or ``None`` when it was
+        priced on a cost table the core no longer uses (see
+        :meth:`Core.dequeue`)."""
+        # The one protocol lookup of a served request: the completion
+        # reads the model back from ``in_flight``.
+        model = get_protocol(request.protocol)
         hit = False
-        if request.resumed and get_protocol(request.protocol).resumable:
+        if request.resumed and model.resumable:
             hit = core.cache_for(request.protocol).lookup(
                 keys[request.protocol, request.client_id]) is not None
         if hit or service is None:
@@ -570,7 +597,7 @@ class FarmSimulator:
             # active table; anything else is priced afresh.
             service = _price(prices, request, core.active_costs, hit)
         core.current = request
-        core.in_flight = (now, service, hit)
+        core.in_flight = (now, service, hit, model)
         core.busy_until = now + service
         if trace:
             tracer.event("farm.core.queue_depth", time=now,

@@ -26,12 +26,14 @@ without import cycles.
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, Iterable, List, Optional,
                     Sequence, TextIO, Tuple, Union)
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.validate import is_finite_number
 
 __all__ = ["DEFAULT_QUANTILES", "DEFAULT_SERIES_CAPACITY",
            "MetricsTimeSeries", "SERIES_FORMAT", "SERIES_VERSION",
@@ -150,8 +152,9 @@ class MetricsTimeSeries:
         self.samples.append(SeriesSample(t_cycles=float(t_cycles),
                                          values=dict(values)))
 
-    def annotate(self, t_cycles: float, name: str, **attrs) -> None:
-        """Pin a named point event onto the series."""
+    def annotate(self, t_cycles: float, name: str, /, **attrs) -> None:
+        """Pin a named point event onto the series (an attribute may
+        itself be called ``name`` or ``t_cycles``)."""
         self.events.append(SeriesEvent(t_cycles=float(t_cycles),
                                        name=name, attrs=dict(attrs)))
 
@@ -337,18 +340,26 @@ def write_series_jsonl(series: MetricsTimeSeries,
 def read_series_jsonl(source: Union[str, TextIO]) -> MetricsTimeSeries:
     """Rebuild a series from a JSONL export (the exact inverse of
     :func:`write_series_jsonl`: re-exporting the result reproduces the
-    input byte for byte)."""
+    input byte for byte).
+
+    A truncated, foreign or hand-damaged file -- invalid JSON, a
+    non-object line, an ill-typed or out-of-range header field, or a
+    record missing a field or holding an ill-typed one -- fails with a
+    :class:`ValueError` naming the file, the line and the field."""
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
         name = "<stream>"
     else:
         name = str(source)
         with open(name, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    lines = [line for line in lines if line.strip()]
+            text = fh.read()
+    lines = [(number, line) for number, line
+             in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{name}: empty time-series file")
-    header = json.loads(lines[0])
+    number, line = lines[0]
+    where = f"(line {number})"
+    header = _json_line(name, "the header line", where, line)
     if not isinstance(header, dict):
         raise ValueError(f"{name}: the header line must be a JSON "
                          f"object, got {type(header).__name__}")
@@ -357,30 +368,93 @@ def read_series_jsonl(source: Union[str, TextIO]) -> MetricsTimeSeries:
     if header.get("version") != SERIES_VERSION:
         raise ValueError(f"{name}: unsupported series version "
                          f"{header.get('version')!r}")
+    for field_name in ("clock_hz", "interval_cycles"):
+        value = header.get(field_name)
+        if not (is_finite_number(value) and value > 0):
+            raise ValueError(f"{name}: header field {field_name!r} must be "
+                             f"a positive finite number, got {value!r} "
+                             f"{where}")
+    counts = {}
+    for field_name, default, least in (("capacity", None, 1),
+                                       ("dropped", 0, 0),
+                                       ("samples", 0, 0),
+                                       ("events", 0, 0)):
+        value = header.get(field_name, default)
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or not least <= value <= sys.maxsize):
+            raise ValueError(f"{name}: header field {field_name!r} must be "
+                             f"an int from {least} to {sys.maxsize}, got "
+                             f"{value!r} {where}")
+        counts[field_name] = value
     series = MetricsTimeSeries(
         clock_hz=float(header["clock_hz"]),
         interval_cycles=float(header["interval_cycles"]),
-        capacity=int(header["capacity"]))
-    expected = header.get("samples", 0) + header.get("events", 0)
+        capacity=counts["capacity"])
+    expected = counts["samples"] + counts["events"]
     records = lines[1:]
     if len(records) != expected:
         raise ValueError(f"{name}: header promises {expected} records, "
                          f"found {len(records)} (truncated series?)")
-    for index, line in enumerate(records):
-        payload = json.loads(line)
+    for index, (number, line) in enumerate(records):
+        where = f"(line {number})"
+        payload = _json_line(name, f"record {index}", where, line)
         if not isinstance(payload, dict):
             raise ValueError(f"{name}: record {index} must be a JSON "
-                             f"object, got {type(payload).__name__}")
+                             f"object, got {type(payload).__name__} "
+                             f"{where}")
         kind = payload.get("kind")
         if kind == "sample":
-            series.append(payload["t_cycles"], payload["values"])
+            t_cycles, values = _record_fields(
+                name, index, where, payload,
+                (("t_cycles", float), ("values", dict)))
+            for key, value in values.items():
+                if not is_finite_number(value):
+                    raise ValueError(
+                        f"{name}: record {index} field 'values' must map "
+                        f"to finite numbers, got {key!r}: {value!r} "
+                        f"{where}")
+            series.append(t_cycles, values)
         elif kind == "event":
-            series.annotate(payload["t_cycles"], payload["name"],
-                            **payload["attrs"])
+            t_cycles, event, attrs = _record_fields(
+                name, index, where, payload,
+                (("t_cycles", float), ("name", str), ("attrs", dict)))
+            series.annotate(t_cycles, event, **attrs)
         else:
-            raise ValueError(f"{name}: unknown record kind {kind!r}")
-    series.dropped = int(header.get("dropped", 0))
+            raise ValueError(f"{name}: unknown record kind {kind!r} "
+                             f"{where}")
+    series.dropped = counts["dropped"]
     return series
+
+
+def _json_line(name: str, what: str, where: str, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: {what} is not valid JSON ({exc}) "
+                         f"{where}") from None
+
+
+def _record_fields(name: str, index: int, where: str, payload: Dict,
+                   fields: Sequence[Tuple[str, type]]) -> List:
+    """The values of ``fields`` in one series record, each checked
+    present and of its type (``float``: a finite number)."""
+    values = []
+    for field_name, kind in fields:
+        if field_name not in payload:
+            raise ValueError(f"{name}: record {index} is missing field "
+                             f"{field_name!r} {where}")
+        value = payload[field_name]
+        if kind is float:
+            ok = is_finite_number(value)
+            wanted = "a finite number"
+        else:
+            ok = isinstance(value, kind)
+            wanted = "a JSON string" if kind is str else "a JSON object"
+        if not ok:
+            raise ValueError(f"{name}: record {index} field {field_name!r} "
+                             f"must be {wanted}, got {value!r} {where}")
+        values.append(value)
+    return values
 
 
 # -- rendering ---------------------------------------------------------------

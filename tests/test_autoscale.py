@@ -1,13 +1,17 @@
 """Tests for the autoscaling capacity service and capacity-plan
 serialization (frozen measured unit costs, no ISS runs)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
 
 from repro.costs import PlatformCosts
 from repro.farm import (ARRIVAL_CURVES, AutoscalePolicy, CapacityPlan,
                         FarmConfig, SloTarget, TrafficProfile,
                         arrival_multiplier, build_farm, curve_names,
                         plan_farm, run_autoscale, specs_as_configs)
+from tests.mutation import dropped, mutated, swapped
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -170,3 +174,41 @@ class TestCapacityPlanSerialization:
         assert plan.cores == 4
         assert plan.target_bps == 1000.0
         assert plan.farm_gates == 400000.0
+
+    VALID = {"target": "t", "target_bps": 1000.0, "config": "base",
+             "cores": 4, "per_core_bps": 250.0, "farm_gates": 400000.0}
+
+    @pytest.mark.parametrize("payload", [[VALID], None, "plan", 3])
+    def test_non_object_rejected(self, payload):
+        with pytest.raises(ValueError, match="capacity plan must be a "
+                                             "JSON object"):
+            CapacityPlan.from_dict(payload)
+
+    @pytest.mark.parametrize("field", sorted(VALID))
+    def test_missing_field_named(self, field):
+        with pytest.raises(ValueError, match=f"^capacity plan: missing "
+                                             f"field '{field}'$"):
+            CapacityPlan.from_dict(dropped(self.VALID, (field,)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("target", 3), ("config", None), ("target_bps", float("nan")),
+        ("target_bps", "inf"), ("per_core_bps", -1.0),
+        ("per_core_bps", 10 ** 400), ("farm_gates", [1]),
+        ("farm_gates", "x"), ("cores", 4.5), ("cores", "4.0"),
+        ("cores", True), ("cores", -1)])
+    def test_ill_typed_or_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^capacity plan: field "
+                                             f"'{field}' must be "):
+            CapacityPlan.from_dict(swapped(self.VALID, (field,), value))
+
+    @settings(max_examples=300)
+    @given(payload=mutated(VALID))
+    def test_from_dict_loads_or_raises_value_error(self, payload):
+        try:
+            plan = CapacityPlan.from_dict(payload)
+        except ValueError as exc:
+            assert str(exc).startswith("capacity plan")
+            return
+        assert all(math.isfinite(x) and x >= 0 for x in (
+            plan.target_bps, plan.per_core_bps, plan.farm_gates))
+        assert CapacityPlan.from_dict(plan.as_dict()) == plan

@@ -21,6 +21,7 @@ from repro.farm import (FarmSimulator, FaultEvent, FaultPlan,
                         plan_farm, session_id_for_client,
                         specs_as_configs, summarize)
 from repro.farm.faults import FAULT_KINDS
+from repro.farm.metrics import percentiles
 from repro.farm.scheduler import Scheduler
 from repro.farm.simulator import BASE_CORE_GATES, Core, extension_gates
 from repro.farm.workload import _generate_stream
@@ -482,10 +483,14 @@ def free_protocol():
     unregister_protocol("grid")
 
 
-def _free_req(seq, arrival):
+def _req(seq, arrival, protocol):
     return SessionRequest(seq=seq, arrival_cycle=arrival,
-                          protocol="free", size_bytes=64,
+                          protocol=protocol, size_bytes=64,
                           resumed=False, client_id=seq)
+
+
+def _free_req(seq, arrival):
+    return _req(seq, arrival, "free")
 
 
 def _scan(cores, now, indices):
@@ -702,6 +707,63 @@ class TestDispatchExactness:
             assert _timeline(got) == _timeline(want)
 
 
+class TestInlineIdleTest:
+    """Edge cases of the idle test dispatch makes without probing
+    backlogs, each checked against the full-scan reference."""
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_zero_cycle_queue_behind_work_ending_now_is_idle(
+            self, free_protocol, name):
+        """A core whose work ends at the arrival cycle, with only
+        zero-cycle requests queued behind it, has a backlog of exactly
+        0.0: it is idle, and beats a higher-index core that is idle
+        with an empty queue."""
+        requests = [_req(0, 0.0, "grid"), _req(1, 0.0, "grid"),
+                    _req(2, 0.0, "grid"), _req(3, 0.0, "grid"),
+                    _req(4, GRID / 2, "free"), _req(5, GRID / 2, "free"),
+                    _req(6, GRID, "grid")]
+        by_seq = _checked_run(_farm(3, 0.0), name, requests)
+        # Core 0 holds a queued grid step at GRID; core 1 queued the
+        # two free requests; core 2 finished at GRID with none.
+        assert [by_seq[k].core_index for k in range(7)] == [
+            0, 1, 2, 0, 1, 1, 1]
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_core_busy_one_ulp_past_now_is_busy(self, free_protocol,
+                                                name):
+        """A core busy until one ulp after the arrival cycle is not
+        idle; at the cycle its work ends, it is."""
+        requests = [_req(0, 0.0, "grid"),
+                    _req(1, math.nextafter(GRID, 0.0), "grid"),
+                    _req(2, GRID, "grid")]
+        by_seq = _checked_run(_farm(3, 0.0), name, requests)
+        assert [by_seq[k].core_index for k in range(3)] == [0, 1, 0]
+
+    @pytest.mark.parametrize("name", ["least-loaded", "preferential"])
+    def test_every_core_busy_scans_backlogs(self, free_protocol, name,
+                                            monkeypatch):
+        """With every core busy no idle entry exists, so each pick is
+        the fallback scan's: smallest backlog, lowest index on a tie,
+        zero-cycle requests adding nothing."""
+        requests = ([_req(k, 0.0, "grid") for k in range(3)]
+                    + [_req(3, GRID / 2, "free"),
+                       _req(4, GRID / 2, "grid"),
+                       _req(5, GRID / 2, "free"),
+                       _req(6, GRID / 2, "grid"),
+                       _req(7, GRID / 2, "grid")])
+        by_seq = _checked_run(_farm(3, 0.0), name, requests)
+        assert [by_seq[k].core_index for k in range(8)] == [
+            0, 1, 2, 0, 0, 1, 1, 2]
+        probes = []
+        backlog = Core.backlog_cycles
+        monkeypatch.setattr(Core, "backlog_cycles",
+                            lambda core, now: probes.append(now)
+                            or backlog(core, now))
+        FarmSimulator(_farm(3, 0.0), make_scheduler(name)).run(requests)
+        # The scan probes all three cores at each of the five picks.
+        assert probes.count(GRID / 2) == 15
+
+
 class TestMetrics:
     def test_percentile_nearest_rank(self):
         values = [10.0, 20.0, 30.0, 40.0]
@@ -711,6 +773,22 @@ class TestMetrics:
         assert percentile([], 50) == 0.0
         with pytest.raises(ValueError):
             percentile(values, 0)
+
+    @settings(max_examples=200)
+    @given(values=st.lists(st.floats(allow_nan=False), max_size=60),
+           pcts=st.lists(st.floats(0.0, 100.0, exclude_min=True),
+                         min_size=1, max_size=5))
+    def test_percentiles_match_percentile(self, values, pcts):
+        assert percentiles(values, pcts) == [percentile(values, pct)
+                                             for pct in pcts]
+
+    def test_summary_percentiles_match_percentile(self):
+        result = _run(make_scheduler("preferential"), n_requests=300)
+        metrics = summarize(result)
+        latencies = [c.latency_cycles / result.clock_hz * 1e3
+                     for c in result.completions]
+        assert (metrics.p50_ms, metrics.p95_ms, metrics.p99_ms) == tuple(
+            percentile(latencies, pct) for pct in (50, 95, 99))
 
     def test_percentiles_ordered(self):
         metrics = summarize(_run(make_scheduler("least-loaded")))

@@ -3,8 +3,10 @@ recorder (`repro.farm.timeseries`), and their exporters."""
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
 
 from repro.costs import PlatformCosts
 from repro.farm import (FarmConfig, FaultEvent, FaultPlan,
@@ -15,6 +17,7 @@ from repro.obs import (MetricsRegistry, MetricsTimeSeries,
                        render_series, snapshot_registry, sparkline,
                        write_series_jsonl)
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
+from tests.mutation import dropped, mutated_lines, swapped
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -189,6 +192,129 @@ class TestJsonlRoundTrip:
         write_series_jsonl(_series(), str(path))
         restored = read_series_jsonl(str(path))
         assert [s.t_cycles for s in restored.samples] == [1.0, 2.0]
+
+
+def _records(series):
+    """A series' JSONL export, one parsed object per line."""
+    buf = io.StringIO()
+    write_series_jsonl(series, buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+def _annotated():
+    series = _series()
+    series.annotate(1.5, "fault.core_down", core=2)
+    return series
+
+
+class TestSeriesLoaderErrors:
+    """A damaged series file fails with a ValueError naming the file,
+    the line and the field, never another exception."""
+
+    RECORDS = _records(_annotated())
+
+    @staticmethod
+    def _load(path, records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return read_series_jsonl(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("clock_hz", [1]), ("clock_hz", 0), ("clock_hz", float("nan")),
+        ("interval_cycles", "x"), ("interval_cycles", -1.0),
+        ("capacity", 1.5), ("capacity", 0), ("capacity", True),
+        ("capacity", 10 ** 400), ("dropped", -1), ("dropped", None),
+        ("samples", "2"), ("events", [])])
+    def test_ill_typed_header_field_named(self, tmp_path, field, value):
+        path = tmp_path / "series.jsonl"
+        header = swapped(self.RECORDS[0], (field,), value)
+        with pytest.raises(ValueError) as info:
+            self._load(path, [header] + self.RECORDS[1:])
+        message = str(info.value)
+        assert message.startswith(f"{path}: header field {field!r} ")
+        assert message.endswith("(line 1)")
+
+    def test_missing_capacity_named(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        header = dropped(self.RECORDS[0], ("capacity",))
+        with pytest.raises(ValueError, match="'capacity'"):
+            self._load(path, [header] + self.RECORDS[1:])
+
+    @pytest.mark.parametrize("line,field", [
+        (2, "t_cycles"), (2, "values"), (4, "t_cycles"), (4, "name"),
+        (4, "attrs")])
+    def test_missing_record_field_named(self, tmp_path, line, field):
+        path = tmp_path / "series.jsonl"
+        records = list(self.RECORDS)
+        records[line - 1] = dropped(records[line - 1], (field,))
+        with pytest.raises(ValueError) as info:
+            self._load(path, records)
+        assert str(info.value) == (
+            f"{path}: record {line - 2} is missing field {field!r} "
+            f"(line {line})")
+
+    @pytest.mark.parametrize("line,path_in_record", [
+        (2, ("t_cycles",)), (3, ("values",)), (3, ("values", "a")),
+        (4, ("t_cycles",)), (4, ("name",)), (4, ("attrs",))])
+    def test_ill_typed_record_field_named(self, tmp_path, line,
+                                          path_in_record):
+        path = tmp_path / "series.jsonl"
+        records = list(self.RECORDS)
+        records[line - 1] = swapped(records[line - 1], path_in_record,
+                                    [1])
+        with pytest.raises(ValueError) as info:
+            self._load(path, records)
+        message = str(info.value)
+        assert message.startswith(
+            f"{path}: record {line - 2} field {path_in_record[0]!r} ")
+        assert message.endswith(f"(line {line})")
+
+    def test_invalid_json_names_the_line(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        text = "".join(json.dumps(r) + "\n" for r in self.RECORDS)
+        path.write_text(text.replace('"kind": "event"', '"kind": '))
+        with pytest.raises(ValueError) as info:
+            read_series_jsonl(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}: record 2 is not valid JSON ")
+        assert message.endswith("(line 4)")
+
+    def test_event_attributes_named_like_parameters_load(self, tmp_path):
+        path = tmp_path / "series.jsonl"
+        records = list(self.RECORDS)
+        attrs = {"name": "x", "t_cycles": 2}
+        records[3] = swapped(records[3], ("attrs",), attrs)
+        series = self._load(path, records)
+        merged = MetricsTimeSeries(clock_hz=1.0, interval_cycles=1.0)
+        merged.merge(series, offset_cycles=10.0)
+        assert [(e.t_cycles, e.name, e.attrs) for e in merged.events] == [
+            (11.5, "fault.core_down", attrs)]
+
+    @settings(max_examples=300)
+    @given(text=mutated_lines(RECORDS))
+    def test_mutation_loads_or_raises_value_error(self, tmp_path_factory,
+                                                  text):
+        path = tmp_path_factory.mktemp("series") / "series.jsonl"
+        path.write_text(text)
+        try:
+            series = read_series_jsonl(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert all(math.isfinite(s.t_cycles) for s in series.samples)
+            write_series_jsonl(series, io.StringIO())
+
+    def test_cli_reports_bad_header_without_traceback(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        path = tmp_path / "series.jsonl"
+        header = swapped(self.RECORDS[0], ("clock_hz",), [1])
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in [header] + self.RECORDS[1:]))
+        assert main(["timeseries", "--series", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read series {path}: {path}: "
+                              "header field 'clock_hz' ")
+        assert "Traceback" not in err
 
 
 class TestRendering:
