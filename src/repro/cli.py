@@ -465,6 +465,7 @@ def _check_farm_flags(args, n_cores: int):
     plan file's FaultPlan, checked against the farm."""
     from repro.farm import FaultPlan
     from repro.farm.scheduler import scheduler_names
+    from repro.obs.validate import read_json
     if args.scheduler not in scheduler_names():
         raise ValueError(f"--scheduler must be one of "
                          f"{scheduler_names()}")
@@ -482,15 +483,11 @@ def _check_farm_flags(args, n_cores: int):
     except ValueError:
         pass
     try:
-        with open(spec) as handle:
-            payload = json.load(handle)
+        payload = read_json(spec)
     except OSError as exc:
         raise ValueError(
             f"--faults wants an integer seed or a JSON plan file: "
             f"{exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"bad JSON in fault plan {spec!r}: {exc}") \
-            from None
     try:
         plan = FaultPlan.from_dict(payload)
         plan.check_cores(n_cores)

@@ -36,7 +36,7 @@ from typing import Dict, Optional, Tuple
 from repro.macromodel.model import DEFAULT_SEED, DEFAULT_SIZES, MacroModelSet
 from repro.mp.prng import DeterministicPrng
 from repro.obs import get_registry as get_obs_registry
-from repro.obs import get_tracer
+from repro.obs import get_tracer, validate
 
 
 def characterize_platform(*args, **kwargs) -> MacroModelSet:
@@ -129,18 +129,17 @@ class CharacterizationCache:
             return None
         from repro.macromodel.persist import modelset_from_dict
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
-            if entry.get("schema") != _CACHE_SCHEMA:
-                self._count_stale()
-                return None
-            if entry.get("key") != key.as_dict():
-                self._count_stale()
-                return None      # digest collision or hand-edited file
-            return modelset_from_dict(entry["models"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self._count_stale()
-            return None          # corrupt entry: recharacterize + rewrite
+            entry = validate.read_json(path)
+            if (entry.get("schema") == _CACHE_SCHEMA
+                    and entry.get("key") == key.as_dict()):
+                return modelset_from_dict(validate.field(
+                    entry, "models", validate.OBJECT, path))
+        except (OSError, ValueError):
+            pass
+        # Unreadable, damaged, an old schema, a digest collision or a
+        # hand-edited key: recharacterize and rewrite.
+        self._count_stale()
+        return None
 
     def _count_stale(self) -> None:
         self.stats.disk_stale += 1

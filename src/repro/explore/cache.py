@@ -28,6 +28,7 @@ from typing import Dict, Optional
 
 from repro.macromodel.model import MacroModelSet
 from repro.macromodel.persist import modelset_to_dict
+from repro.obs import validate
 
 _STORE_SCHEMA = 1
 
@@ -49,6 +50,24 @@ def exploration_digest(models: MacroModelSet, workload) -> str:
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+
+
+#: The fields of one stored row, each with its kind.
+_ROW_FIELDS = {"config": validate.OBJECT, "label": validate.STRING,
+               "estimated_cycles": validate.NUMBER,
+               "wall_seconds": validate.NUMBER, "correct": validate.BOOL}
+
+
+def _row_is_valid(key: str, row) -> bool:
+    """Does ``row`` hold every field, well typed, for the candidate its
+    ``key`` names?"""
+    try:
+        row = validate.as_object(row, key)
+        for name, kind in _ROW_FIELDS.items():
+            validate.field(row, name, kind, key)
+    except ValueError:
+        return False
+    return json.dumps(row["config"], sort_keys=True) == key
 
 
 @dataclass
@@ -97,16 +116,17 @@ class ExplorationStore:
         if not path or not os.path.exists(path):
             return {}
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
+            entry = validate.read_json(path)
             if (entry.get("schema") != _STORE_SCHEMA
                     or entry.get("digest") != digest):
                 return {}        # stale can cost time, never correctness
-            rows = entry.get("rows")
-            return rows if isinstance(rows, dict) else {}
+            rows = validate.field(entry, "rows", validate.OBJECT, path)
         except (OSError, ValueError):
             return {}
-
+        # A damaged row is dropped: its candidate is re-evaluated and
+        # the row rewritten on the next flush.
+        return {key: row for key, row in rows.items()
+                if _row_is_valid(key, row)}
 
     def flush(self, digest: str) -> None:
         """Persist one context's rows (called after each completed

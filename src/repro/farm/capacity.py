@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.costs import PlatformCosts
-from repro.obs.validate import is_finite_number
+from repro.obs import validate
 from repro.ssl.throughput import (DEFAULT_CLOCK_HZ, RATE_TARGETS,
                                   max_secure_rate)
 from repro.farm.simulator import CoreSpec
@@ -93,41 +93,27 @@ class CapacityPlan:
         payload, a missing field, a non-string name, or a number that
         is not finite and non-negative (``cores``: not a non-negative
         integer) raises a :class:`ValueError` naming the field."""
-        if not isinstance(data, dict):
-            raise ValueError(f"capacity plan must be a JSON object, got "
-                             f"{type(data).__name__}")
-        return cls(target_name=_plan_field(data, "target", str),
-                   target_bps=_plan_field(data, "target_bps", float),
-                   config_name=_plan_field(data, "config", str),
-                   cores=_plan_field(data, "cores", int),
-                   per_core_bps=_plan_field(data, "per_core_bps", float),
-                   farm_gates=_plan_field(data, "farm_gates", float))
+        where = "capacity plan"
+        data = dict(validate.as_object(data, where))
+        for name, (kind, convert) in _PLAN_FIELDS.items():
+            if convert is not str and isinstance(data.get(name), str):
+                try:
+                    data[name] = convert(data[name])
+                except ValueError:
+                    pass         # the check below names the string
+        values = [convert(validate.field(data, name, kind, where))
+                  for name, (kind, convert) in _PLAN_FIELDS.items()]
+        return cls(*values)
 
 
-def _plan_field(data: Dict, name: str, kind: type):
-    """``data[name]`` as ``kind``: a string, or a finite non-negative
-    ``float``/``int`` given as a JSON number or a numeric string."""
-    if name not in data:
-        raise ValueError(f"capacity plan: missing field {name!r}")
-    value = data[name]
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"capacity plan: field {name!r} must be a "
-                             f"string, got {value!r}")
-        return value
-    number = value
-    if isinstance(value, str):
-        try:
-            number = kind(value)
-        except ValueError:
-            number = None
-    if not (is_finite_number(number) and number >= 0
-            and (kind is float or isinstance(number, int))):
-        wanted = ("a finite non-negative number" if kind is float
-                  else "a non-negative integer")
-        raise ValueError(f"capacity plan: field {name!r} must be "
-                         f"{wanted}, got {value!r}")
-    return kind(number)
+#: :meth:`CapacityPlan.as_dict` keys in field order, each with its kind
+#: and the type a numeric string converts to.
+_PLAN_FIELDS = {"target": (validate.STRING, str),
+                "target_bps": (validate.NON_NEGATIVE, float),
+                "config": (validate.STRING, str),
+                "cores": (validate.integer(0), int),
+                "per_core_bps": (validate.NON_NEGATIVE, float),
+                "farm_gates": (validate.NON_NEGATIVE, float)}
 
 
 def capacity_table(configs: Sequence[Tuple[str, PlatformCosts, float]],

@@ -30,10 +30,11 @@ gateway operator actually plans for:
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.costs import PlatformCosts
 from repro.mp import DeterministicPrng
+from repro.obs import validate
 
 __all__ = ["DEFAULT_REDISPATCH_PENALTY_CYCLES", "FAULT_KINDS",
            "FaultEvent", "FaultPlan", "FaultReport",
@@ -72,38 +73,30 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "FaultEvent":
-        """Rebuild an event from :meth:`as_dict` output; a missing or
-        ill-typed field raises a :class:`ValueError` naming it."""
-        if not isinstance(payload, dict):
-            raise ValueError(f"fault event is not a JSON object: "
-                             f"{payload!r}")
-        return cls(cycle=_field(payload, "cycle", (int, float)),
-                   kind=_field(payload, "kind", (str,)),
-                   core=_field(payload, "core", (int,)))
+        """Rebuild an event from :meth:`as_dict` output; a missing,
+        ill-typed or unknown field raises a :class:`ValueError` naming
+        it."""
+        return _event_from(payload, "fault event")
 
 
-_REQUIRED = object()
+#: The keys :meth:`FaultPlan.as_dict` writes (``degraded_costs`` only
+#: names the table, which the caller supplies), and each event field
+#: with its kind.
+_PLAN_KEYS = ("events", "redispatch_penalty_cycles", "degraded_costs")
+_EVENT_FIELDS = {"cycle": validate.NON_NEGATIVE, "kind": validate.STRING,
+                 "core": validate.integer(0)}
 
 
-def _field(payload: Dict, name: str, types: Tuple[type, ...],
-           default=_REQUIRED):
-    """``payload[name]`` (or ``default`` when absent and given), which
-    must be one of ``types`` and never a ``bool`` (JSON's booleans are
-    Python ints).  Numbers are returned as floats."""
-    if name not in payload:
-        if default is _REQUIRED:
-            raise ValueError(f"missing field {name!r}")
-        return default
-    value = payload[name]
-    if not isinstance(value, types) or isinstance(value, bool):
-        kinds = " or ".join(t.__name__ for t in types)
-        raise ValueError(f"field {name!r} must be {kinds}, got {value!r}")
-    if float in types:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError(f"field {name!r} is too large") from None
-    return value
+def _event_from(payload, where: str) -> FaultEvent:
+    payload = validate.as_object(payload, where)
+    validate.only_fields(payload, _EVENT_FIELDS, where)
+    values = {name: validate.field(payload, name, kind, where)
+              for name, kind in _EVENT_FIELDS.items()}
+    if values["kind"] not in FAULT_KINDS:
+        raise validate.invalid(where, "kind", f"one of {list(FAULT_KINDS)}",
+                               values["kind"])
+    return FaultEvent(cycle=float(values["cycle"]), kind=values["kind"],
+                      core=values["core"])
 
 
 @dataclass(frozen=True)
@@ -196,26 +189,20 @@ class FaultPlan:
                   ) -> "FaultPlan":
         """Rebuild a plan from :meth:`as_dict` output (a JSON plan
         file).  ``degraded_costs`` must be supplied by the caller --
-        cost tables are measured objects, not plan data.  A missing
-        or ill-typed field, or a non-finite cycle or penalty, raises a
-        :class:`ValueError` naming it."""
-        try:
-            if not isinstance(payload, dict):
-                raise ValueError(f"not a JSON object: {payload!r}")
-            events = []
-            for index, entry in enumerate(
-                    _field(payload, "events", (list,), [])):
-                try:
-                    events.append(FaultEvent.from_dict(entry))
-                except ValueError as exc:
-                    raise ValueError(f"events[{index}]: {exc}") from None
-            return cls(events=tuple(events),
-                       redispatch_penalty_cycles=_field(
-                           payload, "redispatch_penalty_cycles",
-                           (int, float), DEFAULT_REDISPATCH_PENALTY_CYCLES),
-                       degraded_costs=degraded_costs)
-        except ValueError as exc:
-            raise ValueError(f"fault plan: {exc}") from None
+        cost tables are measured objects, not plan data.  A missing,
+        ill-typed or unknown field, or a non-finite cycle or penalty,
+        raises a :class:`ValueError` naming it."""
+        where = "fault plan"
+        payload = validate.as_object(payload, where)
+        validate.only_fields(payload, _PLAN_KEYS, where)
+        events = validate.field(payload, "events", validate.LIST, where, [])
+        penalty = validate.field(
+            payload, "redispatch_penalty_cycles", validate.NON_NEGATIVE,
+            where, DEFAULT_REDISPATCH_PENALTY_CYCLES)
+        return cls(events=tuple(_event_from(entry, f"{where}: events[{i}]")
+                                for i, entry in enumerate(events)),
+                   redispatch_penalty_cycles=float(penalty),
+                   degraded_costs=degraded_costs)
 
 
 def generate_fault_plan(seed: int, n_cores: int, horizon_cycles: float,

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.obs.validate import is_finite_number
+from repro.obs import validate
 from repro.protocols import protocol_names
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.farm.workload import SessionRequest
@@ -27,12 +27,11 @@ __all__ = ["TRACE_FORMAT", "TRACE_VERSION", "WorkloadTrace",
 TRACE_FORMAT = "repro.farm.workload"
 TRACE_VERSION = 1
 
-#: Record fields in :class:`SessionRequest` order, each with the JSON
-#: types it accepts.
-_FIELD_TYPES = {"seq": (int,), "arrival_cycle": (int, float),
-                "protocol": (str,), "size_bytes": (int,),
-                "resumed": (bool,), "client_id": (int,)}
-_FIELDS = tuple(_FIELD_TYPES)
+#: Record fields in :class:`SessionRequest` order, each with its kind.
+_FIELDS = {"seq": validate.integer(),
+           "arrival_cycle": validate.NON_NEGATIVE,
+           "protocol": validate.STRING, "size_bytes": validate.integer(),
+           "resumed": validate.BOOL, "client_id": validate.integer()}
 
 
 @dataclass
@@ -75,79 +74,27 @@ def import_workload(path) -> WorkloadTrace:
     with a :class:`ValueError` naming the file and the line or field
     instead of replaying a partial or unpriceable population.
     """
-    path = str(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(number, line) for number, line in
-                 enumerate((raw.strip() for raw in handle), start=1)
-                 if line]
-    if not lines:
-        raise ValueError(f"{path}: empty workload trace")
-    number, line = lines[0]
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {number}: invalid JSON "
-                         f"({exc})") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: line {number}: header is not a JSON "
-                         "object")
-    if header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
-    if header.get("version") != TRACE_VERSION:
-        raise ValueError(f"{path}: unsupported trace version "
-                         f"{header.get('version')!r}")
-    records = lines[1:]
-    expected = header.get("count", len(records))
-    if (not isinstance(expected, int) or isinstance(expected, bool)
-            or expected < 0):
-        raise ValueError(f"{path}: header field 'count' must be a "
-                         f"non-negative int, got {expected!r}")
-    clock_hz = header.get("clock_hz", DEFAULT_CLOCK_HZ)
-    if not (is_finite_number(clock_hz) and clock_hz > 0):
-        raise ValueError(f"{path}: header field 'clock_hz' must be a "
-                         f"positive finite number, got {clock_hz!r}")
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: header field 'meta' must be a JSON "
-                         f"object, got {meta!r}")
+    jsonl = validate.read_jsonl(path)
+    where, header = jsonl.header(TRACE_FORMAT, TRACE_VERSION)
+    records = jsonl.lines[1:]
+    expected = validate.field(header, "count", validate.integer(0), where,
+                              len(records))
+    clock_hz = validate.field(header, "clock_hz", validate.POSITIVE, where,
+                              DEFAULT_CLOCK_HZ)
+    meta = validate.field(header, "meta", validate.OBJECT, where, {})
     if len(records) != expected:
-        raise ValueError(f"{path}: header promises {expected} records, "
-                         f"found {len(records)} (truncated trace?)")
+        raise ValueError(f"{jsonl.name}: header promises {expected} "
+                         f"records, found {len(records)} (truncated trace?)")
     known = protocol_names()
     requests = []
-    for number, line in records:
-        where = f"{path}: line {number}"
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: invalid JSON ({exc})") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: record is not a JSON object")
-        for name, types in _FIELD_TYPES.items():
-            if name not in data:
-                raise ValueError(f"{where}: record is missing field "
-                                 f"{name!r}")
-            value = data[name]
-            # bool is an int subclass: only "resumed" may be one.
-            if (not isinstance(value, types)
-                    or isinstance(value, bool) != (bool in types)):
-                kinds = " or ".join(t.__name__ for t in types)
-                raise ValueError(f"{where}: field {name!r} must be "
-                                 f"{kinds}, got {value!r}")
-        arrival = data["arrival_cycle"]
-        if not (is_finite_number(arrival) and arrival >= 0):
-            raise ValueError(f"{where}: field 'arrival_cycle' must be a "
-                             f"finite non-negative number, got {arrival!r}")
-        if data["protocol"] not in known:
-            raise ValueError(
-                f"{where}: trace names unregistered protocol "
-                f"{data['protocol']!r}; registered: {list(known)}")
-        requests.append(SessionRequest(
-            seq=data["seq"],
-            arrival_cycle=float(arrival),
-            protocol=data["protocol"],
-            size_bytes=data["size_bytes"],
-            resumed=data["resumed"],
-            client_id=data["client_id"]))
+    for where, data in records:
+        values = {name: validate.field(data, name, kind, where)
+                  for name, kind in _FIELDS.items()}
+        if values["protocol"] not in known:
+            raise validate.invalid(where, "protocol", f"a registered "
+                                   f"protocol {list(known)}",
+                                   values["protocol"])
+        values["arrival_cycle"] = float(values["arrival_cycle"])
+        requests.append(SessionRequest(**values))
     return WorkloadTrace(requests=requests, clock_hz=float(clock_hz),
                          meta=dict(meta))

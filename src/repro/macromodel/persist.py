@@ -7,9 +7,9 @@ sweeps, CI) skip re-running the ISS stimulus programs.
 
 import json
 
-from repro.obs.validate import is_finite_number
+from repro.obs import validate
 from repro.macromodel.model import MacroModel, MacroModelSet
-from repro.macromodel.regression import FitResult, form_arity
+from repro.macromodel.regression import ARITY, FitResult
 
 _SCHEMA_VERSION = 1
 
@@ -34,68 +34,48 @@ def modelset_to_dict(models: MacroModelSet) -> dict:
 def modelset_from_dict(data: dict) -> MacroModelSet:
     """Rebuild a model set, rejecting a missing or ill-typed field with
     a :class:`ValueError` that names it."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a macro-model document is a JSON object, got "
-                         f"{type(data).__name__}")
+    return _modelset_from(data, "macro-model document")
+
+
+def _modelset_from(data: dict, where: str) -> MacroModelSet:
+    data = validate.as_object(data, where)
     schema = data.get("schema")
     if isinstance(schema, bool) or schema != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported macro-model schema {schema!r}")
-    platform = _field(data, "platform", "macro-model document:")
-    if not isinstance(platform, str):
-        raise ValueError(f"macro-model 'platform' must be a string, got "
-                         f"{platform!r}")
-    specs = _field(data, "models", "macro-model document:")
-    if not isinstance(specs, dict):
-        raise ValueError(f"macro-model 'models' must be an object, got "
-                         f"{type(specs).__name__}")
-    models = MacroModelSet(platform)
+        raise ValueError(f"{where}: unsupported macro-model schema "
+                         f"{schema!r}")
+    models = MacroModelSet(validate.field(data, "platform", validate.STRING,
+                                          where))
+    specs = validate.field(data, "models", validate.OBJECT, where)
     for routine, spec in specs.items():
-        if not isinstance(spec, dict):
-            raise ValueError(f"macro-model {routine!r} must be an object, "
-                             f"got {type(spec).__name__}")
-        fit = _fit_from_spec(routine, spec)
+        fit = _fit_from_spec(spec, f"{where}: model {routine!r}")
         models.add(MacroModel(routine=routine, fit=fit))
     return models
 
 
-def _field(mapping: dict, name: str, where: str):
-    if name not in mapping:
-        raise ValueError(f"{where} {name} is missing")
-    return mapping[name]
+#: The fields of one saved fit, each with its kind.
+_FIT_FIELDS = {"form": validate.STRING, "coeffs": validate.LIST,
+               "width": validate.integer(1),
+               "mean_abs_pct_error": validate.NUMBER,
+               "max_abs_pct_error": validate.NUMBER}
 
 
-def _fit_from_spec(routine: str, spec: dict) -> FitResult:
-    """One saved fit, rejected with the routine and field named if it
-    could not predict a finite cycle count."""
-    def bad(field: str, why: str) -> ValueError:
-        return ValueError(f"macro-model {routine!r}: {field} {why}")
-
-    where = f"macro-model {routine!r}:"
-    form = _field(spec, "form", where)
-    if not isinstance(form, str):
-        raise bad("form", f"must be a string, got {form!r}")
-    try:
-        arity = form_arity(form)
-    except ValueError as exc:
-        raise bad("form", str(exc)) from None
-    coeffs = _field(spec, "coeffs", where)
-    if not isinstance(coeffs, (list, tuple)):
-        raise bad("coeffs", f"must be a list of numbers, got {coeffs!r}")
-    if len(coeffs) != arity:
-        raise bad("coeffs", f"has {len(coeffs)} values; form "
-                            f"{form!r} takes {arity}")
-    width = _field(spec, "width", where)
-    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-        raise bad("width", f"must be an integer >= 1, got {width!r}")
-    if not all(is_finite_number(v) for v in coeffs):
-        raise bad("coeffs", f"must be finite numbers, got {coeffs!r}")
-    errors = {}
-    for name in ("mean_abs_pct_error", "max_abs_pct_error"):
-        value = errors[name] = _field(spec, name, where)
-        if not is_finite_number(value):
-            raise bad(name, f"must be a finite number, got {value!r}")
-    return FitResult(form=form, coeffs=tuple(coeffs), width=width,
-                     **errors)
+def _fit_from_spec(spec, where: str) -> FitResult:
+    """One saved fit, rejected with the field named if it could not
+    predict a finite cycle count."""
+    spec = validate.as_object(spec, where)
+    values = {name: validate.field(spec, name, kind, where)
+              for name, kind in _FIT_FIELDS.items()}
+    form, coeffs = values["form"], values["coeffs"]
+    arity = ARITY.get(form)
+    if arity is None:
+        raise validate.invalid(where, "form", f"one of {sorted(ARITY)}",
+                               form)
+    if (len(coeffs) != arity
+            or not all(map(validate.is_finite_number, coeffs))):
+        raise validate.invalid(where, "coeffs", f"a list of {arity} "
+                               f"finite numbers for form {form!r}", coeffs)
+    values["coeffs"] = tuple(coeffs)
+    return FitResult(**values)
 
 
 def save_modelset(models: MacroModelSet, path: str) -> None:
@@ -109,9 +89,4 @@ def load_modelset(path: str) -> MacroModelSet:
     that is not a JSON object, or a missing or ill-typed field, is
     rejected with a :class:`ValueError` naming ``path`` and the
     field."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return modelset_from_dict(json.loads(text))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _modelset_from(validate.read_json(path), path)

@@ -22,6 +22,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.obs import validate
+
 __all__ = ["BASELINE_SCHEMA", "DEFAULT_BASELINE_DIR", "Gate",
            "MetricDiff", "Scenario", "ScenarioReport", "baseline_filename",
            "baseline_path", "check_scenarios", "compare_metrics",
@@ -128,15 +130,13 @@ def load_baseline(directory: str, name: str) -> Optional[Dict[str, object]]:
     unreadable (an unreadable baseline is a gate failure, reported by
     the caller, never a crash)."""
     path = baseline_path(directory, name)
-    if not os.path.exists(path):
-        return None
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = validate.read_json(path)
         if payload.get("schema") != BASELINE_SCHEMA:
             return None
-        return dict(payload["metrics"])
-    except (OSError, ValueError, KeyError, TypeError):
+        return dict(validate.field(payload, "metrics", validate.OBJECT,
+                                   path))
+    except (OSError, ValueError):
         return None
 
 
@@ -537,23 +537,19 @@ def _farm_sharded_metrics() -> Dict[str, object]:
     }
 
 
-def _farm_chaos_metrics() -> Dict[str, object]:
-    from dataclasses import replace
+def _chaos_config(**fields):
+    """The 8-core chaos farm of ``farm_chaos`` and ``farm_timeseries``:
+    400 requests at 150/s from 64 clients under an explicit, committed
+    plan -- an extended core dies mid-run and recovers, a second core
+    loses its session cache, another extended core degrades to
+    base-ISA pricing until recovery -- graded against a p99/throughput
+    SLO.  ``fields`` are further :class:`FarmConfig` fields."""
     from repro.farm import (FarmConfig, FaultEvent, FaultPlan,
-                            TrafficProfile, build_farm,
-                            generate_fault_plan, generate_requests,
-                            run_farm)
+                            TrafficProfile, build_farm)
     from repro.obs.slo import SloTarget
-    from repro.parallel import ThreadExecutor
     from repro.ssl.throughput import DEFAULT_CLOCK_HZ
     base, opt = _measured_pair()
-    specs = build_farm(8, base, opt, extended_fraction=0.5)
-    profile = TrafficProfile(arrival_rate=150.0, clients=64)
-    n = 400
     second = DEFAULT_CLOCK_HZ
-    # An explicit, committed plan: an extended core dies mid-run and
-    # recovers, a second core loses its session cache, another
-    # extended core degrades to base-ISA pricing until recovery.
     plan = FaultPlan(events=(
         FaultEvent(cycle=0.5 * second, kind="core_down", core=1),
         FaultEvent(cycle=1.5 * second, kind="core_up", core=1),
@@ -561,10 +557,20 @@ def _farm_chaos_metrics() -> Dict[str, object]:
         FaultEvent(cycle=0.6 * second, kind="degrade", core=2),
         FaultEvent(cycle=1.8 * second, kind="core_up", core=2),
     ), degraded_costs=base)
-    slo = SloTarget(p99_ms=20.0, secure_mbps=1.0)
-    config = FarmConfig(specs=tuple(specs), scheduler="preferential",
-                        profile=profile, n_requests=n, seed=1,
-                        faults=plan, slo=slo)
+    return FarmConfig(
+        specs=tuple(build_farm(8, base, opt, extended_fraction=0.5)),
+        scheduler="preferential",
+        profile=TrafficProfile(arrival_rate=150.0, clients=64),
+        n_requests=400, seed=1, faults=plan,
+        slo=SloTarget(p99_ms=20.0, secure_mbps=1.0), **fields)
+
+
+def _farm_chaos_metrics() -> Dict[str, object]:
+    from dataclasses import replace
+    from repro.farm import generate_fault_plan, run_farm
+    from repro.parallel import ThreadExecutor
+    from repro.ssl.throughput import DEFAULT_CLOCK_HZ
+    config = _chaos_config()
     chaos = run_farm(config)
     again = run_farm(config)
     keys = ("completed", "sessions_per_s", "secure_mbps", "p50_ms",
@@ -583,8 +589,8 @@ def _farm_chaos_metrics() -> Dict[str, object]:
     # Chaos must cost something: the wounded farm completes the same
     # offered load strictly slower at the tail.
     metrics: Dict[str, object] = {
-        "cores": 8.0, "requests": float(n),
-        "plan_events": float(len(plan.events)),
+        "cores": 8.0, "requests": float(config.n_requests),
+        "plan_events": float(len(config.faults.events)),
         "fault_events": float(chaos.result.fault_events),
         "redispatches": float(chaos.result.redispatches),
         "sessions_flushed": float(chaos.faults.sessions_flushed),
@@ -603,7 +609,7 @@ def _farm_chaos_metrics() -> Dict[str, object]:
         # The seeded-generation path: the drawn schedule is a pure
         # function of (seed, cores, horizon, episodes).
         "gen.events": float(len(generate_fault_plan(
-            7, 8, 3.0 * second, episodes=4).events)),
+            7, 8, 3.0 * DEFAULT_CLOCK_HZ, episodes=4).events)),
     }
     return metrics
 
@@ -634,33 +640,16 @@ def _farm_scale_metrics() -> Dict[str, object]:
 def _farm_timeseries_metrics() -> Dict[str, object]:
     import io
     from dataclasses import replace
-    from repro.farm import (FarmConfig, FaultEvent, FaultPlan,
-                            TrafficProfile, build_farm, run_farm)
-    from repro.obs.slo import SloTarget
+    from repro.farm import run_farm
     from repro.obs.timeseries import (read_series_jsonl,
                                       write_series_jsonl)
     from repro.parallel import ThreadExecutor
     from repro.ssl.throughput import DEFAULT_CLOCK_HZ
-    base, opt = _measured_pair()
-    specs = build_farm(8, base, opt, extended_fraction=0.5)
-    profile = TrafficProfile(arrival_rate=150.0, clients=64)
-    n = 400
     second = DEFAULT_CLOCK_HZ
     # The farm_chaos plan, re-observed as a time series: the p99 spike
     # must be visible in the interval gauge while core 1 is down, and
     # the recovery must be visible after it returns.
-    plan = FaultPlan(events=(
-        FaultEvent(cycle=0.5 * second, kind="core_down", core=1),
-        FaultEvent(cycle=1.5 * second, kind="core_up", core=1),
-        FaultEvent(cycle=0.8 * second, kind="cache_flush", core=4),
-        FaultEvent(cycle=0.6 * second, kind="degrade", core=2),
-        FaultEvent(cycle=1.8 * second, kind="core_up", core=2),
-    ), degraded_costs=base)
-    slo = SloTarget(p99_ms=20.0, secure_mbps=1.0)
-    config = FarmConfig(specs=tuple(specs), scheduler="preferential",
-                        profile=profile, n_requests=n, seed=1,
-                        faults=plan, slo=slo,
-                        series_interval_seconds=0.05)
+    config = _chaos_config(series_interval_seconds=0.05)
 
     def export(series) -> str:
         buf = io.StringIO()
@@ -685,7 +674,7 @@ def _farm_timeseries_metrics() -> Dict[str, object]:
                                  end_cycles=1.5 * second)
     recovered = series.max_over_time(key, start_cycles=1.9 * second)
     return {
-        "cores": 8.0, "requests": float(n),
+        "cores": 8.0, "requests": float(config.n_requests),
         "samples": float(len(series.samples)),
         "events": float(len(series.events)),
         "fault_annotations": float(sum(

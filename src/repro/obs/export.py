@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, TextIO, Union
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Span, TraceEvent, Tracer
-from repro.obs.validate import is_finite_number
+from repro.obs import validate
 
 
 def write_events_jsonl(tracer: Tracer,
@@ -43,37 +43,19 @@ def write_events_jsonl(tracer: Tracer,
     return len(records)
 
 
-#: Field -> (accepted JSON types, may be null), per record kind.
-_NUMBER = (int, float)
+#: Field -> (kind, may be null), per record kind.
 _RECORD_FIELDS = {
-    "span": {"span_id": ((int,), False), "parent_id": ((int,), True),
-             "name": ((str,), False), "start": (_NUMBER, False),
-             "end": (_NUMBER, True), "attrs": ((dict,), False)},
-    "event": {"name": ((str,), False), "time": (_NUMBER, False),
-              "span_id": ((int,), True), "attrs": ((dict,), False)},
+    "span": {"span_id": (validate.integer(), False),
+             "parent_id": (validate.integer(), True),
+             "name": (validate.STRING, False),
+             "start": (validate.NUMBER, False),
+             "end": (validate.NUMBER, True),
+             "attrs": (validate.OBJECT, False)},
+    "event": {"name": (validate.STRING, False),
+              "time": (validate.NUMBER, False),
+              "span_id": (validate.integer(), True),
+              "attrs": (validate.OBJECT, False)},
 }
-
-
-def _check_record(payload, where: str) -> None:
-    """Reject a line that is not a span or event record, naming the
-    field: a missing or ill-typed one, or a non-finite number."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where}: a record is a JSON object, got "
-                         f"{type(payload).__name__}")
-    kind = payload.get("kind")
-    if not isinstance(kind, str) or kind not in _RECORD_FIELDS:
-        raise ValueError(f"{where}: field 'kind' must be 'span' or "
-                         f"'event', got {kind!r}")
-    for name, (types, nullable) in _RECORD_FIELDS[kind].items():
-        if name not in payload:
-            raise ValueError(f"{where}: {kind} field {name!r} is missing")
-        value = payload[name]
-        if value is None and nullable:
-            continue
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or (types is _NUMBER and not is_finite_number(value))):
-            raise ValueError(f"{where}: {kind} field {name!r} has an "
-                             f"invalid value {value!r}")
 
 
 def read_events_jsonl(source: Union[str, TextIO]) -> Tracer:
@@ -86,37 +68,24 @@ def read_events_jsonl(source: Union[str, TextIO]) -> Tracer:
     is not valid JSON or not a well-formed span or event record raises
     a :class:`ValueError` naming the file, the line and the field.
     """
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        lines = source.read().splitlines()
-    else:
-        name = source
-        with open(source) as fh:
-            lines = fh.read().splitlines()
     tracer = Tracer()
     max_id = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{name}: line {number}"
-        try:
-            payload = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(f"{where}: invalid JSON ({exc})") from None
-        _check_record(payload, where)
-        if payload["kind"] == "span":
-            span = Span(span_id=payload["span_id"],
-                        parent_id=payload["parent_id"],
-                        name=payload["name"], start=payload["start"],
-                        end=payload["end"], attrs=dict(payload["attrs"]))
+    for where, payload in validate.read_jsonl(source).lines:
+        kind = validate.field(payload, "kind", validate.STRING, where)
+        if kind not in _RECORD_FIELDS:
+            raise validate.invalid(where, "kind", "'span' or 'event'",
+                                   kind)
+        values = {name: validate.field(payload, name, shape, where,
+                                       nullable=nullable)
+                  for name, (shape, nullable)
+                  in _RECORD_FIELDS[kind].items()}
+        if kind == "span":
+            span = Span(**values)
             tracer.spans.append(span)
             tracer._records.append(span)
             max_id = max(max_id, span.span_id)
         else:
-            event = TraceEvent(name=payload["name"],
-                               time=payload["time"],
-                               span_id=payload["span_id"],
-                               attrs=dict(payload["attrs"]))
+            event = TraceEvent(**values)
             tracer.events.append(event)
             tracer._records.append(event)
     tracer._next_id = max_id + 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.validate import is_finite_number
+from repro.obs import validate
 
 __all__ = ["SloMonitor", "SloObjective", "SloReport", "SloTarget",
            "SloWindow", "parse_slo"]
@@ -76,13 +76,8 @@ class SloTarget:
 
     def __post_init__(self):
         for spec in fields(self):
-            value = getattr(self, spec.name)
-            if value is None:
-                continue
-            if not (is_finite_number(value) and value >= 0):
-                raise ValueError(
-                    f"SLO target {spec.name} must be a finite "
-                    f"non-negative number, got {value!r}")
+            validate.field(vars(self), spec.name, validate.NON_NEGATIVE,
+                           "SLO target", nullable=True)
 
     def objectives(self) -> Tuple[SloObjective, ...]:
         """The non-None objectives, in declaration order."""
@@ -112,13 +107,9 @@ class SloTarget:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SloTarget":
-        if not isinstance(payload, dict):
-            raise ValueError(f"SLO target must be an object, got "
-                             f"{type(payload).__name__}")
-        return cls(p99_ms=payload.get("p99_ms"),
-                   secure_mbps=payload.get("secure_mbps"),
-                   cache_hit_rate=payload.get("cache_hit_rate"),
-                   utilization=payload.get("utilization"))
+        payload = validate.as_object(payload, "SLO target")
+        return cls(**{spec.name: payload.get(spec.name)
+                      for spec in fields(cls)})
 
 
 def parse_slo(spec: str) -> SloTarget:

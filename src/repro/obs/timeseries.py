@@ -33,7 +33,7 @@ from typing import (Callable, Deque, Dict, Iterable, List, Optional,
                     Sequence, TextIO, Tuple, Union)
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.validate import is_finite_number
+from repro.obs import validate
 
 __all__ = ["DEFAULT_QUANTILES", "DEFAULT_SERIES_CAPACITY",
            "MetricsTimeSeries", "SERIES_FORMAT", "SERIES_VERSION",
@@ -346,115 +346,49 @@ def read_series_jsonl(source: Union[str, TextIO]) -> MetricsTimeSeries:
     non-object line, an ill-typed or out-of-range header field, or a
     record missing a field or holding an ill-typed one -- fails with a
     :class:`ValueError` naming the file, the line and the field."""
-    if hasattr(source, "read"):
-        text = source.read()
-        name = "<stream>"
-    else:
-        name = str(source)
-        with open(name, encoding="utf-8") as fh:
-            text = fh.read()
-    lines = [(number, line) for number, line
-             in enumerate(text.splitlines(), start=1) if line.strip()]
-    if not lines:
-        raise ValueError(f"{name}: empty time-series file")
-    number, line = lines[0]
-    where = f"(line {number})"
-    header = _json_line(name, "the header line", where, line)
-    if not isinstance(header, dict):
-        raise ValueError(f"{name}: the header line must be a JSON "
-                         f"object, got {type(header).__name__}")
-    if header.get("format") != SERIES_FORMAT:
-        raise ValueError(f"{name}: not a {SERIES_FORMAT} file")
-    if header.get("version") != SERIES_VERSION:
-        raise ValueError(f"{name}: unsupported series version "
-                         f"{header.get('version')!r}")
-    for field_name in ("clock_hz", "interval_cycles"):
-        value = header.get(field_name)
-        if not (is_finite_number(value) and value > 0):
-            raise ValueError(f"{name}: header field {field_name!r} must be "
-                             f"a positive finite number, got {value!r} "
-                             f"{where}")
-    counts = {}
-    for field_name, default, least in (("capacity", None, 1),
-                                       ("dropped", 0, 0),
-                                       ("samples", 0, 0),
-                                       ("events", 0, 0)):
-        value = header.get(field_name, default)
-        if (not isinstance(value, int) or isinstance(value, bool)
-                or not least <= value <= sys.maxsize):
-            raise ValueError(f"{name}: header field {field_name!r} must be "
-                             f"an int from {least} to {sys.maxsize}, got "
-                             f"{value!r} {where}")
-        counts[field_name] = value
+    jsonl = validate.read_jsonl(source)
+    where, header = jsonl.header(SERIES_FORMAT, SERIES_VERSION)
+    rate, count = validate.POSITIVE, validate.integer(0, sys.maxsize)
     series = MetricsTimeSeries(
-        clock_hz=float(header["clock_hz"]),
-        interval_cycles=float(header["interval_cycles"]),
-        capacity=counts["capacity"])
+        clock_hz=float(validate.field(header, "clock_hz", rate, where)),
+        interval_cycles=float(validate.field(header, "interval_cycles",
+                                             rate, where)),
+        capacity=validate.field(header, "capacity",
+                                validate.integer(1, sys.maxsize), where))
+    counts = {name: validate.field(header, name, count, where, 0)
+              for name in ("dropped", "samples", "events")}
     expected = counts["samples"] + counts["events"]
-    records = lines[1:]
+    records = jsonl.lines[1:]
     if len(records) != expected:
-        raise ValueError(f"{name}: header promises {expected} records, "
-                         f"found {len(records)} (truncated series?)")
-    for index, (number, line) in enumerate(records):
-        where = f"(line {number})"
-        payload = _json_line(name, f"record {index}", where, line)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{name}: record {index} must be a JSON "
-                             f"object, got {type(payload).__name__} "
-                             f"{where}")
-        kind = payload.get("kind")
+        raise ValueError(f"{jsonl.name}: header promises {expected} "
+                         f"records, found {len(records)} (truncated "
+                         f"series?)")
+    for where, record in records:
+        kind = validate.field(record, "kind", validate.STRING, where)
+        if kind not in _RECORD_FIELDS:
+            raise validate.invalid(where, "kind", "'sample' or 'event'",
+                                   kind)
+        values = [validate.field(record, name, shape, where)
+                  for name, shape in _RECORD_FIELDS[kind]]
         if kind == "sample":
-            t_cycles, values = _record_fields(
-                name, index, where, payload,
-                (("t_cycles", float), ("values", dict)))
-            for key, value in values.items():
-                if not is_finite_number(value):
-                    raise ValueError(
-                        f"{name}: record {index} field 'values' must map "
-                        f"to finite numbers, got {key!r}: {value!r} "
-                        f"{where}")
-            series.append(t_cycles, values)
-        elif kind == "event":
-            t_cycles, event, attrs = _record_fields(
-                name, index, where, payload,
-                (("t_cycles", float), ("name", str), ("attrs", dict)))
-            series.annotate(t_cycles, event, **attrs)
+            t_cycles, sample = values
+            if not all(map(validate.is_finite_number, sample.values())):
+                raise validate.invalid(where, "values", "a JSON object of "
+                                       "finite numbers", sample)
+            series.append(t_cycles, sample)
         else:
-            raise ValueError(f"{name}: unknown record kind {kind!r} "
-                             f"{where}")
+            t_cycles, name, attrs = values
+            series.annotate(t_cycles, name, **attrs)
     series.dropped = counts["dropped"]
     return series
 
 
-def _json_line(name: str, what: str, where: str, line: str):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{name}: {what} is not valid JSON ({exc}) "
-                         f"{where}") from None
-
-
-def _record_fields(name: str, index: int, where: str, payload: Dict,
-                   fields: Sequence[Tuple[str, type]]) -> List:
-    """The values of ``fields`` in one series record, each checked
-    present and of its type (``float``: a finite number)."""
-    values = []
-    for field_name, kind in fields:
-        if field_name not in payload:
-            raise ValueError(f"{name}: record {index} is missing field "
-                             f"{field_name!r} {where}")
-        value = payload[field_name]
-        if kind is float:
-            ok = is_finite_number(value)
-            wanted = "a finite number"
-        else:
-            ok = isinstance(value, kind)
-            wanted = "a JSON string" if kind is str else "a JSON object"
-        if not ok:
-            raise ValueError(f"{name}: record {index} field {field_name!r} "
-                             f"must be {wanted}, got {value!r} {where}")
-        values.append(value)
-    return values
+#: The fields of each record kind, in ``append``/``annotate`` order.
+_RECORD_FIELDS = {
+    "sample": (("t_cycles", validate.NUMBER), ("values", validate.OBJECT)),
+    "event": (("t_cycles", validate.NUMBER), ("name", validate.STRING),
+              ("attrs", validate.OBJECT)),
+}
 
 
 # -- rendering ---------------------------------------------------------------

@@ -180,7 +180,7 @@ class TestCapacityPlanSerialization:
 
     @pytest.mark.parametrize("payload", [[VALID], None, "plan", 3])
     def test_non_object_rejected(self, payload):
-        with pytest.raises(ValueError, match="capacity plan must be a "
+        with pytest.raises(ValueError, match="^capacity plan: not a "
                                              "JSON object"):
             CapacityPlan.from_dict(payload)
 

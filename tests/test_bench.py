@@ -105,8 +105,10 @@ class TestBaselineIO:
     def test_load_missing_or_corrupt_returns_none(self, tmp_path):
         assert load_baseline(str(tmp_path), "absent") is None
         path = tmp_path / baseline_filename("bad")
-        path.write_text("{not json")
-        assert load_baseline(str(tmp_path), "bad") is None
+        for document in ("{not json", "[1]", '"x"', "null",
+                         '{"schema": 1}', '{"schema": 1, "metrics": [1]}'):
+            path.write_text(document)
+            assert load_baseline(str(tmp_path), "bad") is None
 
     def test_load_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / baseline_filename("future")
@@ -186,6 +188,11 @@ class TestCheckFlow:
 
     def test_missing_baseline_fails_check(self, stub_scenario,
                                           tmp_path):
+        reports, ok = check_scenarios(str(tmp_path), ["stub"])
+        assert not ok
+        assert reports[0].error and "no baseline" in reports[0].error
+        # A damaged baseline fails the gate the same way.
+        (tmp_path / baseline_filename("stub")).write_text("[1]")
         reports, ok = check_scenarios(str(tmp_path), ["stub"])
         assert not ok
         assert reports[0].error and "no baseline" in reports[0].error

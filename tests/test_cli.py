@@ -595,6 +595,10 @@ class TestChaosCli:
          "field 'core' must be"),
         ({"cycle": 1.0, "kind": "core_down", "core": 99},
          "strikes core 99"),
+        ({"cycle": 1.0, "kind": "core_down", "core": 0, "coer": 1},
+         "events[0]: unknown field 'coer'"),
+        ({"cycle": 1.0, "kind": "meteor", "core": 0},
+         "field 'kind' must be one of"),
     ])
     @pytest.mark.parametrize("argv", [
         ["farm", "--cores", "4"],
@@ -617,11 +621,40 @@ class TestChaosCli:
         assert err.startswith(f"error: {path}: fault plan")
         assert named in err
 
+    @pytest.mark.parametrize("document, named", [
+        ('{"evnts": []}', "fault plan: unknown field 'evnts'"),
+        ("[1]", "not a JSON object, got list"),
+        ("{not json", "invalid JSON"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["farm", "--cores", "4"],
+        ["capacity", "--autoscale", "--max-cores", "4"],
+    ])
+    def test_bad_fault_plan_document_fails_before_characterization(
+            self, tmp_path, capsys, monkeypatch, argv, document, named):
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("characterized before validating")
+
+        monkeypatch.setattr(cli, "_measured_cost_pair", forbidden)
+        path = tmp_path / "plan.json"
+        path.write_text(document)
+        assert main(argv + ["--faults", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert named in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flags, named", [
-        (["--slo", "p99_ms=nan"], "SLO target p99_ms"),
-        (["--slo", "p99_ms=-1"], "SLO target p99_ms"),
-        (["--slo", "secure_mbps=inf"], "SLO target secure_mbps"),
-        (["--replay", "LIST"], "header is not a JSON object"),
+        pytest.param(["--slo", "p99_ms=nan"], "SLO target: field 'p99_ms'",
+                     id="flags0-SLO target p99_ms"),
+        pytest.param(["--slo", "p99_ms=-1"], "SLO target: field 'p99_ms'",
+                     id="flags1-SLO target p99_ms"),
+        pytest.param(["--slo", "secure_mbps=inf"],
+                     "SLO target: field 'secure_mbps'",
+                     id="flags2-SLO target secure_mbps"),
+        pytest.param(["--replay", "LIST"], "line 1: not a JSON object",
+                     id="flags3-header is not a JSON object"),
     ])
     def test_bad_slo_or_trace_fails_before_characterization(
             self, tmp_path, capsys, monkeypatch, flags, named):

@@ -136,13 +136,16 @@ class TestCacheDisk:
         cache = CharacterizationCache(cache_dir=str(tmp_path))
         path = cache.path_for(key)
         cache.models_for(key)
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        fresh = CharacterizationCache(cache_dir=str(tmp_path))
-        fresh.models_for(key)
-        assert len(counted_characterize) == 2
-        # ... and the entry was rewritten cleanly.
-        assert json.loads(open(path).read())["key"] == key.as_dict()
+        documents = ("{not json", "[1]", '"x"', "null")
+        for count, document in enumerate(documents, start=2):
+            with open(path, "w") as fh:
+                fh.write(document)
+            fresh = CharacterizationCache(cache_dir=str(tmp_path))
+            fresh.models_for(key)
+            assert len(counted_characterize) == count
+            assert fresh.stats.disk_stale == 1
+            # ... and the entry was rewritten cleanly.
+            assert json.loads(open(path).read())["key"] == key.as_dict()
 
     def test_invalid_model_entry_is_a_miss(self, tmp_path,
                                            counted_characterize):

@@ -5,9 +5,11 @@ Same frozen measured unit costs as ``test_farm.py`` -- fault handling
 is a pure function of these numbers, so no ISS characterization runs.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from repro.costs import PlatformCosts
 from repro.farm import (AutoscalePolicy, FarmConfig, FarmSimulator,
@@ -21,6 +23,7 @@ from repro.farm.workload import SessionRequest
 from repro.obs.slo import SloTarget
 from repro.parallel import ThreadExecutor
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
+from tests.mutation import mutated
 
 BASE_COSTS = PlatformCosts(
     name="base", rsa_public_cycles=631103.0,
@@ -160,8 +163,12 @@ class TestFaultPlan:
         ({"events": [{"cycle": 1.0, "kind": "core_down", "core": 0},
                      {"cycle": "nan", "kind": "core_up", "core": 0}]},
          r"events\[1\]: field 'cycle' must be"),
-        ({"events": [7]}, r"events\[0\]: fault event is not"),
-        ({"events": {"cycle": 1.0}}, "field 'events' must be list"),
+        pytest.param({"events": [7]}, r"events\[0\]: not a JSON object, "
+                                      r"got int",
+                     id=r"payload2-events\[0\]: fault event is not"),
+        pytest.param({"events": {"cycle": 1.0}},
+                     "field 'events' must be a list",
+                     id="payload3-field 'events' must be list"),
         ({"redispatch_penalty_cycles": float("nan")},
          "redispatch_penalty_cycles"),
         ({"redispatch_penalty_cycles": float("inf")},
@@ -169,6 +176,11 @@ class TestFaultPlan:
         ({"redispatch_penalty_cycles": "2000"},
          "field 'redispatch_penalty_cycles' must be"),
         ([], "not a JSON object"),
+        ({"evnts": []}, "unknown field 'evnts'"),
+        ({"events": [], "redispatch_penalty": 10.0},
+         "unknown field 'redispatch_penalty'"),
+        ({"events": [{"cycle": 1.0, "kind": "core_down", "core": 0,
+                      "cores": 1}]}, r"events\[0\]: unknown field 'cores'"),
     ])
     def test_from_dict_names_the_bad_field(self, payload, match):
         with pytest.raises(ValueError, match=match) as caught:
@@ -191,6 +203,29 @@ class TestFaultPlan:
         assert rebuilt.redispatch_penalty_cycles == \
             plan.redispatch_penalty_cycles
         assert rebuilt.degraded_costs is BASE_COSTS
+
+
+class TestMutatedPlans:
+    """Every damaged fault plan loads or fails with a ``ValueError``
+    naming the plan, so ``farm --faults`` exits 2, never with a
+    traceback."""
+
+    VALID = {"events": [{"cycle": 1.0, "kind": "core_down", "core": 1},
+                        {"cycle": 5, "kind": "core_up", "core": 1}],
+             "redispatch_penalty_cycles": 2000.0,
+             "degraded_costs": "base"}
+
+    @settings(max_examples=300)
+    @given(payload=mutated(VALID))
+    def test_from_dict_loads_or_raises_value_error(self, payload):
+        try:
+            plan = FaultPlan.from_dict(payload)
+        except ValueError as exc:
+            assert str(exc).startswith("fault plan: ")
+            return
+        assert all(math.isfinite(e.cycle) and e.cycle >= 0 and e.core >= 0
+                   for e in plan.events)
+        assert FaultPlan.from_dict(plan.as_dict()) == plan
 
 
 class TestGenerateFaultPlan:

@@ -5,6 +5,7 @@ element-for-element identical to a serial run, and the persistent
 exploration store makes warm re-runs free.
 """
 
+import json
 import os
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro import parallel
 from repro.crypto.modexp import ModExpConfig, iter_configs
 from repro.explore import (AlgorithmExplorer, ExplorationStore,
-                           RsaDecryptWorkload)
+                           RsaDecryptWorkload, exploration_digest)
 from repro.macromodel import characterize_platform
 from repro.macromodel.persist import modelset_to_dict
 from repro.mp.prng import DeterministicPrng
@@ -216,6 +217,52 @@ class TestExploreParallel:
         other.explore(subset,
                       store=ExplorationStore(cache_dir=str(tmp_path)))
         assert other.last_run.evaluated == 1    # different digest
+
+    @pytest.mark.parametrize("document", ["[1]", '"x"', "null",
+                                          "{not json", '{"schema": 1}'])
+    def test_damaged_store_file_is_a_miss(self, tmp_path, document):
+        path = ExplorationStore(cache_dir=str(tmp_path)).path_for("d")
+        with open(path, "w") as fh:
+            fh.write(document)
+        store = ExplorationStore(cache_dir=str(tmp_path))
+        rows = store.rows_for("d")
+        assert rows == {}
+        rows["k"] = {"config": {}, "label": "x"}
+        store.flush("d")
+        with open(path) as fh:
+            assert json.load(fh)["rows"] == {"k": {"config": {},
+                                                   "label": "x"}}
+
+    @pytest.mark.parametrize("field, value", [
+        ("estimated_cycles", None), ("estimated_cycles", "12"),
+        ("wall_seconds", float("nan")), ("correct", 1), ("label", 3),
+        ("config", [1]), ("config", {"window": 4}), ("row", [1])])
+    def test_damaged_row_is_reevaluated(self, models, workload, tmp_path,
+                                        field, value):
+        subset = [ModExpConfig()]
+        explorer = AlgorithmExplorer(models, workload)
+        first = explorer.explore(
+            subset, store=ExplorationStore(cache_dir=str(tmp_path)))
+        path = ExplorationStore(cache_dir=str(tmp_path)).path_for(
+            exploration_digest(models, workload))
+        with open(path) as fh:
+            entry = json.load(fh)
+        (key, row), = entry["rows"].items()
+        if field == "row":
+            entry["rows"][key] = value
+        elif value is None:
+            del row[field]
+        else:
+            row[field] = value
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+        again = explorer.explore(
+            subset, store=ExplorationStore(cache_dir=str(tmp_path)))
+        assert explorer.last_run.evaluated == 1
+        assert _result_key(again) == _result_key(first)
+        with open(path) as fh:
+            rewritten = json.load(fh)["rows"][key]
+        assert rewritten["estimated_cycles"] == first[0].estimated_cycles
 
     def test_no_candidates_skips_best_cycles_gauge(self, models,
                                                    workload):

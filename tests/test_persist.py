@@ -68,12 +68,20 @@ class TestLoadValidation:
     the routine and the field."""
 
     @pytest.mark.parametrize("field,value,why", [
-        ("form", "cubic", "unknown model form 'cubic'"),
-        ("coeffs", [1.0], "has 1 values"),
-        ("coeffs", [1.0, 2.0, 3.0], "has 3 values"),
-        ("width", 0, "integer >= 1"),
-        ("width", -8, "integer >= 1"),
-        ("width", 2.5, "integer >= 1"),
+        pytest.param("form", "cubic", "got 'cubic'",
+                     id="form-cubic-unknown model form 'cubic'"),
+        pytest.param("coeffs", [1.0],
+                     "2 finite numbers for form 'affine', got [1.0]",
+                     id="coeffs-value1-has 1 values"),
+        pytest.param("coeffs", [1.0, 2.0, 3.0],
+                     "2 finite numbers for form 'affine', got [1.0, 2.0, "
+                     "3.0]", id="coeffs-value2-has 3 values"),
+        pytest.param("width", 0, "an int >= 1, got 0",
+                     id="width-0-integer >= 1"),
+        pytest.param("width", -8, "an int >= 1, got -8",
+                     id="width--8-integer >= 1"),
+        pytest.param("width", 2.5, "an int >= 1, got 2.5",
+                     id="width-2.5-integer >= 1"),
         ("coeffs", [1.0, float("nan")], "finite"),
         ("coeffs", [float("inf"), 2.0], "finite"),
         ("coeffs", ["1.0", 2.0], "finite"),
@@ -86,7 +94,8 @@ class TestLoadValidation:
         spec = data["models"]["mpn_add_n"]
         assert spec["form"] == "affine"
         spec[field] = value
-        with pytest.raises(ValueError, match=f"'mpn_add_n': {field} ") \
+        with pytest.raises(ValueError,
+                           match=f"'mpn_add_n': field '{field}' must be ") \
                 as info:
             modelset_from_dict(data)
         assert why in str(info.value)
@@ -99,7 +108,7 @@ class TestLoadValidation:
         data["models"]["mpn_add_n"]["width"] = 0
         data["models"]["mpn_add_n"]["coeffs"] = [1.0, 2.0, 3.0]
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="'mpn_add_n': width"):
+        with pytest.raises(ValueError, match="'mpn_add_n': field 'width'"):
             load_modelset(str(path))
 
     def test_cli_explore_reports_bad_models(self, models, tmp_path, capsys):
@@ -110,7 +119,7 @@ class TestLoadValidation:
         path.write_text(json.dumps(data))
         assert main(["explore", "--models", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "'mpn_mul_1': form" in err
+        assert "'mpn_mul_1': field 'form'" in err
 
     @pytest.mark.parametrize("document", ["[1]", "3", '"models"', "null"])
     def test_non_object_document_rejected(self, tmp_path, capsys,
@@ -130,10 +139,12 @@ class TestLoadValidation:
     def test_non_object_models_rejected(self, models, models_field):
         data = modelset_to_dict(models)
         data["models"] = models_field
-        with pytest.raises(ValueError, match="'models' must be an object"):
+        with pytest.raises(ValueError,
+                           match="field 'models' must be a JSON object"):
             modelset_from_dict(data)
         data["models"] = {"mpn_add_n": models_field}
-        with pytest.raises(ValueError, match="'mpn_add_n' must be an obj"):
+        with pytest.raises(ValueError,
+                           match="model 'mpn_add_n': not a JSON object"):
             modelset_from_dict(data)
 
 
@@ -200,7 +211,8 @@ class TestMutatedDocuments:
         and path[-1] not in ("schema", "width")], ids=str)
     def test_non_finite_number_is_named(self, path, value):
         with pytest.raises(ValueError,
-                           match=f"'{path[1]}': {_field_of(path)} "):
+                           match=f"'{path[1]}': field "
+                                 f"'{_field_of(path)}' must be "):
             modelset_from_dict(swapped(VALID, path, value))
 
     def test_cli_reports_a_missing_platform(self, tmp_path, capsys):
@@ -209,5 +221,4 @@ class TestMutatedDocuments:
         path.write_text('{"schema": 1}')
         assert main(["explore", "--models", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {path}: macro-model document: platform "
-                       "is missing\n")
+        assert err == f"error: {path}: missing field 'platform'\n"

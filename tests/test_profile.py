@@ -300,8 +300,13 @@ class TestMutatedTraces:
         assert f"'{field}'" in str(info.value)
 
     @pytest.mark.parametrize("line,named", [
-        ("[1]", "a record is a JSON object, got list"),
-        ("{}", "field 'kind' must be 'span' or 'event', got None"),
+        pytest.param("[1]", "not a JSON object, got list",
+                     id="[1]-a record is a JSON object, got list"),
+        pytest.param("{}", "missing field 'kind'",
+                     id="{}-field 'kind' must be 'span' or 'event', "
+                        "got None"),
+        ('{"kind": "spam"}', "field 'kind' must be 'span' or 'event', "
+                             "got 'spam'"),
         ('{"kind": ["span"]}', "field 'kind'"),
         ("{not json", "invalid JSON"),
     ])

@@ -257,18 +257,30 @@ class TestReplay:
             import_workload(truncated)
 
     @pytest.mark.parametrize("header, named", [
-        ("[1, 2]", "line 1: header is not a JSON object"),
-        ('"repro.farm.workload"', "line 1: header is not a JSON object"),
+        pytest.param("[1, 2]", "line 1: not a JSON object, got list",
+                     id="[1, 2]-line 1: header is not a JSON object"),
+        pytest.param('"repro.farm.workload"',
+                     "line 1: not a JSON object, got str",
+                     id='"repro.farm.workload"-line 1: header is not a '
+                        'JSON object'),
         ("{not json", "line 1: invalid JSON"),
-        ({"count": "10"}, "header field 'count' must be a non-negative "
-                          "int, got '10'"),
+        pytest.param({"count": "10"}, "line 1: field 'count' must be an "
+                                      "int >= 0, got '10'",
+                     id="header3-header field 'count' must be a "
+                        "non-negative int, got '10'"),
         ({"count": -1}, "field 'count'"),
         ({"count": True}, "field 'count'"),
-        ({"clock_hz": "fast"}, "header field 'clock_hz' must be a "
-                               "positive finite number"),
+        pytest.param({"clock_hz": "fast"}, "line 1: field 'clock_hz' must "
+                                           "be a positive finite number, "
+                                           "got 'fast'",
+                     id="header6-header field 'clock_hz' must be a "
+                        "positive finite number"),
         ({"clock_hz": 0}, "field 'clock_hz'"),
         ({"clock_hz": float("nan")}, "field 'clock_hz'"),
-        ({"meta": [1]}, "header field 'meta' must be a JSON object"),
+        pytest.param({"meta": [1]}, "line 1: field 'meta' must be a JSON "
+                                    "object, got [1]",
+                     id="header9-header field 'meta' must be a JSON "
+                        "object"),
     ])
     def test_rejects_malformed_headers(self, tmp_path, header, named):
         path = tmp_path / "header.jsonl"
@@ -318,10 +330,11 @@ class TestReplay:
         message = str(info.value)
         assert str(path) in message
         assert "line 4" in message
-        assert "field 'resumed' must be bool" in message
+        assert "field 'resumed' must be a bool, got 'false'" in message
         seq_path = self._edited_trace(
             tmp_path, lambda record: record.update(seq=2.5))
-        with pytest.raises(ValueError, match="field 'seq' must be int"):
+        with pytest.raises(ValueError,
+                           match="field 'seq' must be an int, got 2.5"):
             import_workload(seq_path)
 
     def test_rejects_malformed_record_lines(self, tmp_path):
@@ -330,8 +343,8 @@ class TestReplay:
         export_workload(path, requests)
         lines = path.read_text().splitlines()
         for bad, expected in (("{not json", "line 3: invalid JSON"),
-                              ("42", "line 3: record is not a JSON "
-                                     "object")):
+                              ("42", "line 3: not a JSON object, "
+                                     "got int")):
             lines[2] = bad
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=expected):

@@ -86,15 +86,18 @@ class TestSloTarget:
         ("secure_mbps", float("inf")), ("cache_hit_rate", "0.9"),
         ("utilization", True)])
     def test_rejects_bad_targets_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"SLO target {field} "):
+        with pytest.raises(ValueError,
+                           match=f"SLO target: field '{field}' "):
             SloTarget(**{field: value})
-        with pytest.raises(ValueError, match=f"SLO target {field} "):
+        with pytest.raises(ValueError,
+                           match=f"SLO target: field '{field}' "):
             SloTarget.from_dict({field: value})
 
     @pytest.mark.parametrize("payload", [[], [("p99_ms", 5.0)], "p99_ms",
                                          None])
     def test_from_dict_rejects_non_objects(self, payload):
-        with pytest.raises(ValueError, match="must be an object"):
+        with pytest.raises(ValueError,
+                           match="^SLO target: not a JSON object"):
             SloTarget.from_dict(payload)
 
     def test_zero_targets_are_valid(self):
@@ -156,7 +159,8 @@ class TestMutatedTargets:
 
     @pytest.mark.parametrize("field", sorted(VALID))
     def test_huge_int_target_is_named(self, field):
-        with pytest.raises(ValueError, match=f"SLO target {field} "):
+        with pytest.raises(ValueError,
+                           match=f"SLO target: field '{field}' "):
             SloTarget.from_dict(swapped(self.VALID, (field,), 10 ** 400))
 
 

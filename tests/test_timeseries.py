@@ -162,7 +162,7 @@ class TestJsonlRoundTrip:
         from repro.cli import main
         path = tmp_path / "series.jsonl"
         path.write_text(header + "\n")
-        with pytest.raises(ValueError, match="header line must be a JSON "
+        with pytest.raises(ValueError, match="line 1: not a JSON "
                                              "object") as info:
             read_series_jsonl(str(path))
         assert str(path) in str(info.value)
@@ -176,7 +176,8 @@ class TestJsonlRoundTrip:
         write_series_jsonl(_series(), buf)
         lines = buf.getvalue().splitlines()
         lines[2] = "[1]"
-        with pytest.raises(ValueError, match="<stream>: record 1 must be"):
+        with pytest.raises(ValueError,
+                           match="<stream>: line 3: not a JSON object"):
             read_series_jsonl(io.StringIO("\n".join(lines) + "\n"))
 
     def test_truncation_detected(self):
@@ -229,9 +230,8 @@ class TestSeriesLoaderErrors:
         header = swapped(self.RECORDS[0], (field,), value)
         with pytest.raises(ValueError) as info:
             self._load(path, [header] + self.RECORDS[1:])
-        message = str(info.value)
-        assert message.startswith(f"{path}: header field {field!r} ")
-        assert message.endswith("(line 1)")
+        assert str(info.value).startswith(
+            f"{path}: line 1: field {field!r} must be ")
 
     def test_missing_capacity_named(self, tmp_path):
         path = tmp_path / "series.jsonl"
@@ -249,8 +249,7 @@ class TestSeriesLoaderErrors:
         with pytest.raises(ValueError) as info:
             self._load(path, records)
         assert str(info.value) == (
-            f"{path}: record {line - 2} is missing field {field!r} "
-            f"(line {line})")
+            f"{path}: line {line}: missing field {field!r}")
 
     @pytest.mark.parametrize("line,path_in_record", [
         (2, ("t_cycles",)), (3, ("values",)), (3, ("values", "a")),
@@ -263,10 +262,8 @@ class TestSeriesLoaderErrors:
                                     [1])
         with pytest.raises(ValueError) as info:
             self._load(path, records)
-        message = str(info.value)
-        assert message.startswith(
-            f"{path}: record {line - 2} field {path_in_record[0]!r} ")
-        assert message.endswith(f"(line {line})")
+        assert str(info.value).startswith(
+            f"{path}: line {line}: field {path_in_record[0]!r} must be ")
 
     def test_invalid_json_names_the_line(self, tmp_path):
         path = tmp_path / "series.jsonl"
@@ -274,9 +271,7 @@ class TestSeriesLoaderErrors:
         path.write_text(text.replace('"kind": "event"', '"kind": '))
         with pytest.raises(ValueError) as info:
             read_series_jsonl(str(path))
-        message = str(info.value)
-        assert message.startswith(f"{path}: record 2 is not valid JSON ")
-        assert message.endswith("(line 4)")
+        assert str(info.value).startswith(f"{path}: line 4: invalid JSON (")
 
     def test_event_attributes_named_like_parameters_load(self, tmp_path):
         path = tmp_path / "series.jsonl"
@@ -313,7 +308,7 @@ class TestSeriesLoaderErrors:
         assert main(["timeseries", "--series", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read series {path}: {path}: "
-                              "header field 'clock_hz' ")
+                              "line 1: field 'clock_hz' must be ")
         assert "Traceback" not in err
 
 
