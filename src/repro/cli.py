@@ -62,7 +62,9 @@ the rendered registry to a file (``--metrics-format text`` or
 ``prometheus``); ``--profile FILE`` additionally reduces the run's
 span tree to a cycle-attribution profile
 (:class:`repro.obs.CycleProfile`), written as JSON with a top-10 table
-on stdout.  ``profile`` analyses a saved trace log offline; ``bench
+on stdout.  An output file (these, ``--series-out`` or
+``--export-workload``) in a missing directory exits 2 before the run
+starts.  ``profile`` analyses a saved trace log offline; ``bench
 --dir DIR`` records ``BENCH_<scenario>.json`` baselines into ``DIR``
 and ``bench --check`` gates the current tree against the committed
 ones.
@@ -1293,8 +1295,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags naming a file a run writes after its (possibly long) work.
+_OUTPUT_FLAGS = ("trace_out", "metrics_out", "profile", "series_out",
+                 "export_workload")
+
+
+def _check_output_paths(args) -> None:
+    """Reject an output file whose directory does not exist before the
+    run starts, not with a traceback after it."""
+    for dest in _OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path:
+            parent = os.path.dirname(path) or "."
+            if not os.path.isdir(parent):
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag}: directory {parent!r} does "
+                                 f"not exist")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _check_output_paths(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -192,11 +192,9 @@ class IssBackend(CostBackend):
 
     name = "iss"
 
-    def __init__(self, seed: int = VALIDATION_SEED, reps: int = 2,
-                 executor=None):
+    def __init__(self, seed: int = VALIDATION_SEED, reps: int = 2):
         self.seed = seed
         self.reps = reps
-        self.executor = executor    # optional repro.parallel executor
         self._kernels: Dict[Tuple[int, int], object] = {}
 
     def _mpn_kernels(self, add_width: int, mac_width: int):
@@ -229,46 +227,18 @@ class IssBackend(CostBackend):
 
     def leaf_cycles(self, routine: str, n: float,
                     add_width: int = 0, mac_width: int = 0) -> float:
-        """Mean measured cycles of ``reps`` seeded stimulus runs.
-
-        All stimuli are drawn up front (in the same PRNG order as the
-        historical one-run-at-a-time loop, so measurements are
-        bit-identical) and then executed as one batch on the kernel
-        runner's machine fleet -- decode and machine setup are paid
-        once, and an optional :mod:`repro.parallel` executor can fan
-        the runs out.
-        """
+        """Mean measured cycles of ``reps`` seeded stimulus runs
+        (``mpn_rshift`` is measured on the ``mpn_lshift`` kernel)."""
         import zlib
         kernels = self._mpn_kernels(add_width, mac_width)
         prng = DeterministicPrng(self.seed ^ zlib.crc32(routine.encode()))
-        limbs = int(n)
-        requests = []
-        for _ in range(max(1, self.reps)):
-            if routine == "mpn_add_n":
-                requests.append(("add_n", prng.next_limbs(limbs),
-                                 prng.next_limbs(limbs)))
-            elif routine == "mpn_sub_n":
-                requests.append(("sub_n", prng.next_limbs(limbs),
-                                 prng.next_limbs(limbs)))
-            elif routine == "mpn_mul_1":
-                requests.append(("mul_1", prng.next_limbs(limbs),
-                                 prng.next_bits(32)))
-            elif routine == "mpn_addmul_1":
-                requests.append(("addmul_1", prng.next_limbs(limbs),
-                                 prng.next_limbs(limbs),
-                                 prng.next_bits(32)))
-            elif routine == "mpn_submul_1":
-                requests.append(("submul_1", prng.next_limbs(limbs),
-                                 prng.next_limbs(limbs),
-                                 prng.next_bits(32)))
-            elif routine in ("mpn_lshift", "mpn_rshift"):
-                requests.append(("lshift", prng.next_limbs(limbs),
-                                 1 + prng.next_int(31)))
-            else:
-                raise NotImplementedError(
-                    f"no ISS stimulus harness for routine {routine!r}")
-        results = kernels.batch(requests, executor=self.executor)
-        runs = [float(result[2]) for result in results]
+        if routine == "mpn_rshift":
+            routine = "mpn_lshift"
+        if routine not in MPN_LEAF_ROUTINES:
+            raise NotImplementedError(
+                f"no ISS stimulus harness for routine {routine!r}")
+        runs = [float(kernels.run_stimulus(routine, int(n), prng))
+                for _ in range(max(1, self.reps))]
         return sum(runs) / len(runs)
 
 

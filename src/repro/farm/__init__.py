@@ -66,10 +66,10 @@ from repro.farm.shard import ShardedRun, merge_results, shard_workload
 from repro.farm.simulator import (BASE_CORE_GATES, Completion, Core,
                                   CoreSpec, FarmResult, FarmSimulator,
                                   build_farm, publish_metrics)
-from repro.farm.workload import (RequestCost, SessionRequest,
-                                 TrafficProfile, cost_of,
-                                 generate_requests, is_public_key_heavy,
-                                 session_id_for_client)
+from repro.farm.workload import (SessionRequest, TrafficProfile, cost_of,
+                                 generate_requests, is_public_key_heavy)
+from repro.protocols import RequestCost
+from repro.protocols.builtin import session_id_for_client
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.farm.autoscale": (

@@ -13,11 +13,8 @@ costed in cycles by the registered
 evaluation uses.
 
 This module is protocol-agnostic: protocol names, mix weights, cycle
-arithmetic, and resumption semantics all resolve through the registry.
-The historical surface (``cost_of``, ``is_public_key_heavy``,
-``ecdh_cycles``, ``farm_session``, ``session_id_for_client``,
-``RequestCost``, ``MTU_BYTES``) is preserved as re-exports; the
-protocol menu is :func:`repro.protocols.protocol_names`.
+arithmetic, and resumption semantics all resolve through the registry;
+the protocol menu is :func:`repro.protocols.protocol_names`.
 """
 
 import math
@@ -25,16 +22,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
-# WEP/ESP per-byte and framing rates live in the unified cost
-# vocabulary now; re-exported here because they are part of this
-# module's historical surface.
-from repro.costs import (CRC32_CYCLES_PER_BYTE, ESP_PACKET_FIXED_CYCLES,
-                         PlatformCosts, RC4_CYCLES_PER_BYTE,
-                         WEP_FRAME_FIXED_CYCLES)
+from repro.costs import PlatformCosts
 from repro.mp import DeterministicPrng
-from repro.protocols import (MTU_BYTES, RequestCost, UnknownProtocolError,
-                             default_mix, get_protocol, protocol_names)
-from repro.protocols.builtin import farm_session, session_id_for_client
+from repro.protocols import (RequestCost, UnknownProtocolError, default_mix,
+                             get_protocol, protocol_names)
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 
 
@@ -59,17 +50,6 @@ def is_public_key_heavy(request: SessionRequest) -> bool:
     registered protocol model) to route work onto TIE-extended cores.
     """
     return get_protocol(request.protocol).public_key_heavy(request)
-
-
-def ecdh_cycles(costs: PlatformCosts) -> float:
-    """Per-platform ECDH handshake cost.
-
-    Measured costs (built by :meth:`repro.costs.PlatformCosts.measure`)
-    carry a macro-model-estimated secp160r1 figure; hand-built costs
-    without one fall back to the documented RSA-equivalence heuristic
-    in :meth:`~repro.costs.PlatformCosts.ecdh_handshake_cycles`.
-    """
-    return costs.ecdh_handshake_cycles()
 
 
 def cost_of(request: SessionRequest, costs: PlatformCosts,

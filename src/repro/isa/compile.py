@@ -58,7 +58,7 @@ a hard zero.  Three mechanisms preserve exactness while batching work:
   is rendered without the ``try`` wrapper and progress marker.
 
 Compilation is cached per ``(Program, ExtensionSet)`` identity in a
-weak registry, so fleets and kernel runners that spawn a fresh
+weak registry, so kernel runners that spawn a fresh
 :class:`~repro.isa.machine.Machine` per run pay for predecoding once.
 """
 

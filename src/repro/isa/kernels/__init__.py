@@ -9,7 +9,7 @@ characterization phase fits macro-models to their cycle counts.
 """
 
 from repro.isa.assembler import assemble
-from repro.isa.machine import Machine, MachineFleet
+from repro.isa.machine import Machine
 
 # Base-ISA sources assemble to the same Program every time, so memoize
 # them: reconstructing a kernel object (as the characterization jobs
@@ -37,15 +37,6 @@ class KernelRunner:
         self.extensions = extensions
         self.mem_size = mem_size
         self.program = _assemble_memo(source, extensions)
-        self._fleet = None
 
     def machine(self) -> Machine:
         return Machine(self.program, self.extensions, self.mem_size)
-
-    def fleet(self) -> MachineFleet:
-        """A cached :class:`MachineFleet` for batched runs: machines are
-        reused (reset, not reconstructed) across stimulus repetitions."""
-        if self._fleet is None:
-            self._fleet = MachineFleet(self.program, self.extensions,
-                                       self.mem_size)
-        return self._fleet

@@ -408,9 +408,8 @@ class MpnKernels:
 
     # -- public runners (mirror the repro.mp.mpn API) -------------------------
     #
-    # ``machine=None`` spawns a fresh machine (the historical behavior);
-    # batched callers pass a reset fleet machine, which is bit-identical
-    # in results and cycles but skips per-run construction/decoding.
+    # ``machine=None`` spawns a fresh machine; a caller that wants to
+    # inspect the machine afterwards passes its own.
 
     def add_n(self, up, vp, machine=None):
         return self._run_binary("mpn_add_n", up, vp, machine=machine)
@@ -448,26 +447,31 @@ class MpnKernels:
         qhat = machine.run("divrem_qest", [u2, u1, vtop])
         return qhat, machine.cycles
 
-    # -- batched execution ----------------------------------------------------
+    # -- seeded stimuli ---------------------------------------------------------
 
-    def batch(self, requests, executor=None):
-        """Run many kernel calls against reused (reset) machines.
+    def run_stimulus(self, routine: str, n: int, prng) -> int:
+        """Draw one pseudo-random ``n``-limb stimulus for ``routine``
+        (``"mpn_add_n"`` ... ``"mpn_lshift"``) from ``prng``, run it on
+        a fresh machine, and return its cycles.
 
-        ``requests`` is a sequence of ``(method_name, *args)`` tuples,
-        e.g. ``("addmul_1", rp, up, v)``; the return value is the list
-        of each method's normal return value, in request order.  With
-        ``executor`` (serial or thread executors from
-        :mod:`repro.parallel`) the batch fans out while each worker
-        thread keeps its own machine; process executors are not
-        supported here -- characterization parallelizes at the
-        stimulus-job level instead.
+        Operands are drawn in argument order, so a sequence of calls
+        consumes ``prng`` exactly as drawing every stimulus up front
+        would.  An unknown routine raises ``ValueError``.
         """
-        fleet = self.runner.fleet()
-
-        def run_one(request):
-            return getattr(self, request[0])(*request[1:],
-                                             machine=fleet.machine())
-
-        if executor is None:
-            return [run_one(request) for request in requests]
-        return executor.map(run_one, list(requests), label="mpn.batch")
+        if routine == "mpn_add_n":
+            result = self.add_n(prng.next_limbs(n), prng.next_limbs(n))
+        elif routine == "mpn_sub_n":
+            result = self.sub_n(prng.next_limbs(n), prng.next_limbs(n))
+        elif routine == "mpn_mul_1":
+            result = self.mul_1(prng.next_limbs(n), prng.next_bits(32))
+        elif routine == "mpn_addmul_1":
+            result = self.addmul_1(prng.next_limbs(n), prng.next_limbs(n),
+                                   prng.next_bits(32))
+        elif routine == "mpn_submul_1":
+            result = self.submul_1(prng.next_limbs(n), prng.next_limbs(n),
+                                   prng.next_bits(32))
+        elif routine == "mpn_lshift":
+            result = self.lshift(prng.next_limbs(n), 1 + prng.next_int(31))
+        else:
+            raise ValueError(f"unknown mpn routine {routine!r}")
+        return result[2]

@@ -207,9 +207,8 @@ def backend_scope(name: Optional[str]) -> Iterator[str]:
 
     The scope is per thread: worker threads (a
     :class:`repro.parallel.ThreadExecutor`'s, say) do not inherit it
-    and resolve through ``$REPRO_ISS_BACKEND`` instead.  A
-    :class:`MachineFleet` whose workers need a backend pins it with
-    ``backend=``."""
+    and resolve through ``$REPRO_ISS_BACKEND`` instead; a machine
+    built there that needs a backend names it with ``backend=``."""
     resolved = resolve_backend(name)
     previous = getattr(_scope, "backend", None)
     _scope.backend = resolved
@@ -260,11 +259,25 @@ class Machine:
         self.program = program
         self.extensions = extensions or ExtensionSet()
         self.backend = resolve_backend(backend)
-        self.mem = bytearray(mem_size)
+        self._mem_size = mem_size
         self._dcache_cfg = dcache
-        if dcache is not None:
+        # Profiling labels: the first label at each function entry pc.
+        self._func_at: Dict[int, str] = {}
+        for label, index in program.labels.items():
+            self._func_at.setdefault(index, label)
+        #: the compiled backend's (words, limit) memory view, open only
+        #: during a run
+        self._words = NO_WORD_VIEW
+        self.reset()
+
+    def reset(self) -> None:
+        """Return the machine to its just-constructed architectural state
+        (same program, extensions, memory size, and backend) so it can be
+        reused across independent runs."""
+        self.mem = bytearray(self._mem_size)
+        if self._dcache_cfg is not None:
             from repro.isa.cache import DataCache
-            self.dcache = DataCache(dcache)
+            self.dcache = DataCache(self._dcache_cfg)
         else:
             self.dcache = None
         #: opcode -> executed count (for the energy model / statistics)
@@ -275,38 +288,9 @@ class Machine:
         self.cycles = 0
         self.instret = 0
         self._alloc_ptr = 0x1000              # bump allocator for harness data
-        # Profiling state.
-        self._func_at: Dict[int, str] = {}
-        for label, index in program.labels.items():
-            self._func_at.setdefault(index, label)
         self.profile = Profile()
         self._frames: List[Tuple[str, int]] = []  # (func, cycles at entry)
         self._cmark = 0      # cycles already attributed to the top frame
-        self._halted = False
-        self._halt_pc = 0
-        self._block_fault = None
-        #: the compiled backend's (words, limit) memory view, open only
-        #: during a run
-        self._words = NO_WORD_VIEW
-
-    def reset(self) -> None:
-        """Return the machine to its just-constructed architectural state
-        (same program, extensions, memory size, and backend) so it can be
-        reused across independent runs without re-decoding the program."""
-        self.mem = bytearray(len(self.mem))
-        if self._dcache_cfg is not None:
-            from repro.isa.cache import DataCache
-            self.dcache = DataCache(self._dcache_cfg)
-        self.opcode_counts = {}
-        self.regs = [0] * 16
-        self.user_regs = {}
-        self.pc = 0
-        self.cycles = 0
-        self.instret = 0
-        self._alloc_ptr = 0x1000
-        self.profile = Profile()
-        self._frames = []
-        self._cmark = 0
         self._halted = False
         self._halt_pc = 0
         self._block_fault = None
@@ -712,88 +696,3 @@ class Machine:
                           completed or not 0 <= pc <= sentinel, counts,
                           op_names)
         return self._finish_run(executed)
-
-    # -- batched execution -------------------------------------------------
-
-    def run_batch(self, requests: Sequence[Tuple[str, Sequence[int]]],
-                  max_instructions: int = 200_000_000
-                  ) -> List[Tuple[int, int]]:
-        """Run many independent ``(entry, args)`` calls on this machine,
-        resetting architectural state between runs (the decoded program
-        and, on the compiled backend, its compiled code are reused).
-        Returns ``[(result, cycles), ...]`` in request order."""
-        out = []
-        for entry, args in requests:
-            self.reset()
-            result = self.run(entry, args, max_instructions)
-            out.append((result, self.cycles))
-        return out
-
-
-class MachineFleet:
-    """A pool of reusable machines for one program + extension
-    configuration, one machine per thread.
-
-    Repeated stimulus runs (characterization's ``reps``, bench loops)
-    previously paid machine construction -- and with the compiled
-    backend would pay predecoding -- per run.  A fleet keeps one
-    machine per worker thread and :meth:`Machine.reset`\\ s it between
-    runs, so the decode/setup cost is paid once per thread.  Works with
-    the serial and thread executors from :mod:`repro.parallel`; for
-    process executors the fleet pickles its configuration (not its
-    machines) and each worker re-populates its own pool.
-    """
-
-    def __init__(self, program: Program,
-                 extensions: Optional[ExtensionSet] = None,
-                 mem_size: int = 1 << 20,
-                 dcache=None,
-                 backend: Optional[str] = None):
-        self.program = program
-        self.extensions = extensions
-        self.mem_size = mem_size
-        self.dcache = dcache
-        #: explicit backend pin, or None to track backend_scope()/env
-        self.backend = backend
-        self._local = threading.local()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_local"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    def machine(self) -> Machine:
-        """This thread's machine, reset to pristine architectural state.
-
-        The backend is re-resolved per call (unless pinned at fleet
-        construction), so a long-lived cached fleet honors an enclosing
-        :func:`backend_scope` instead of the scope active when the
-        fleet was first used."""
-        backend = resolve_backend(self.backend)
-        m = getattr(self._local, "machine", None)
-        if m is None or m.backend != backend:
-            m = Machine(self.program, self.extensions, self.mem_size,
-                        dcache=self.dcache, backend=backend)
-            self._local.machine = m
-        else:
-            m.reset()
-        return m
-
-    def run_batch(self, requests: Sequence[Tuple[str, Sequence[int]]],
-                  executor=None) -> List[Tuple[int, int]]:
-        """Run ``(entry, args)`` requests across the fleet, optionally
-        fanned over a :mod:`repro.parallel` executor (order-preserving).
-        Returns ``[(result, cycles), ...]`` in request order."""
-        if executor is None:
-            return self.machine().run_batch(requests)
-        return executor.map(self._run_one, list(requests), label="iss.batch")
-
-    def _run_one(self, request: Tuple[str, Sequence[int]]) -> Tuple[int, int]:
-        entry, args = request
-        m = self.machine()
-        result = m.run(entry, args)
-        return result, m.cycles

@@ -71,49 +71,19 @@ def _stimulus_job(spec: Dict) -> List[Tuple[float, float]]:
         extended = spec["extended"] and family == "mpn"
         kernels = (MpnKernels(spec["add_width"], spec["mac_width"])
                    if extended else MpnKernels())
-        # Draw every stimulus up front (same PRNG order as the
-        # historical run-per-iteration loop), then execute the whole
-        # grid as one batch on the runner's machine fleet: decode and
-        # machine construction are paid once per job, not per rep.
-        requests = []
         for n in sizes:
             for _ in range(reps):
-                if routine == "mpn_add_n":
-                    requests.append(("add_n", prng.next_limbs(n),
-                                     prng.next_limbs(n)))
-                elif routine == "mpn_sub_n":
-                    requests.append(("sub_n", prng.next_limbs(n),
-                                     prng.next_limbs(n)))
-                elif routine == "mpn_mul_1":
-                    requests.append(("mul_1", prng.next_limbs(n),
-                                     prng.next_bits(32)))
-                elif routine == "mpn_addmul_1":
-                    requests.append(("addmul_1", prng.next_limbs(n),
-                                     prng.next_limbs(n),
-                                     prng.next_bits(32)))
-                elif routine == "mpn_submul_1":
-                    requests.append(("submul_1", prng.next_limbs(n),
-                                     prng.next_limbs(n),
-                                     prng.next_bits(32)))
-                elif routine == "mpn_lshift":
-                    requests.append(("lshift", prng.next_limbs(n),
-                                     1 + prng.next_int(31)))
-                else:
-                    raise ValueError(f"unknown mpn routine {routine!r}")
-        sizes_per_request = [float(n) for n in sizes for _ in range(reps)]
-        for n, result in zip(sizes_per_request, kernels.batch(requests)):
-            samples.append((n, float(result[2])))
+                cycles = kernels.run_stimulus(routine, n, prng)
+                samples.append((float(n), float(cycles)))
         return samples
 
     if family == "qest":
         kernels = MpnKernels()
-        requests = []
         for _ in range(max(4, reps * 2)):
             vtop = prng.next_bits(32) | 0x80000000
             u2 = prng.next_int(vtop)
-            requests.append(("divrem_qest", u2, prng.next_bits(32), vtop))
-        for result in kernels.batch(requests):
-            samples.append((1.0, float(result[1])))
+            _, cycles = kernels.divrem_qest(u2, prng.next_bits(32), vtop)
+            samples.append((1.0, float(cycles)))
         return samples
 
     if family == "hash":

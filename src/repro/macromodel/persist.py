@@ -39,8 +39,8 @@ def modelset_from_dict(data: dict) -> MacroModelSet:
 
 def _modelset_from(data: dict, where: str) -> MacroModelSet:
     data = validate.as_object(data, where)
-    schema = data.get("schema")
-    if isinstance(schema, bool) or schema != _SCHEMA_VERSION:
+    schema = validate.field(data, "schema", validate.integer(), where)
+    if schema != _SCHEMA_VERSION:
         raise ValueError(f"{where}: unsupported macro-model schema "
                          f"{schema!r}")
     models = MacroModelSet(validate.field(data, "platform", validate.STRING,

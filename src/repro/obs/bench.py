@@ -424,18 +424,31 @@ def _characterize_metrics() -> Dict[str, object]:
     return metrics
 
 
+_sweep_memo: List = []
+
+
+def _serial_sweep():
+    """``(explorer, configs, results)`` of the serial 512-bit sweep
+    over 5 strided candidates that ``modexp_candidates`` and
+    ``explore_parallel`` both report, run once per process."""
+    if not _sweep_memo:
+        from repro.costs import characterize_cached
+        from repro.crypto.modexp import iter_configs
+        from repro.explore import (AlgorithmExplorer, ExplorationStore,
+                                   RsaDecryptWorkload)
+        configs = list(iter_configs())[::90]
+        explorer = AlgorithmExplorer(characterize_cached(),
+                                     RsaDecryptWorkload.bits512())
+        # A disabled store: the sweep measures exploration itself, so
+        # a warm local store must not short-circuit it.
+        results = explorer.explore(configs,
+                                   store=ExplorationStore(enabled=False))
+        _sweep_memo.append((explorer, configs, results))
+    return _sweep_memo[0]
+
+
 def _modexp_candidates_metrics() -> Dict[str, object]:
-    from repro.costs import characterize_cached
-    from repro.crypto.modexp import iter_configs
-    from repro.explore import (AlgorithmExplorer, ExplorationStore,
-                               RsaDecryptWorkload)
-    models = characterize_cached()
-    configs = list(iter_configs())[::90]        # 5 strided candidates
-    explorer = AlgorithmExplorer(models, RsaDecryptWorkload.bits512())
-    # A disabled store: this scenario measures exploration itself, so
-    # a warm local store must not short-circuit it.
-    results = explorer.explore(configs,
-                               store=ExplorationStore(enabled=False))
+    _, _, results = _serial_sweep()
     cycles = sorted(r.estimated_cycles for r in results)
     best = results[0]
     return {
@@ -451,16 +464,9 @@ def _modexp_candidates_metrics() -> Dict[str, object]:
 
 def _explore_parallel_metrics() -> Dict[str, object]:
     import tempfile
-    from repro.costs import characterize_cached
-    from repro.crypto.modexp import iter_configs
-    from repro.explore import (AlgorithmExplorer, ExplorationStore,
-                               RsaDecryptWorkload)
+    from repro.explore import ExplorationStore
     from repro.parallel import ThreadExecutor
-    models = characterize_cached()
-    configs = list(iter_configs())[::90]        # 5 strided candidates
-    explorer = AlgorithmExplorer(models, RsaDecryptWorkload.bits512())
-    serial = explorer.explore(configs,
-                              store=ExplorationStore(enabled=False))
+    explorer, configs, serial = _serial_sweep()
     with tempfile.TemporaryDirectory() as tmp:
         # Cold: 2 worker threads filling a fresh persistent store.
         with ThreadExecutor(2) as pool:

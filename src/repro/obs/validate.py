@@ -146,16 +146,17 @@ class JsonLines(NamedTuple):
 
     def header(self, format: str, version: int) -> Tuple[str, dict]:
         """The first line's ``(where, object)``, which must carry
-        ``format`` and ``version``."""
+        ``format`` and the int ``version``."""
         if not self.lines:
             raise ValueError(f"{self.name}: empty file, expected a "
                              f"{format} header")
         where, header = self.lines[0]
         if header.get("format") != format:
             raise ValueError(f"{self.name}: not a {format} file")
-        if header.get("version") != version:
+        found = field(header, "version", integer(), where)
+        if found != version:
             raise ValueError(f"{self.name}: unsupported {format} version "
-                             f"{header.get('version')!r}")
+                             f"{found!r}")
         return where, header
 
 

@@ -673,6 +673,39 @@ class TestChaosCli:
         assert captured.err.startswith("error: ")
         assert named in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        *((["farm", "--cores", "4", "--requests", "20", "--seed", "1"],
+           flag)
+          for flag in ("--trace-out", "--metrics-out", "--profile",
+                       "--series-out", "--export-workload")),
+        (["capacity", "--autoscale", "--max-cores", "4"], "--series-out"),
+        (["speedups"], "--profile"),
+    ])
+    def test_missing_output_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, argv, flag):
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("started the run before validating")
+
+        monkeypatch.setattr(cli, "_measured_cost_pair", forbidden)
+        monkeypatch.setattr(cli, "_setup_obs", forbidden)
+        missing = tmp_path / "absent"
+        assert main(argv + [flag, str(missing / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag}: directory "
+                                f"{str(missing)!r} does not exist\n")
+        assert not missing.exists()
+
+    def test_output_in_the_working_directory_is_accepted(
+            self, tmp_path, monkeypatch):
+        from repro.cli import _check_output_paths
+        monkeypatch.chdir(tmp_path)
+        _check_output_paths(build_parser().parse_args(
+            ["farm", "--trace-out", "t.jsonl", "--profile",
+             str(tmp_path / "p.json")]))
+
     def test_json_output_is_strict(self):
         import argparse
 

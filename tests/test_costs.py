@@ -53,8 +53,7 @@ class TestCompatReexports:
                 assert not hasattr(module, name), (module, name)
 
     def test_workload_constants_still_importable(self):
-        from repro.farm.workload import (CRC32_CYCLES_PER_BYTE,
-                                         RC4_CYCLES_PER_BYTE)
+        from repro.costs import CRC32_CYCLES_PER_BYTE, RC4_CYCLES_PER_BYTE
         assert RC4_CYCLES_PER_BYTE > CRC32_CYCLES_PER_BYTE > 0
 
 
@@ -234,13 +233,13 @@ class TestPlatformCostsVocabulary:
             pytest.approx(ECDH_RSA_PUBLIC_EQUIV * 1e6)
 
     def test_workload_prices_wtls_through_costs(self):
-        from repro.farm.workload import SessionRequest, ecdh_cycles, cost_of
+        from repro.farm.workload import SessionRequest, cost_of
         measured = PlatformCosts(name="m", rsa_public_cycles=1e6,
                                  rsa_private_cycles=1e7,
                                  cipher_cycles_per_byte=100.0,
                                  hash_cycles_per_byte=50.0,
                                  ecdh_cycles=3e6)
-        assert ecdh_cycles(measured) == 3e6
+        assert measured.ecdh_handshake_cycles() == 3e6
         request = SessionRequest(seq=0, arrival_cycle=0.0,
                                  protocol="wtls", size_bytes=1024,
                                  resumed=False, client_id=0)
@@ -294,6 +293,19 @@ class TestBackends:
         a = IssBackend().leaf_cycles("mpn_addmul_1", 8)
         b = IssBackend().leaf_cycles("mpn_addmul_1", 8)
         assert a == b > 0
+
+    def test_iss_leaf_cycles_pinned(self):
+        # Mean of the default two seeded 8-limb stimuli per routine;
+        # mpn_rshift is measured on the mpn_lshift kernel.
+        pinned = {"mpn_add_n": 140.0, "mpn_sub_n": 140.0,
+                  "mpn_mul_1": 132.0, "mpn_addmul_1": 172.0,
+                  "mpn_submul_1": 172.0, "mpn_lshift": 102.0,
+                  "mpn_rshift": 102.0}
+        assert set(pinned) == set(MPN_LEAF_ROUTINES) | {"mpn_rshift"}
+        backend = IssBackend()
+        assert {r: backend.leaf_cycles(r, 8) for r in pinned} == pinned
+        with pytest.raises(NotImplementedError, match="mpn_divrem"):
+            backend.leaf_cycles("mpn_divrem", 8)
 
 
 class TestCrossValidation:

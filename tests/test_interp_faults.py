@@ -275,16 +275,19 @@ class TestSharedProgram:
                 assert snaps == golden
         assert decoded_for(program) is table
 
-    def test_run_batch_after_a_fault(self):
+    def test_reset_and_run_after_a_fault(self):
         program = assemble("main:\n    lw r1, 0(r1)\n    addi r1, r1, 1\n"
                            "    halt\n")
-        requests = [("main", [0x100]), ("main", [0x200])]
         for backend in BACKENDS:
             machine = Machine(program, None, MEM, backend=backend)
             machine.write_word(0x100, 41)
             assert run_on(machine, args=[MEM])["result"] == (
                 "error", f"memory access out of range: {MEM:#x}+4")
-            assert machine.run_batch(requests) == [(1, 4), (1, 4)]
+            results = []
+            for args in ([0x100], [0x200]):
+                machine.reset()
+                results.append((machine.run("main", args), machine.cycles))
+            assert results == [(1, 4), (1, 4)]
             assert machine.instret == 2 and machine.pc == 2
             assert machine.opcode_counts == {"lw": 1, "addi": 1,
                                              "halt": 1}

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.isa.assembler import assemble
 from repro.isa.compile import compile_program, compiled_for
 from repro.isa.machine import (ISS_BACKEND_ENV, Machine, MachineError,
-                               MachineFleet, backend_scope, resolve_backend)
+                               backend_scope, resolve_backend)
 
 BACKENDS = ("interp", "compiled")
 
@@ -584,41 +584,22 @@ class TestBulkWords:
 
 
 class TestBatching:
+    """One machine reused across runs (``reset`` or not) against fresh
+    machines."""
+
     SOURCE = ("main:\n"
               "    add r1, r1, r2\n"
               "    addi r1, r1, 1\n"
               "    halt\n")
 
-    def test_run_batch_matches_fresh_runs(self):
-        program = assemble(self.SOURCE)
-        requests = [("main", [i, 2 * i]) for i in range(6)]
-        for backend in BACKENDS:
-            batched = Machine(program, backend=backend,
-                              mem_size=1 << 12).run_batch(requests)
-            singles = []
-            for entry, args in requests:
-                machine = Machine(program, backend=backend,
-                                  mem_size=1 << 12)
-                singles.append((machine.run(entry, args), machine.cycles))
-            assert batched == singles
-
-    def test_fleet_serial_matches_threaded(self):
-        from repro.parallel import ThreadExecutor
-        program = assemble(self.SOURCE)
-        requests = [("main", [i, i + 1]) for i in range(8)]
-        fleet = MachineFleet(program, mem_size=1 << 12)
-        serial = fleet.run_batch(requests)
-        with ThreadExecutor(3) as pool:
-            threaded = fleet.run_batch(requests, executor=pool)
-        assert serial == threaded
-
-    def test_fleet_tracks_backend_scope(self, monkeypatch):
+    def test_kernel_runner_machine_tracks_backend_scope(self, monkeypatch):
+        from repro.isa.kernels import KernelRunner
         monkeypatch.delenv(ISS_BACKEND_ENV, raising=False)
-        fleet = MachineFleet(assemble(self.SOURCE), mem_size=1 << 12)
-        assert fleet.machine().backend == "interp"
+        runner = KernelRunner(self.SOURCE, mem_size=1 << 12)
+        assert runner.machine().backend == "interp"
         with backend_scope("compiled"):
-            assert fleet.machine().backend == "compiled"
-        assert fleet.machine().backend == "interp"
+            assert runner.machine().backend == "compiled"
+        assert runner.machine().backend == "interp"
 
     def test_reset_machine_matches_fresh(self):
         program = assemble(self.SOURCE)
@@ -675,22 +656,3 @@ class TestBatching:
             run(reused, second)
             assert (reused.instret, reused.cycles) == (
                 fresh[0][0] + fresh[1][0], fresh[0][1] + fresh[1][1])
-
-    def test_kernel_batch_matches_singles(self):
-        from repro.isa.kernels.mpn_kernels import MpnKernels
-        from repro.mp.prng import DeterministicPrng
-        kernels = MpnKernels()
-        prng = DeterministicPrng(0xBA7C)
-        requests = []
-        for n in (2, 5):
-            requests.append(("add_n", prng.next_limbs(n),
-                             prng.next_limbs(n)))
-            requests.append(("addmul_1", prng.next_limbs(n),
-                             prng.next_limbs(n), prng.next_bits(32)))
-            requests.append(("divrem_qest", prng.next_bits(31),
-                             prng.next_bits(32),
-                             prng.next_bits(32) | 0x80000000))
-        batched = kernels.batch(requests)
-        singles = [getattr(kernels, method)(*args)
-                   for method, *args in requests]
-        assert batched == singles

@@ -42,9 +42,10 @@ class TestPersistence:
 
     def test_bad_schema_rejected(self, models):
         data = modelset_to_dict(models)
-        data["schema"] = 99
-        with pytest.raises(ValueError, match="schema"):
-            modelset_from_dict(data)
+        for schema in (99, True, 1.0):
+            data["schema"] = schema
+            with pytest.raises(ValueError, match="schema"):
+                modelset_from_dict(data)
 
     def test_bad_schema_file_rejected(self, models, tmp_path):
         path = tmp_path / "models.json"

@@ -281,6 +281,10 @@ class TestReplay:
                                     "object, got [1]",
                      id="header9-header field 'meta' must be a JSON "
                         "object"),
+        ({"version": True}, "line 1: field 'version' must be an int, "
+                            "got True"),
+        ({"version": 1.0}, "line 1: field 'version' must be an int, "
+                           "got 1.0"),
     ])
     def test_rejects_malformed_headers(self, tmp_path, header, named):
         path = tmp_path / "header.jsonl"

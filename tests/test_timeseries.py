@@ -224,7 +224,8 @@ class TestSeriesLoaderErrors:
         ("interval_cycles", "x"), ("interval_cycles", -1.0),
         ("capacity", 1.5), ("capacity", 0), ("capacity", True),
         ("capacity", 10 ** 400), ("dropped", -1), ("dropped", None),
-        ("samples", "2"), ("events", [])])
+        ("samples", "2"), ("events", []), ("version", True),
+        ("version", 1.0)])
     def test_ill_typed_header_field_named(self, tmp_path, field, value):
         path = tmp_path / "series.jsonl"
         header = swapped(self.RECORDS[0], (field,), value)
