@@ -13,11 +13,17 @@ Two execution backends share one architectural contract:
 - ``interp`` (default): the readable reference loop -- one step per
   instruction.  Each program is decoded once (:func:`decoded_for`, a
   weak per-``Program`` cache) into a per-pc table of ``(kind, handler,
-  operands, cost)``; the loop dispatches on the small-int kind, calls
-  the ALU or branch handler rendered at import from the op's
-  ``BASE_ISA`` expression, does memory ops inline, and looks custom
-  ops up in the machine's extensions when they execute, so machines
-  sharing a program share its table.
+  d, x, y)``; the loop dispatches on the small-int kind, calls the ALU
+  or branch handler rendered at import from the op's ``BASE_ISA``
+  expression, does memory ops inline, and looks custom ops up in the
+  machine's extensions when they execute, so machines sharing a
+  program share its table.  Bookkeeping is per straight-line run (the
+  instructions up to the next control transfer, ``halt`` or custom op;
+  :func:`runs_for`, cached the same way): entering a run charges its
+  length against the budget and its static cycles at once, and only
+  dcache penalties, taken-branch penalties and custom-op costs are
+  added per step.  A fault or budget trap mid-run un-charges the
+  run's tail.
 - ``compiled``: generated code via :mod:`repro.isa.compile` -- the
   program is predecoded once into one Python function per fused basic
   block, rendered from the same templates, and the driver makes one
@@ -56,7 +62,9 @@ import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import (Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.isa.assembler import Instruction, Program
 from repro.isa.extensions import ExtensionSet
@@ -90,8 +98,10 @@ def _build_handlers():
 
 _HANDLERS = _build_handlers()
 
-# Decoded-entry kinds, in the order the interpreter tests them.
-(_ALU, _LW, _SW, _BRANCH, _LB, _SB, _CUSTOM, _J, _JAL, _JR,
+# Decoded-entry kinds, in the order the interpreter tests them: the
+# straight-line ops first, then the ones that close a run (from _BRANCH
+# on).
+(_ALU, _LW, _SW, _LB, _SB, _BRANCH, _CUSTOM, _J, _JAL, _JR,
  _HALT) = range(11)
 
 #: (kind, size) of a memory op -> decoded kind
@@ -99,8 +109,9 @@ _MEM_KINDS = {("load", 4): _LW, ("load", 1): _LB,
               ("store", 4): _SW, ("store", 1): _SB}
 _CONTROL_KINDS = {"j": _J, "jal": _JAL, "halt": _HALT}
 
-#: One decoded instruction: ``(kind, handler, d, x, y, cost)``.
-Decoded = Tuple[int, object, object, object, object, int]
+#: One decoded instruction: ``(kind, handler, d, x, y)``.  Static
+#: cycle costs live in the program's :class:`Runs` table.
+Decoded = Tuple[int, object, object, object, object]
 
 
 def _decode(instr: Instruction) -> Decoded:
@@ -120,20 +131,17 @@ def _decode(instr: Instruction) -> Decoded:
     a = instr.args
     spec = BASE_ISA.get(op)
     if spec is None:
-        return (_CUSTOM, op, None, a, None, 0)
+        return (_CUSTOM, op, None, a, None)
     if spec.kind == "alu":
-        return (_ALU, _HANDLERS[op], a[0], a[1],
-                a[2] if len(a) > 2 else None, spec.cost)
+        return (_ALU, _HANDLERS[op], a[0], a[1], a[2] if len(a) > 2 else None)
     if spec.kind == "branch":
-        return (_BRANCH, _HANDLERS[op], a[2], a[0], a[1], spec.cost)
+        return (_BRANCH, _HANDLERS[op], a[2], a[0], a[1])
     if spec.size:
         off, base = a[1]
-        return (_MEM_KINDS[spec.kind, spec.size], None, a[0], base, off,
-                spec.cost)
+        return (_MEM_KINDS[spec.kind, spec.size], None, a[0], base, off)
     if op == "jr":
-        return (_JR, None, None, a[0], None, spec.cost)
-    return (_CONTROL_KINDS[op], None, a[0] if a else None, None, None,
-            spec.cost)
+        return (_JR, None, None, a[0], None)
+    return (_CONTROL_KINDS[op], None, a[0] if a else None, None, None)
 
 
 #: Program -> (decoded table, opcode name per pc).  Weak, like the
@@ -152,6 +160,57 @@ def decoded_for(program: Program) -> Tuple[List[Decoded], List[str]]:
         entry = _decoded[program] = ([_decode(instr) for instr in code],
                                      [instr.op for instr in code])
     return entry
+
+
+class Runs(NamedTuple):
+    """The straight-line runs of one program, per pc.
+
+    A run is the instructions from a pc up to and including the next
+    branch, ``j``, ``jal``, ``jr``, ``halt`` or custom op, or up to the
+    end of the program.  Custom ops close a run because their cost is
+    dynamic: they count 0 here, so the table depends on the program
+    alone."""
+
+    #: instructions in the run starting at each pc
+    lengths: List[int]
+    #: static cycles of the run starting at each pc
+    costs: List[int]
+    #: pc of the instruction closing the run starting at each pc, or
+    #: the sentinel (the program's length) for a run that falls off its
+    #: end
+    stops: List[int]
+    #: ``prefix[i]``: static cycles of instructions ``0 .. i - 1``
+    #: (one entry longer than the program)
+    prefix: List[int]
+
+
+_runs: "weakref.WeakKeyDictionary[Program, Runs]" = \
+    weakref.WeakKeyDictionary()
+
+
+def runs_for(program: Program) -> Runs:
+    """The (cached, weak like :func:`decoded_for`) run table of
+    ``program``."""
+    runs = _runs.get(program)
+    if runs is None:
+        table, op_names = decoded_for(program)
+        sentinel = len(table)
+        prefix = [0]
+        for op in op_names:
+            spec = BASE_ISA.get(op)
+            prefix.append(prefix[-1] + (spec.cost if spec else 0))
+        stops = [sentinel] * sentinel
+        stop = sentinel
+        for pc in range(sentinel - 1, -1, -1):
+            if table[pc][0] >= _BRANCH:
+                stop = pc
+            stops[pc] = stop
+        ends = [min(last + 1, sentinel) for last in stops]
+        runs = _runs[program] = Runs(
+            [end - pc for pc, end in enumerate(ends)],
+            [prefix[end] - prefix[pc] for pc, end in enumerate(ends)],
+            stops, prefix)
+    return runs
 
 
 #: The word view reads ``mem`` as native unsigned 32-bit ints, which
@@ -477,7 +536,11 @@ class Machine:
         """Call ``entry`` with ``args`` in r1..; returns r1 at exit.
 
         Execution stops at ``halt`` or when the entry function returns
-        (jr to the sentinel return address).  Dispatches to the
+        (jr to the sentinel return address).  Executing more than
+        ``max_instructions`` raises :class:`MachineError` at the first
+        instruction over it, so a budget <= 0 faults at the first
+        instruction; that instruction is counted in ``opcode_counts``
+        but neither charged nor retired.  Dispatches to the
         interpreter or the compiled backend per ``self.backend``;
         both produce bit-identical architectural and profile state.
         """
@@ -563,7 +626,22 @@ class Machine:
 
     def _run_interp(self, entry: str, args: Sequence[int],
                     max_instructions: int) -> int:
+        """The reference loop: one step per instruction, bookkeeping
+        once per straight-line run (:func:`runs_for`).
+
+        Entering a run that fits the budget charges all of it up front:
+        its length to ``executed``, its static cycles to ``cycles`` and
+        one entry to ``entries[start]``, expanded into per-pc counts at
+        exit.  The inner loop then steps the run's ALU and memory ops
+        up to its closing instruction with no per-step budget test or
+        count, adding only dcache penalties; the closing instruction
+        adds only a taken-branch penalty or a custom op's cost.  A run
+        the budget ends early stops at the instruction that trips it
+        (the run's first one for a budget <= 0).  A fault or the budget
+        trap inside a run un-charges the run's tail, so the faulting
+        instruction is counted but neither charged nor retired."""
         table, op_names = decoded_for(self.program)
+        lengths, costs, stops, prefix = runs_for(self.program)
         pc, sentinel = self._prepare_run(entry, args)
         self._cmark = self.cycles
 
@@ -575,9 +653,15 @@ class Machine:
         from_bytes = int.from_bytes
         executed = 0
         cycles = self.cycles
-        #: per-pc execution counts, merged into opcode_counts at exit --
-        #: one list index per step instead of two dict operations
+        #: runs entered whole, per start pc; expanded into ``counts`` at
+        #: exit, which a run cut short adds to directly
+        entries = [0] * sentinel
+        #: per-pc execution counts, merged into opcode_counts at exit
         counts = [0] * sentinel
+        # The pre-charged run: [start, start + n); whole unless the
+        # budget ends it.
+        start = n = 0
+        whole = True
         completed = False
         halted = False
         words, limit = word_view(mem)
@@ -587,67 +671,82 @@ class Machine:
         # r0 (ZERO_REG) is re-zeroed only after an op that can write it.
         try:
             while pc != sentinel:
-                kind, fn, d, x, y, cost = table[pc]
-                counts[pc] += 1
-                executed += 1
-                if executed > max_instructions:
-                    raise MachineError(
-                        "instruction budget exceeded (runaway program?)")
+                start = pc
+                n = lengths[pc]
+                if executed + n <= max_instructions:
+                    executed += n
+                    cycles += costs[pc]
+                    entries[pc] += 1
+                    stop = stops[pc]
+                else:
+                    # Charge up to the instruction over the budget.
+                    whole = False
+                    n = max(max_instructions - executed, 0)
+                    stop = pc + n
+                    executed += n
+                    cycles += prefix[stop] - prefix[pc]
 
-                if kind == _ALU:
-                    fn(regs, d, x, y)
-                    if not d:
-                        regs[0] = 0
-                    pc += 1
-                elif kind == _LW:
-                    addr = regs[x] + y
-                    if not addr & 3 and 0 <= addr < limit:
-                        regs[d] = words[addr >> 2]
-                    elif addr < 0 or addr + 4 > len(mem):
-                        raise MachineError(
-                            f"memory access out of range: {addr:#x}+4")
-                    else:
-                        regs[d] = from_bytes(mem[addr:addr + 4], "little")
-                    if not d:
-                        regs[0] = 0
-                    if dcache is not None:
-                        cost += dcache.access(addr)
-                    pc += 1
-                elif kind == _SW:
-                    addr = regs[x] + y
-                    if not addr & 3 and 0 <= addr < limit:
-                        words[addr >> 2] = regs[d] & WORD_MASK
-                    elif addr < 0 or addr + 4 > len(mem):
-                        raise MachineError(
-                            f"memory access out of range: {addr:#x}+4")
-                    else:
-                        mem[addr:addr + 4] = \
-                            (regs[d] & WORD_MASK).to_bytes(4, "little")
-                    if dcache is not None:
-                        cost += dcache.access(addr)
-                    pc += 1
-                elif kind == _BRANCH:
-                    if fn(regs, x, y):
-                        pc = d
-                        cycles += cost + penalty
-                        if not 0 <= pc <= sentinel:
-                            raise MachineError(f"pc out of range: {pc}")
-                        continue
-                    pc += 1
-                elif kind == _LB or kind == _SB:
-                    addr = regs[x] + y
-                    if addr < 0 or addr + 1 > len(mem):
-                        raise MachineError(
-                            f"memory access out of range: {addr:#x}+1")
-                    if kind == _LB:
-                        regs[d] = mem[addr]
+                while pc != stop:
+                    kind, fn, d, x, y = table[pc]
+                    if kind == _ALU:
+                        fn(regs, d, x, y)
                         if not d:
                             regs[0] = 0
-                    else:
-                        mem[addr] = regs[d] & 0xFF
-                    if dcache is not None:
-                        cost += dcache.access(addr)
+                    elif kind == _LW:
+                        addr = regs[x] + y
+                        if not addr & 3 and 0 <= addr < limit:
+                            regs[d] = words[addr >> 2]
+                        elif addr < 0 or addr + 4 > len(mem):
+                            raise MachineError(
+                                f"memory access out of range: {addr:#x}+4")
+                        else:
+                            regs[d] = from_bytes(mem[addr:addr + 4], "little")
+                        if not d:
+                            regs[0] = 0
+                        if dcache is not None:
+                            cycles += dcache.access(addr)
+                    elif kind == _SW:
+                        addr = regs[x] + y
+                        if not addr & 3 and 0 <= addr < limit:
+                            words[addr >> 2] = regs[d] & WORD_MASK
+                        elif addr < 0 or addr + 4 > len(mem):
+                            raise MachineError(
+                                f"memory access out of range: {addr:#x}+4")
+                        else:
+                            mem[addr:addr + 4] = \
+                                (regs[d] & WORD_MASK).to_bytes(4, "little")
+                        if dcache is not None:
+                            cycles += dcache.access(addr)
+                    else:  # lb / sb
+                        addr = regs[x] + y
+                        if addr < 0 or addr + 1 > len(mem):
+                            raise MachineError(
+                                f"memory access out of range: {addr:#x}+1")
+                        if kind == _LB:
+                            regs[d] = mem[addr]
+                            if not d:
+                                regs[0] = 0
+                        else:
+                            mem[addr] = regs[d] & 0xFF
+                        if dcache is not None:
+                            cycles += dcache.access(addr)
                     pc += 1
+
+                if not whole:
+                    raise MachineError(
+                        "instruction budget exceeded (runaway program?)")
+                if pc == sentinel:
+                    break
+                # The closing instruction, its static cost already paid.
+                kind, fn, d, x, y = table[pc]
+                if kind == _BRANCH:
+                    if fn(regs, x, y):
+                        pc = d
+                        cycles += penalty
+                        if not 0 <= pc <= sentinel:
+                            raise MachineError(f"pc out of range: {pc}")
+                    else:
+                        pc += 1
                 elif kind == _CUSTOM:
                     custom = ext.get(fn)
                     if custom is None:
@@ -656,22 +755,18 @@ class Machine:
                     self.cycles = cycles
                     custom.semantics(self, x)
                     cost = custom.cycle_cost(self, x)
-                    cycles = self.cycles
+                    cycles = self.cycles + cost
                     regs[0] = 0
                     pc += 1
                 elif kind == _J:
                     pc = d
-                    cycles += cost
                     if not 0 <= pc <= sentinel:
                         raise MachineError(f"pc out of range: {pc}")
-                    continue
                 elif kind == _HALT:
-                    cycles += cost
                     halted = True
                     break
                 else:
-                    # jal / jr: charge, then enter or leave a profile frame
-                    cycles += cost
+                    # jal / jr: enter or leave a profile frame
                     self.cycles = cycles
                     self._flush_frame_cycles()
                     if kind == _JAL:
@@ -683,13 +778,24 @@ class Machine:
                         self._leave()
                     if not 0 <= pc <= sentinel:
                         raise MachineError(f"pc out of range: {pc}")
-                    continue
-
-                cycles += cost
             completed = not halted
         finally:
             if words is not None:
                 words.release()
+            if not (completed or halted) and start <= pc <= start + n:
+                # Trapped inside the run: count it per pc through pc,
+                # and un-charge the instructions after pc and pc itself
+                # (pc is past the charged ones on a budget trap).
+                if whole:
+                    entries[start] -= 1
+                for i in range(start, pc + 1):
+                    counts[i] += 1
+                executed -= start + n - pc - 1
+                cycles -= prefix[start + n] - prefix[pc]
+            for first in compress(range(sentinel), entries):
+                entered = entries[first]
+                for i in range(first, first + lengths[first]):
+                    counts[i] += entered
             self.cycles = cycles
             # A pc fault retires the transfer that left the program.
             self._end_run(pc, executed,

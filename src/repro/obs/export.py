@@ -18,6 +18,7 @@ parsing.
 
 import json
 import re
+from math import isfinite
 from typing import Dict, List, Optional, TextIO, Union
 
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -43,19 +44,44 @@ def write_events_jsonl(tracer: Tracer,
     return len(records)
 
 
-#: Field -> (kind, may be null), per record kind.
+_ID = validate.integer()
+
+#: Field -> (kind, may be null), per record kind, in the order of the
+#: record class's constructor arguments.
 _RECORD_FIELDS = {
-    "span": {"span_id": (validate.integer(), False),
-             "parent_id": (validate.integer(), True),
+    "span": {"span_id": (_ID, False),
+             "parent_id": (_ID, True),
              "name": (validate.STRING, False),
              "start": (validate.NUMBER, False),
              "end": (validate.NUMBER, True),
              "attrs": (validate.OBJECT, False)},
     "event": {"name": (validate.STRING, False),
               "time": (validate.NUMBER, False),
-              "span_id": (validate.integer(), True),
+              "span_id": (_ID, True),
               "attrs": (validate.OBJECT, False)},
 }
+
+#: The Python type of the values each kind above accepts outright; a
+#: finite number must also pass ``isfinite``.
+_FAST_TYPES = {_ID: int, validate.STRING: str, validate.NUMBER: float,
+               validate.OBJECT: dict}
+
+
+def _checks(fields) -> List[tuple]:
+    """``(field, types, finite, kind, may be null)`` per field.  The
+    first three are the cheap test every valid record of the usual
+    shape passes; a value failing it -- an int for a number, say, or a
+    bad value -- takes :func:`validate.field` with the last two, which
+    accepts it or raises the error naming it."""
+    return [(name, frozenset([_FAST_TYPES[shape]] + [type(None)] * nullable),
+             shape is validate.NUMBER, shape, nullable)
+            for name, (shape, nullable) in fields.items()]
+
+
+#: Per record kind: its class and the checks of its fields.
+_RECORD_CHECKS = {"span": (Span, _checks(_RECORD_FIELDS["span"])),
+                  "event": (TraceEvent, _checks(_RECORD_FIELDS["event"]))}
+_MISSING = object()
 
 
 def read_events_jsonl(source: Union[str, TextIO]) -> Tracer:
@@ -69,25 +95,31 @@ def read_events_jsonl(source: Union[str, TextIO]) -> Tracer:
     a :class:`ValueError` naming the file, the line and the field.
     """
     tracer = Tracer()
+    records = tracer._records
     max_id = 0
     for where, payload in validate.read_jsonl(source).lines:
-        kind = validate.field(payload, "kind", validate.STRING, where)
-        if kind not in _RECORD_FIELDS:
+        kind = payload.get("kind")
+        check = _RECORD_CHECKS.get(kind) if type(kind) is str else None
+        if check is None:
+            kind = validate.field(payload, "kind", validate.STRING, where)
             raise validate.invalid(where, "kind", "'span' or 'event'",
                                    kind)
-        values = {name: validate.field(payload, name, shape, where,
+        cls, fields = check
+        values = []
+        for name, types, finite, shape, nullable in fields:
+            value = payload.get(name, _MISSING)
+            if type(value) not in types or (
+                    finite and value is not None and not isfinite(value)):
+                value = validate.field(payload, name, shape, where,
                                        nullable=nullable)
-                  for name, (shape, nullable)
-                  in _RECORD_FIELDS[kind].items()}
-        if kind == "span":
-            span = Span(**values)
-            tracer.spans.append(span)
-            tracer._records.append(span)
-            max_id = max(max_id, span.span_id)
+            values.append(value)
+        record = cls(*values)
+        records.append(record)
+        if cls is Span:
+            tracer.spans.append(record)
+            max_id = max(max_id, record.span_id)
         else:
-            event = TraceEvent(**values)
-            tracer.events.append(event)
-            tracer._records.append(event)
+            tracer.events.append(record)
     tracer._next_id = max_id + 1
     return tracer
 

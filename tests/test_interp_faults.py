@@ -11,6 +11,7 @@ memory contents.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,12 @@ from repro.isa.cache import CacheConfig
 from repro.isa.custom import make_macrow, make_montcfg, make_vaddc
 from repro.isa.extensions import CustomInstruction, ExtensionSet
 from repro.isa.instructions import BASE_ISA
+from repro.isa.kernels.hash_kernels import Sha1Kernel
+from repro.isa.kernels.md5_kernel import Md5Kernel
+from repro.isa.kernels.modexp_kernel import ModExpKernel
+from repro.isa.kernels.mpn_kernels import MpnKernels
 from repro.isa.machine import (NO_WORD_VIEW, Machine, MachineError,
-                               decoded_for, word_view)
+                               decoded_for, runs_for, word_view)
 
 BACKENDS = ("interp", "compiled")
 MEM = 1 << 16
@@ -38,6 +43,7 @@ def snapshot(machine, result):
         "regs": list(machine.regs),
         "mem": hashlib.sha256(machine.mem).hexdigest(),
         "local_cycles": dict(machine.profile.local_cycles),
+        "inclusive_cycles": dict(machine.profile.inclusive_cycles),
         "call_counts": dict(machine.profile.call_counts),
         "dcache": (None if machine.dcache is None else
                    (machine.dcache.stats.accesses,
@@ -486,3 +492,192 @@ class TestZeroRegister:
             machine.regs[0] = 0xDEAD
             assert machine.run("main") == 0
             assert machine.regs[:5] == [0, 0, 7, 0, 0]
+
+
+BUDGET_TRAP = "instruction budget exceeded (runaway program?)"
+
+
+class TestRunAccounting:
+    """The interpreter charges the budget, counts and static cycles once
+    per straight-line run (up to the next branch, j, jal, jr, halt or
+    custom op).  A trap anywhere in a run must leave exactly the state
+    of per-instruction accounting."""
+
+    # Runs: pc 0-3 (closed by the taken beq), 4 (the custom op), 5-6
+    # (jal), 8-9 (jr), 7 (halt).
+    SOURCE = ("main:\n"
+              "    addi r1, r1, 1\n"       # pc 0
+              "    addi r1, r1, 2\n"       # pc 1
+              "    addi r2, r2, 3\n"       # pc 2
+              "    beq r0, r0, next\n"     # pc 3, taken: 1 + 2
+              "next:\n"
+              "    bump r1\n"              # pc 4, +16, latency 5
+              "    addi r1, r1, 4\n"       # pc 5
+              "    jal f\n"                # pc 6
+              "    halt\n"                 # pc 7
+              "f:\n"
+              "    addi r1, r1, 8\n"       # pc 8
+              "    jr r14\n")              # pc 9
+    # Executed in this order, with these charges and r1 increments.
+    PCS = (0, 1, 2, 3, 4, 5, 6, 8, 9, 7)
+    OPS = ("addi", "addi", "addi", "beq", "bump", "addi", "jal", "addi",
+           "jr", "halt")
+    CYCLES = (1, 1, 1, 3, 5, 1, 3, 1, 3, 1)
+    R1 = (1, 2, 0, 0, 16, 4, 0, 8, 0, 0)
+
+    def run(self, budget):
+        ext = ExtensionSet([_bump("bump", 16, 5)])
+        return run_both(self.SOURCE, extensions=ext,
+                        max_instructions=budget)
+
+    @pytest.mark.parametrize("budget", [-3, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+    def test_budget_expires_anywhere_in_a_run(self, budget):
+        # -3 to 0: the first instruction (cycles 0, instret 0, the addi
+        # counted); 2: mid-run; 3: on the closing branch; 4: on the
+        # custom op; 5: right after it; 6: on the jal; 7: the first
+        # instruction of the callee; 9: on the halt.
+        snap = self.run(budget)
+        done = max(budget, 0)
+        assert error(snap) == BUDGET_TRAP
+        assert snap["cycles"] == sum(self.CYCLES[:done])
+        assert snap["instret"] == done
+        assert snap["opcode_counts"] == Counter(self.OPS[:done + 1])
+        assert snap["pc"] == self.PCS[done]
+        assert snap["regs"][1] == sum(self.R1[:done])
+
+    def test_whole_program_within_the_budget(self):
+        for budget in (10, 11):
+            snap = self.run(budget)
+            assert snap["result"] == sum(self.R1)
+            assert snap["cycles"] == sum(self.CYCLES)
+            assert snap["instret"] == 9
+            assert snap["opcode_counts"] == Counter(self.OPS)
+            # main pays the jal, f its jr.
+            assert snap["local_cycles"] == {"main": 16, "f": 4}
+            assert snap["inclusive_cycles"] == {"main": 20, "f": 4}
+
+    @pytest.mark.parametrize("dcache", CACHES, ids=CACHE_IDS)
+    def test_memory_fault_after_a_miss_in_the_same_run(self, dcache):
+        snap = run_both("main:\n    li r2, 0x2000\n"
+                        "    lw r3, 0(r2)\n"       # 2, a miss: + 9
+                        "    addi r3, r3, 1\n"
+                        "    lw r4, -1(r0)\n"      # faults
+                        "    addi r1, r1, 1\n    halt\n", dcache=dcache)
+        assert error(snap) == "memory access out of range: -0x1+4"
+        miss = 0 if dcache is None else 9
+        assert snap["cycles"] == 1 + 2 + miss + 1
+        assert snap["instret"] == 3 and snap["pc"] == 3
+        assert snap["opcode_counts"] == {"li": 1, "lw": 2, "addi": 1}
+        assert snap["regs"][3] == 1
+        assert snap["dcache"] == (None if dcache is None else (1, 1))
+        assert snap["local_cycles"] == {"main": 1 + 2 + miss + 1}
+
+    @pytest.mark.parametrize("budget,done", [(1, 1), (2, 2), (3, 2)])
+    def test_falling_off_the_end(self, budget, done):
+        # No control transfer: the run ends at the sentinel, a return.
+        snap = run_both("main:\n    addi r1, r1, 5\n"
+                        "    addi r1, r1, 6\n", args=[100],
+                        max_instructions=budget)
+        assert snap["cycles"] == done and snap["instret"] == done
+        assert snap["opcode_counts"] == {"addi": 2}
+        if done == 2:
+            assert snap["result"] == 111 and snap["pc"] == 2
+        else:
+            assert error(snap) == BUDGET_TRAP
+            assert snap["pc"] == 1 and snap["regs"][1] == 105
+
+    LOOP = ("main:\n    li r2, 3\n"
+            "loop:\n    addi r1, r1, 1\n"
+            "    addi r2, r2, -1\n"
+            "    bne r2, r0, loop\n"       # back into the run from pc 0
+            "    halt\n")
+
+    def test_branch_into_the_middle_of_a_run(self):
+        snap = run_both(self.LOOP, args=[10])
+        assert snap["result"] == 13
+        # li, three iterations of three, two taken branches, halt
+        assert snap["cycles"] == 1 + 3 * 3 + 2 * 2 + 1
+        assert snap["instret"] == 10
+        assert snap["opcode_counts"] == {"li": 1, "addi": 6, "bne": 3,
+                                         "halt": 1}
+
+    def test_budget_expires_in_a_run_entered_mid_way(self):
+        # li, addi, addi, bne (taken), addi, addi, then the second bne.
+        snap = run_both(self.LOOP, args=[10], max_instructions=6)
+        assert error(snap) == BUDGET_TRAP
+        assert snap["cycles"] == 1 + 1 + 1 + 3 + 1 + 1
+        assert snap["instret"] == 6 and snap["pc"] == 3
+        assert snap["opcode_counts"] == {"li": 1, "addi": 4, "bne": 2}
+        assert snap["regs"][1:3] == [12, 1]
+
+    CALLS = ("main:\n    addi r1, r1, 1\n"    # pc 0
+             "    jal f\n"                      # pc 1
+             "    addi r1, r1, 2\n"             # pc 2
+             "    jal f\n"                      # pc 3
+             "    halt\n"                       # pc 4
+             "f:\n    addi r1, r1, 4\n"        # pc 5
+             "    addi r1, r1, 8\n"             # pc 6
+             "    jr r14\n")                    # pc 7
+
+    def test_jal_and_jr_attribute_across_runs(self):
+        snap = run_both(self.CALLS)
+        assert snap["result"] == 1 + 2 + 2 * 12
+        # The caller pays its jal, the callee its jr.
+        assert snap["local_cycles"] == {"main": 1 + 3 + 1 + 3 + 1,
+                                        "f": 2 * (1 + 1 + 3)}
+        assert snap["inclusive_cycles"] == {"main": 19, "f": 2 * 5}
+        assert snap["call_counts"] == {"main": 1, "f": 2}
+        assert snap["cycles"] == 19 and snap["instret"] == 10
+
+    @pytest.mark.parametrize("budget,local", [
+        (1, {"main": 1}),                   # on the first jal
+        (3, {"main": 4, "f": 1}),           # mid-callee
+        (4, {"main": 4, "f": 2}),           # on the jr
+        (5, {"main": 4, "f": 5}),           # right after the return
+    ])
+    def test_budget_trap_attributes_the_charged_cycles(self, budget, local):
+        snap = run_both(self.CALLS, max_instructions=budget)
+        assert error(snap) == BUDGET_TRAP
+        assert snap["local_cycles"] == local
+        assert snap["cycles"] == sum(local.values())
+        assert snap["instret"] == budget
+
+
+KERNEL_PROGRAMS = {
+    "mpn": lambda: MpnKernels().runner.program,
+    "mpn_8_8": lambda: MpnKernels(8, 8).runner.program,
+    "modexp": lambda: ModExpKernel().runner.program,
+    "modexp_8_8": lambda: ModExpKernel(8, 8).runner.program,
+    "sha1": lambda: Sha1Kernel().runner.program,
+    "md5": lambda: Md5Kernel().runner.program,
+}
+
+
+def _naive_run(program, pc):
+    """(length, static cycles, closing pc or the sentinel) of the run at
+    ``pc``, walking the instructions one by one."""
+    code = program.instructions
+    length = cost = 0
+    for at in range(pc, len(code)):
+        spec = BASE_ISA.get(code[at].op)
+        length += 1
+        cost += spec.cost if spec is not None else 0
+        if spec is None or spec.kind in ("branch", "control"):
+            return length, cost, at
+    return length, cost, len(code)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PROGRAMS))
+def test_run_table_matches_a_naive_walk(name):
+    program = KERNEL_PROGRAMS[name]()
+    runs = runs_for(program)
+    code = program.instructions
+    assert [_naive_run(program, pc) for pc in range(len(code))] == list(
+        zip(runs.lengths, runs.costs, runs.stops))
+    total = 0
+    for pc, instr in enumerate(code):
+        assert runs.prefix[pc] == total
+        spec = BASE_ISA.get(instr.op)
+        total += spec.cost if spec is not None else 0
+    assert runs.prefix[len(code)] == total
+    assert runs_for(program) is runs
